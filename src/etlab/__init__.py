@@ -20,7 +20,7 @@ from .kinetic import (
     moments,
     run_kinetic,
 )
-from .linalg import BandedSymmetricMatrix, conjugate_gradient, solve_banded_spd
+from .linalg import BandedCholesky, BandedSymmetricMatrix
 from .scheme import (
     SchemeParams,
     StepFailureError,
@@ -28,10 +28,8 @@ from .scheme import (
     Trajectory,
     assemble_residual,
     budget_audit,
-    diagnostic_norms,
     entropy_audit,
     fixed_point_step,
-    linearized_solve,
     lyapunov_functional,
     make_initial_state,
     run_transient,

@@ -8,7 +8,8 @@ numeric tables are written as CSV with 17-significant-digit floats and LF
 line endings, so identical configurations produce byte-identical outputs.
 
 Exit codes: 0 success, 2 solver failure (fixed point or backoff exhausted),
-3 configuration error.
+3 configuration error, 4 audit failure (``macro`` or ``audit`` wrote
+``audits.json`` with ``all_passed: false``).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .scheme import (
     lyapunov_functional,
     make_initial_state,
     run_transient,
+    step_count,
 )
 from .thermo import EntropicState, to_primitive
 
@@ -52,6 +54,7 @@ MODES = ("macro", "kinetic", "compare", "sweep", "mms", "audit")
 EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
+EXIT_AUDIT = 4
 
 
 class ConfigError(ValueError):
@@ -110,10 +113,16 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _get_section(doc: Dict[str, Any], name: str) -> Dict[str, Any]:
-    section = doc.get(name, {})
-    _expect(isinstance(section, dict), name, "must be an object")
-    return section
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number_list(value: Any) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
 _SCHEME_FIELDS = {
@@ -128,19 +137,72 @@ _SCHEME_FIELDS = {
     "tau_backoff_limit": int,
     "inner_mode": str,
     "sigma_ramp": list,
-    "edge_mean": str,
     "init_floor": float,
 }
 
 
-def parse_config(text: str) -> RunConfig:
-    """Validate a JSON document into a RunConfig with defaults filled."""
+_SECTIONS = {
+    "grid": ("n_cells", "length"),
+    "scheme": tuple(_SCHEME_FIELDS),
+    "kinetic": ("eps", "v_max", "n_v"),
+    "init": ("preset", "rho0", "theta0"),
+    "output": ("directory", "snapshot_stride"),
+    "sweep": ("which", "values", "varied"),
+    "mms": ("resolutions",),
+}
+
+
+def _get_section(doc: Dict[str, Any], name: str) -> Dict[str, Any]:
+    section = doc.get(name, {})
+    _expect(isinstance(section, dict), name, "must be an object")
+    for key in section:
+        _expect(key in _SECTIONS[name], f"{name}.{key}", "unknown field")
+    return section
+
+
+def _set_path(doc: Dict[str, Any], key: str, value: Any) -> None:
+    """Set a dotted path in the JSON document, creating sections on the way."""
+    parts = key.split(".")
+    node = doc
+    for i, part in enumerate(parts[:-1]):
+        node = node.setdefault(part, {})
+        _expect(isinstance(node, dict), ".".join(parts[: i + 1]), "must be an object")
+    node[parts[-1]] = value
+
+
+def parse_config(
+    text: str, overrides: Sequence[str] = (), mode: Optional[str] = None
+) -> RunConfig:
+    """Validate a JSON document into a RunConfig with defaults filled.
+
+    Each dotted ``key=value`` override edits the document before it is
+    validated; its value is read as JSON, or taken as a plain string when
+    it is not JSON. Precedence: overrides, then ``ETLAB_OUTPUT_DIR``, then
+    the file. ``mode``, the command-line subcommand, replaces the
+    document's mode.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "<document>", "top level must be an object")
+    env_dir = os.environ.get("ETLAB_OUTPUT_DIR")
+    if env_dir:
+        _set_path(doc, "output.directory", env_dir)
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(item, "override must look like key=value")
+        key, raw = item.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        _set_path(doc, key, value)
+    if mode is not None:
+        doc["mode"] = mode
 
+    for name in doc:
+        _expect(name == "mode" or name in _SECTIONS, name, "unknown section")
     cfg = RunConfig()
     mode = doc.get("mode", cfg.mode)
     _expect(mode in MODES, "mode", f"must be one of {MODES}, got {mode!r}")
@@ -149,14 +211,14 @@ def parse_config(text: str) -> RunConfig:
     grid_sec = _get_section(doc, "grid")
     if "n_cells" in grid_sec:
         _expect(
-            isinstance(grid_sec["n_cells"], int) and grid_sec["n_cells"] >= 3,
+            _is_int(grid_sec["n_cells"]) and grid_sec["n_cells"] >= 3,
             "grid.n_cells",
             "must be an integer >= 3",
         )
         cfg.n_cells = grid_sec["n_cells"]
     if "length" in grid_sec:
         _expect(
-            isinstance(grid_sec["length"], (int, float)) and grid_sec["length"] > 0,
+            _is_number(grid_sec["length"]) and grid_sec["length"] > 0,
             "grid.length",
             "must be a positive number",
         )
@@ -165,51 +227,53 @@ def parse_config(text: str) -> RunConfig:
     scheme_sec = _get_section(doc, "scheme")
     scheme_kwargs: Dict[str, Any] = {}
     for key, value in scheme_sec.items():
-        _expect(key in _SCHEME_FIELDS, f"scheme.{key}", "unknown field")
         want = _SCHEME_FIELDS[key]
         if want is float:
-            _expect(
-                isinstance(value, (int, float)), f"scheme.{key}", "must be a number"
-            )
-            scheme_kwargs[key] = float(value)
+            _expect(_is_number(value), f"scheme.{key}", "must be a number")
+            value = float(value)
         elif want is int:
-            _expect(isinstance(value, int), f"scheme.{key}", "must be an integer")
-            scheme_kwargs[key] = value
-        else:
-            scheme_kwargs[key] = value
+            _expect(_is_int(value), f"scheme.{key}", "must be an integer")
+        elif want is list:
+            _expect(
+                value is None or _is_number_list(value),
+                f"scheme.{key}",
+                "must be an array of numbers",
+            )
+        scheme_kwargs[key] = value
     try:
         cfg.scheme = SchemeParams(**scheme_kwargs)
     except ValueError as exc:
         raise ConfigError("scheme", str(exc)) from exc
+    if cfg.mode in ("macro", "compare"):
+        try:
+            step_count(cfg.scheme.t_final, cfg.scheme.tau)
+        except ValueError as exc:
+            raise ConfigError("scheme.t_final", str(exc)) from exc
 
     kin = _get_section(doc, "kinetic")
     if "eps" in kin:
         eps = kin["eps"]
         if isinstance(eps, list):
             _expect(
-                all(isinstance(v, (int, float)) and v > 0 for v in eps),
+                _is_number_list(eps) and eps and all(v > 0 for v in eps),
                 "kinetic.eps",
                 "values must be positive numbers",
             )
             cfg.kinetic_eps_values = [float(v) for v in eps]
             cfg.kinetic_eps = cfg.kinetic_eps_values[0]
         else:
-            _expect(
-                isinstance(eps, (int, float)) and eps > 0,
-                "kinetic.eps",
-                "must be positive",
-            )
+            _expect(_is_number(eps) and eps > 0, "kinetic.eps", "must be positive")
             cfg.kinetic_eps = float(eps)
     if "v_max" in kin:
         _expect(
-            isinstance(kin["v_max"], (int, float)) and kin["v_max"] > 0,
+            _is_number(kin["v_max"]) and kin["v_max"] > 0,
             "kinetic.v_max",
             "must be positive",
         )
         cfg.v_max = float(kin["v_max"])
     if "n_v" in kin:
         _expect(
-            isinstance(kin["n_v"], int) and kin["n_v"] >= 4,
+            _is_int(kin["n_v"]) and kin["n_v"] >= 4,
             "kinetic.n_v",
             "must be an integer >= 4",
         )
@@ -225,12 +289,7 @@ def parse_config(text: str) -> RunConfig:
         cfg.preset = init["preset"]
     for key in ("rho0", "theta0"):
         if key in init:
-            _expect(
-                isinstance(init[key], list)
-                and all(isinstance(v, (int, float)) for v in init[key]),
-                f"init.{key}",
-                "must be an array of numbers",
-            )
+            _expect(_is_number_list(init[key]), f"init.{key}", "must be an array of numbers")
             setattr(cfg, key, [float(v) for v in init[key]])
 
     out = _get_section(doc, "output")
@@ -239,7 +298,7 @@ def parse_config(text: str) -> RunConfig:
         cfg.output_dir = out["directory"]
     if "snapshot_stride" in out:
         _expect(
-            isinstance(out["snapshot_stride"], int) and out["snapshot_stride"] >= 1,
+            _is_int(out["snapshot_stride"]) and out["snapshot_stride"] >= 1,
             "output.snapshot_stride",
             "must be a positive integer",
         )
@@ -255,75 +314,32 @@ def parse_config(text: str) -> RunConfig:
         cfg.sweep_which = sweep["which"]
     if "values" in sweep:
         _expect(
-            isinstance(sweep["values"], list) and len(sweep["values"]) >= 2,
+            _is_number_list(sweep["values"]) and len(sweep["values"]) >= 2,
             "sweep.values",
             "must be an array of at least two numbers",
         )
         cfg.sweep_values = [float(v) for v in sweep["values"]]
     if "varied" in sweep:
-        _expect(isinstance(sweep["varied"], dict), "sweep.varied", "must be an object")
-        cfg.sweep_varied = {
-            k: [float(v) for v in vs] for k, vs in sweep["varied"].items()
-        }
+        varied = sweep["varied"]
+        _expect(isinstance(varied, dict), "sweep.varied", "must be an object")
+        for k, vs in varied.items():
+            _expect(
+                _SCHEME_FIELDS.get(k) is float,
+                f"sweep.varied.{k}",
+                "must name a numeric scheme field",
+            )
+            _expect(_is_number_list(vs), f"sweep.varied.{k}", "must be an array of numbers")
+        cfg.sweep_varied = {k: [float(v) for v in vs] for k, vs in varied.items()}
 
     mms = _get_section(doc, "mms")
     if "resolutions" in mms:
         _expect(
             isinstance(mms["resolutions"], list)
-            and all(isinstance(v, int) and v >= 3 for v in mms["resolutions"]),
+            and all(_is_int(v) and v >= 3 for v in mms["resolutions"]),
             "mms.resolutions",
             "must be an array of integers >= 3",
         )
         cfg.mms_resolutions = list(mms["resolutions"])
-
-    env_dir = os.environ.get("ETLAB_OUTPUT_DIR")
-    if env_dir:
-        cfg.output_dir = env_dir
-    return cfg
-
-
-def _apply_overrides(cfg: RunConfig, overrides: Sequence[str]) -> RunConfig:
-    """Apply dotted key=value overrides on top of a parsed configuration."""
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(item, "override must look like key=value")
-        key, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        parts = key.split(".")
-        if parts[0] == "scheme" and len(parts) == 2:
-            _expect(parts[1] in _SCHEME_FIELDS, key, "unknown scheme field")
-            try:
-                cfg.scheme = dataclasses.replace(cfg.scheme, **{parts[1]: value})
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(key, str(exc)) from exc
-        elif key == "grid.n_cells":
-            _expect(isinstance(value, int) and value >= 3, key, "must be integer >= 3")
-            cfg.n_cells = value
-        elif key == "grid.length":
-            _expect(isinstance(value, (int, float)) and value > 0, key, "must be > 0")
-            cfg.length = float(value)
-        elif key == "init.preset":
-            _expect(value in PRESET_NAMES, key, f"must be one of {PRESET_NAMES}")
-            cfg.preset = value
-        elif key == "kinetic.eps":
-            _expect(isinstance(value, (int, float)) and value > 0, key, "must be > 0")
-            cfg.kinetic_eps = float(value)
-        elif key == "kinetic.v_max":
-            _expect(isinstance(value, (int, float)) and value > 0, key, "must be > 0")
-            cfg.v_max = float(value)
-        elif key == "kinetic.n_v":
-            _expect(isinstance(value, int) and value >= 4, key, "must be integer >= 4")
-            cfg.n_v = value
-        elif key == "output.directory":
-            cfg.output_dir = str(value)
-        elif key == "output.snapshot_stride":
-            _expect(isinstance(value, int) and value >= 1, key, "must be integer >= 1")
-            cfg.snapshot_stride = value
-        else:
-            raise ConfigError(key, "unknown override path")
     return cfg
 
 
@@ -439,19 +455,25 @@ def _json_default(value: Any):
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
-def _write_audits(out: Path, records: List[Dict[str, Any]]) -> None:
-    payload = {
-        "all_passed": bool(
-            all(
-                r["mass_pass"] and r["energy_pass"] and r["entropy_pass"]
-                for r in records
-            )
-        ),
-        "records": records,
-    }
+def _write_audits(out: Path, records: List[Dict[str, Any]]) -> int:
+    """Write audits.json; EXIT_AUDIT when any step failed an audit."""
+    failed = [
+        r["step"]
+        for r in records
+        if not (r["mass_pass"] and r["energy_pass"] and r["entropy_pass"])
+    ]
+    payload = {"all_passed": not failed, "records": records}
     with open(out / "audits.json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(payload, f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
+    if failed:
+        print(
+            f"audit failure: {len(failed)} of {len(records)} steps failed "
+            f"(first: step {failed[0]}); see audits.json",
+            file=sys.stderr,
+        )
+        return EXIT_AUDIT
+    return EXIT_OK
 
 
 def _write_error_record(out: Optional[Path], kind: str, message: str) -> None:
@@ -477,8 +499,7 @@ def _run_macro(cfg: RunConfig, out: Path) -> int:
     init = make_initial_state(rho0, theta0, floor=cfg.scheme.init_floor)
     traj = run_transient(grid, init, cfg.scheme)
     _write_macro_outputs(out, grid, traj, cfg.snapshot_stride)
-    _write_audits(out, _audit_records(traj))
-    return EXIT_OK
+    return _write_audits(out, _audit_records(traj))
 
 
 def _run_kinetic(cfg: RunConfig, out: Path) -> int:
@@ -630,8 +651,7 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
                 "dissipation": entropy.dissipation,
             }
         )
-    _write_audits(out, records)
-    return EXIT_OK
+    return _write_audits(out, records)
 
 
 _RUNNERS = {
@@ -656,9 +676,7 @@ def main(argv: Sequence[str]) -> int:
             text = Path(config_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError("<config>", f"cannot read {config_path}: {exc}") from exc
-        cfg = parse_config(text)
-        cfg.mode = mode
-        cfg = _apply_overrides(cfg, argv[2:])
+        cfg = parse_config(text, argv[2:], mode=mode)
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[mode](cfg, out)
@@ -674,3 +692,7 @@ def main(argv: Sequence[str]) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy as sp
 
 from .grid import Grid1D, build_grid, integrate
 from .kinetic import build_velocity_grid, limit_compare, run_kinetic
@@ -232,6 +231,10 @@ def manufactured_from_expressions(rho_expr, theta_expr, x_sym, t_sym) -> Manufac
     S_rho = d_t rho - d_xx (rho theta),
     S_E   = d_t E   - d_xx (theta + 5/2 rho theta^2),  E = theta (1 + 3 rho / 2).
     """
+    # Imported here, not at module level: only manufactured solutions need
+    # sympy, which is slow to import.
+    import sympy as sp
+
     energy_expr = theta_expr * (1 + sp.Rational(3, 2) * rho_expr)
     s_rho = sp.diff(rho_expr, t_sym) - sp.diff(rho_expr * theta_expr, x_sym, 2)
     s_energy = sp.diff(energy_expr, t_sym) - sp.diff(
@@ -254,6 +257,8 @@ def manufactured_from_expressions(rho_expr, theta_expr, x_sym, t_sym) -> Manufac
 
 def default_manufactured(length: float = 1.0) -> ManufacturedSolution:
     """Smooth positive cosine profiles with zero-slope walls."""
+    import sympy as sp
+
     x, t = sp.symbols("x t", real=True)
     rho = sp.Rational(6, 5) + sp.Rational(1, 5) * sp.cos(sp.pi * x / length) * sp.exp(-t)
     theta = 1 + sp.Rational(3, 20) * sp.cos(2 * sp.pi * x / length) * sp.exp(-2 * t)

@@ -1,17 +1,17 @@
-"""Small banded symmetric linear algebra: Cholesky solves and a matrix-free CG.
+"""Banded symmetric positive definite solves, backed by LAPACK.
 
-Systems here are tiny (a few hundred to a few thousand unknowns, bandwidth
-at most 5), so the factorization runs as a plain Python loop over columns.
-Only the lower bands are stored, which keeps symmetry by construction.
+Only the lower bands are stored, which keeps symmetry by construction. The
+storage ``bands[k, j] = A[j+k, j]`` is LAPACK's lower band layout, so the
+factorization (``pbtrf``) and the triangular solves (``pbtrs``) run on the
+assembled array directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
-from typing import Callable
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 
 @dataclass
@@ -29,14 +29,6 @@ class BandedSymmetricMatrix:
                 f"bands shape {self.bands.shape} != ({self.bandwidth + 1}, {self.n})"
             )
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = self.bands[0] * x
-        for k in range(1, self.bandwidth + 1):
-            y[k:] += self.bands[k, : self.n - k] * x[: self.n - k]
-            y[: self.n - k] += self.bands[k, : self.n - k] * x[k:]
-        return y
-
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.bands[0])
         for k in range(1, self.bandwidth + 1):
@@ -47,92 +39,19 @@ class BandedSymmetricMatrix:
 
 
 class BandedCholesky:
-    """LL^T factorization of a banded SPD matrix; factor once, solve many."""
+    """LL^T factorization of a banded SPD matrix; factor once, solve many.
+
+    Raises ValueError when the matrix is not positive definite, so callers
+    that back off on a bad step catch one exception type.
+    """
 
     def __init__(self, m: BandedSymmetricMatrix):
-        n, bw = m.n, m.bandwidth
-        # Work on Python float lists: faster than numpy scalar indexing here.
-        cols = [[float(m.bands[k, j]) for k in range(bw + 1)] for j in range(n)]
-        for j in range(n):
-            col = cols[j]
-            for p in range(max(0, j - bw), j):
-                l_jp = cols[p][j - p]
-                if l_jp != 0.0:
-                    colp = cols[p]
-                    for k in range(bw + 1 - (j - p)):
-                        col[k] -= colp[j - p + k] * l_jp
-            d = col[0]
-            if d <= 0.0:
-                raise ValueError(f"matrix not SPD: nonpositive pivot at row {j}")
-            d = sqrt(d)
-            col[0] = d
-            for k in range(1, bw + 1):
-                col[k] /= d
-        self.n = n
-        self.bandwidth = bw
-        self._cols = cols
+        try:
+            self._factor = cholesky_banded(m.bands, lower=True)
+        except LinAlgError as exc:
+            raise ValueError(f"matrix not SPD: {exc}") from exc
+        self.n = m.n
+        self.bandwidth = m.bandwidth
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n, bw, cols = self.n, self.bandwidth, self._cols
-        y = [float(v) for v in np.asarray(rhs, dtype=float)]
-        for j in range(n):  # forward: L y = b
-            s = y[j]
-            for k in range(1, min(bw, j) + 1):
-                s -= cols[j - k][k] * y[j - k]
-            y[j] = s / cols[j][0]
-        for j in range(n - 1, -1, -1):  # backward: L^T x = y
-            s = y[j]
-            col = cols[j]
-            for k in range(1, min(bw, n - 1 - j) + 1):
-                s -= col[k] * y[j + k]
-            y[j] = s / col[0]
-        return np.array(y)
-
-
-def solve_banded_spd(m: BandedSymmetricMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for banded SPD A to residual 1e-12 * (1 + ||rhs||_inf).
-
-    One or two steps of iterative refinement with the same factorization
-    cover the rare case where plain Cholesky misses the contract.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    fac = BandedCholesky(m)
-    x = fac.solve(rhs)
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(rhs))) if rhs.size else 1.0)
-    for _ in range(3):
-        r = rhs - m.matvec(x)
-        if float(np.max(np.abs(r))) <= tol:
-            break
-        x = x + fac.solve(r)
-    return x
-
-
-def conjugate_gradient(
-    apply: Callable[[np.ndarray], np.ndarray],
-    rhs: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 1000,
-    x0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Plain conjugate gradient on an SPD operator; 2-norm residual <= tol."""
-    rhs = np.asarray(rhs, dtype=float)
-    x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = rhs - apply(x)
-    if float(np.linalg.norm(r)) <= tol:
-        return x
-    p = r.copy()
-    rs = float(r @ r)
-    for _ in range(max_iter):
-        ap = apply(p)
-        alpha = rs / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(r @ r)
-        if sqrt(rs_new) <= tol:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise RuntimeError(
-        f"conjugate gradient: residual {sqrt(rs):.3e} > tol {tol:.3e} "
-        f"after {max_iter} iterations"
-    )
+        return cho_solve_banded((self._factor, True), np.asarray(rhs, dtype=float))

@@ -84,7 +84,6 @@ class SchemeParams:
     tau_backoff_limit: int = 10
     inner_mode: str = "coupled_implicit"
     sigma_ramp: Optional[Sequence[float]] = None
-    edge_mean: str = "arithmetic"
     init_floor: float = 1e-12
     exp_cap: float = DEFAULT_EXP_CAP
     source_mass: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
@@ -194,7 +193,7 @@ def _residual_parts(
     mac = to_primitive(cand, cap=p.exp_cap)
     rho, theta, w, phi = mac.rho, mac.theta, cand.w, cand.phi
 
-    m11, m12, m22, eneg = onsager_edge(rho, theta, w, p.edge_mean)
+    m11, m12, m22, eneg = onsager_edge(rho, theta, w)
     dphi = grad_edge(grid, phi)
     dw = grad_edge(grid, w)
     flux_mass = m11 * dphi + m12 * eneg * dw
@@ -293,7 +292,7 @@ def _assemble_blocks(
     """
     n, h = grid.n_cells, grid.h
     rho, theta, w = frozen_mac.rho, frozen_mac.theta, frozen.w
-    m11, m12, m22, eneg = onsager_edge(rho, theta, w, p.edge_mean)
+    m11, m12, m22, eneg = onsager_edge(rho, theta, w)
     dw = grad_edge(grid, w)
     theta_e = edge_mean(theta)
 
@@ -343,52 +342,8 @@ def _block_matrix(n: int, bands3: np.ndarray) -> BandedSymmetricMatrix:
 
 
 # ---------------------------------------------------------------------------
-# linearized problem and fixed-point iterations
+# fixed-point iterations
 # ---------------------------------------------------------------------------
-
-
-def linearized_solve(
-    grid: Grid1D,
-    prev: EntropicState,
-    frozen: EntropicState,
-    p: SchemeParams,
-    sigma: float,
-) -> EntropicState:
-    """One pass of the decoupled linear problem with fully explicit data.
-
-    Solves the two SPD systems whose bilinear forms are the eps/delta
-    regularization forms (coercive only for eps > 0 and delta > 0), with
-    right-hand sides built entirely from the frozen state: time differences
-    and fluxes enter explicitly, scaled by sigma.
-    """
-    if p.eps <= 0.0 or p.delta <= 0.0:
-        raise ValueError("linearized_solve requires eps > 0 and delta > 0")
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
-    n, h = grid.n_cells, grid.h
-    prev_mac = to_primitive(prev, cap=p.exp_cap)
-    froz_mac = to_primitive(frozen, cap=p.exp_cap)
-    theta, w = froz_mac.theta, frozen.w
-    theta_e = edge_mean(theta)
-    dw = grad_edge(grid, w)
-
-    a1 = p.eps * _second_form_bands(grid, np.ones(n))
-    a1[:2] += p.delta * _stiffness_bands(grid, np.ones(n - 1))
-    a1[0] += p.delta * h
-
-    a2 = p.eps * _second_form_bands(grid, theta)
-    a2[:2] += p.eps * _stiffness_bands(grid, theta_e * dw**2)
-    a2[0] += p.eps * h * (1.0 + theta)
-    a2[:2] += p.delta * _stiffness_bands(grid, theta_e**3)
-    a2[0] += p.delta * h * np.exp(-p.n_exp * w)
-
-    dyn_m, dyn_e, _, _, _ = _residual_parts(grid, prev_mac, frozen, p, 0.0)
-    f1 = -h * dyn_m
-    f2 = -h * dyn_e
-
-    phi = BandedCholesky(_block_matrix(n, a1)).solve(sigma * f1)
-    w_new = BandedCholesky(_block_matrix(n, a2)).solve(sigma * f2)
-    return EntropicState(phi=phi, w=w_new)
 
 
 def _converge(
@@ -521,16 +476,22 @@ def make_initial_state(rho0, theta0, floor: float = 1e-12) -> MacroState:
     return MacroState.from_rho_theta(rho0, theta0)
 
 
+def step_count(t_final: float, tau: float) -> int:
+    """Number of steps of size tau that reach t_final; ValueError unless integral."""
+    ratio = t_final / tau
+    n_steps = round(ratio)
+    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, n_steps):
+        raise ValueError(f"t_final/tau = {ratio} is not an integer")
+    return n_steps
+
+
 def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory:
     """March to t_final in steps of tau, auditing every accepted step.
 
     A step that needed backoff is completed by dyadic substeps so the
     recorded states still sit at exact multiples of tau.
     """
-    ratio = p.t_final / p.tau
-    n_steps = round(ratio)
-    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, n_steps):
-        raise ValueError(f"t_final/tau = {ratio} is not an integer")
+    n_steps = step_count(p.t_final, p.tau)
     state = to_entropic(init.rho, init.theta)
     states = [state]
     reports: List[StepReport] = []
@@ -556,7 +517,7 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
 
 
 # ---------------------------------------------------------------------------
-# audits and diagnostics
+# audits
 # ---------------------------------------------------------------------------
 
 
@@ -636,19 +597,18 @@ def dissipation_terms(
     mac = to_primitive(state)
     rho, theta, w, phi = mac.rho, mac.theta, state.w, state.phi
     h = grid.h
-    m11, m12, m22, eneg = onsager_edge(rho, theta, w, p.edge_mean)
+    m11, m12, m22, eneg = onsager_edge(rho, theta, w)
     dphi = grad_edge(grid, phi)
     dw = grad_edge(grid, w)
     theta_e = edge_mean(theta)
-    rho_e = edge_mean(rho, p.edge_mean)
-    theta_me = edge_mean(theta, p.edge_mean)
+    rho_e = edge_mean(rho)
 
     # Sum-of-squares evaluation of the 2x2 edge form: its determinant
     # factors as rho theta^3 (1 + 5/2 rho theta), a product of nonnegative
     # terms, so every edge value is nonnegative in floating point too.
     safe_m11 = np.where(m11 > 0.0, m11, 1.0)
     s_mixed = np.sqrt(safe_m11) * dphi + (m12 * eneg / np.sqrt(safe_m11)) * dw
-    det_scaled = rho_e * theta_me**3 * (1.0 + 2.5 * rho_e * theta_me) / safe_m11
+    det_scaled = rho_e * theta_e**3 * (1.0 + 2.5 * rho_e * theta_e) / safe_m11
     edge_form = np.where(
         m11 > 0.0,
         s_mixed**2 + det_scaled * eneg**2 * dw**2,
@@ -719,31 +679,3 @@ def entropy_audit(
         edge_form_min=edge_min,
         dissipation=terms,
     )
-
-
-def diagnostic_norms(
-    grid: Grid1D, state: EntropicState, n_exp: float = 2.0
-) -> Dict[str, float]:
-    """Monitored quadratures (reported, never asserted)."""
-    mac = to_primitive(state)
-    rho, theta, w = mac.rho, mac.theta, state.w
-    h = grid.h
-    theta_e = edge_mean(theta)
-    return {
-        "rho_log_rho": integrate(grid, rho * np.log(rho)),
-        "theta": integrate(grid, theta),
-        "rho_theta": integrate(grid, rho * theta),
-        "abs_log_theta": integrate(grid, np.abs(w)),
-        "rho2_theta": integrate(grid, rho**2 * theta),
-        "rho_theta2": integrate(grid, rho * theta**2),
-        "rho_theta3": integrate(grid, rho * theta**3),
-        "rho2_theta3": integrate(grid, rho**2 * theta**3),
-        "theta2": integrate(grid, theta**2),
-        "theta4": integrate(grid, theta**4),
-        "grad_sqrt_rho_theta_sq": h
-        * float(np.sum(grad_edge(grid, np.sqrt(rho * theta)) ** 2)),
-        "grad_log_theta_sq": h * float(np.sum(grad_edge(grid, w) ** 2)),
-        "theta_grad_sqrt_rho_sq": h
-        * float(np.sum(theta_e * grad_edge(grid, np.sqrt(rho)) ** 2)),
-        "theta_neg_power": integrate(grid, theta ** -(n_exp + 1.0)),
-    }

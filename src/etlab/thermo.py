@@ -261,23 +261,13 @@ def maxwellian_moments_check(
     )
 
 
-def edge_mean(a: np.ndarray, kind: str = "arithmetic") -> np.ndarray:
-    """Edge value of a nodal quantity; arithmetic mean unless configured."""
-    if kind == "arithmetic":
-        return 0.5 * (a[:-1] + a[1:])
-    if kind == "geometric":
-        return np.sqrt(a[:-1] * a[1:])
-    if kind == "harmonic":
-        s = a[:-1] + a[1:]
-        out = np.zeros_like(s)
-        nz = s > 0.0
-        out[nz] = 2.0 * a[:-1][nz] * a[1:][nz] / s[nz]
-        return out
-    raise ValueError(f"unknown edge mean {kind!r}")
+def edge_mean(a: np.ndarray) -> np.ndarray:
+    """Edge value of a nodal quantity: the arithmetic mean of its two cells."""
+    return 0.5 * (a[:-1] + a[1:])
 
 
 def onsager_edge(
-    rho: np.ndarray, theta: np.ndarray, w: np.ndarray, mean: str = "arithmetic"
+    rho: np.ndarray, theta: np.ndarray, w: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Onsager entries and e^{-w} at edges from averaged nodal rho, theta, w.
 
@@ -285,25 +275,23 @@ def onsager_edge(
     edge matrix [[m11, m12 e], [m12 e, m22 e^2]] positive semidefinite for
     any positive edge value e of exp(-w).
     """
-    rho_e = edge_mean(rho, mean)
-    theta_e = edge_mean(theta, mean)
-    w_e = edge_mean(w, "arithmetic")
+    rho_e = edge_mean(rho)
+    theta_e = edge_mean(theta)
+    w_e = edge_mean(w)
     m11 = rho_e * theta_e
     m12 = 2.5 * rho_e * theta_e**2
     m22 = theta_e**2 * (1.0 + 8.75 * rho_e * theta_e)
     return m11, m12, m22, np.exp(-w_e)
 
 
-def flux_consistency(
-    grid: Grid1D, state: EntropicState, mean: str = "arithmetic"
-) -> Tuple[float, float]:
+def flux_consistency(grid: Grid1D, state: EntropicState) -> Tuple[float, float]:
     """Sup-norm gap between Onsager-form and conservative-form edge fluxes.
 
     The two forms agree in the continuum; on a grid the difference is a
     second-order consistency residual. Returned for diagnosis, never fatal.
     """
     mac = to_primitive(state)
-    m11, m12, m22, eneg = onsager_edge(mac.rho, mac.theta, state.w, mean)
+    m11, m12, m22, eneg = onsager_edge(mac.rho, mac.theta, state.w)
     dphi = grad_edge(grid, state.phi)
     dw = grad_edge(grid, state.w)
     flux_mass = m11 * dphi + m12 * eneg * dw

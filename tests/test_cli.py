@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from etlab.cli import ConfigError, main, parse_config
+import etlab
+from etlab.cli import EXIT_AUDIT, ConfigError, main, parse_config
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -72,6 +77,47 @@ def test_bad_override_exits_3(tmp_path):
     assert main(["macro", cfg, "grid.n_cells=oops"]) == 3
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "scheme.fp_max_iter=2.5",
+        "scheme.tau=true",
+        "grid.n_cells=true",
+        "scheme.sigma_ramp=0.5",
+        "kinetic.eps=[]",
+        "grid.size=8",
+        "scheme.edge_mean=geometric",
+    ],
+)
+def test_invalid_override_exits_3_without_exception(tmp_path, capsys, override):
+    cfg = _write_config(tmp_path, MINIMAL)
+    assert main(["macro", cfg, override]) == 3
+    assert "config error" in capsys.readouterr().err
+
+
+def test_override_takes_same_values_as_file():
+    from_override = parse_config(json.dumps(MINIMAL), ["kinetic.eps=[0.2,0.1]"])
+    from_file = parse_config(json.dumps(dict(MINIMAL, kinetic={"eps": [0.2, 0.1]})))
+    assert from_override == from_file
+    assert from_override.kinetic_eps_values == [0.2, 0.1]
+
+
+def test_override_beats_env_var_beats_file(tmp_path, monkeypatch):
+    doc = dict(MINIMAL, output={"directory": "from_file"})
+    monkeypatch.setenv("ETLAB_OUTPUT_DIR", "from_env")
+    assert parse_config(json.dumps(doc)).output_dir == "from_env"
+    cfg = parse_config(json.dumps(doc), ["output.directory=from_override"])
+    assert cfg.output_dir == "from_override"
+
+
+@pytest.mark.parametrize("mode", ["macro", "compare"])
+def test_t_final_not_multiple_of_tau_exits_3(tmp_path, capsys, mode):
+    doc = dict(MINIMAL, scheme={"t_final": 0.0015})
+    cfg = _write_config(tmp_path, doc)
+    assert main([mode, cfg]) == 3
+    assert "scheme.t_final" in capsys.readouterr().err
+
+
 def _macro_doc(tmp_path, **scheme):
     base = {"tau": 5e-3, "t_final": 0.02, "eps": 0.0, "delta": 0.0}
     base.update(scheme)
@@ -125,6 +171,24 @@ def test_audit_mode_on_stored_trajectory(tmp_path):
     payload = json.loads((tmp_path / "out" / "audits.json").read_text())
     assert payload["all_passed"] is True
     assert all(r["mass_pass"] and r["energy_pass"] for r in payload["records"])
+
+
+def test_audit_mode_flags_tampered_snapshot(tmp_path):
+    doc = _macro_doc(tmp_path, delta=1e-4, eps=1e-6)
+    doc["init"]["preset"] = "gauss-bump"
+    cfg = _write_config(tmp_path, doc)
+    assert main(["macro", cfg]) == 0
+    snap = tmp_path / "out" / "snapshot_2.csv"
+    lines = snap.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[4] = repr(float(cells[4]) + 1e-3)  # phi of one cell
+    lines[5] = ",".join(cells)
+    snap.write_text("\n".join(lines) + "\n")
+    assert main(["audit", cfg]) == EXIT_AUDIT == 4
+    payload = json.loads((tmp_path / "out" / "audits.json").read_text())
+    assert payload["all_passed"] is False
+    failed = [r["step"] for r in payload["records"] if not r["mass_pass"]]
+    assert failed == [2, 3]
 
 
 def test_audit_mode_requires_per_step_snapshots(tmp_path):
@@ -197,3 +261,25 @@ def test_mms_mode_writes_tables(tmp_path):
     assert main(["mms", cfg]) == 0
     assert (tmp_path / "mms" / "table.csv").exists()
     assert (tmp_path / "mms" / "table_temporal.csv").exists()
+
+
+def _run_python(*args):
+    paths = [str(Path(etlab.__file__).resolve().parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_python_m_cli_runs_main():
+    proc = _run_python("-m", "etlab.cli")
+    assert proc.returncode == 3
+    assert "usage" in proc.stderr
+
+
+def test_import_cli_does_not_import_sympy():
+    proc = _run_python("-c", "import sys, etlab.cli; print('sympy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from etlab.linalg import (
-    BandedCholesky,
-    BandedSymmetricMatrix,
-    conjugate_gradient,
-    solve_banded_spd,
-)
+from etlab.linalg import BandedCholesky, BandedSymmetricMatrix
 
 
 def _random_spd_banded(n, bw, rng):
@@ -22,7 +17,7 @@ def test_identity_returns_rhs():
     n = 9
     m = BandedSymmetricMatrix(n=n, bandwidth=1, bands=np.vstack([np.ones(n), np.zeros(n)]))
     rhs = np.arange(n, dtype=float)
-    assert np.allclose(solve_banded_spd(m, rhs), rhs, rtol=1e-14)
+    assert np.allclose(BandedCholesky(m).solve(rhs), rhs, rtol=1e-14)
 
 
 def test_neumann_laplacian_plus_identity_keeps_constants():
@@ -33,7 +28,7 @@ def test_neumann_laplacian_plus_identity_keeps_constants():
     bands[0, 0] = bands[0, -1] = 1.0 + 1.0 / h**2
     bands[1, : n - 1] = -1.0 / h**2
     m = BandedSymmetricMatrix(n=n, bandwidth=1, bands=bands)
-    x = solve_banded_spd(m, np.ones(n))
+    x = BandedCholesky(m).solve(np.ones(n))
     assert np.allclose(x, 1.0, atol=1e-12)
 
 
@@ -44,7 +39,7 @@ def test_matches_dense_factorization_oracle(bw):
         n = rng.integers(5, 40)
         m = _random_spd_banded(int(n), bw, rng)
         rhs = rng.normal(size=int(n))
-        x = solve_banded_spd(m, rhs)
+        x = BandedCholesky(m).solve(rhs)
         x_dense = np.linalg.solve(m.to_dense(), rhs)
         assert np.max(np.abs(x - x_dense)) < 1e-12 * (1.0 + np.max(np.abs(x_dense)))
 
@@ -53,8 +48,8 @@ def test_residual_contract():
     rng = np.random.default_rng(42)
     m = _random_spd_banded(60, 2, rng)
     rhs = rng.normal(size=60) * 1e3
-    x = solve_banded_spd(m, rhs)
-    res = np.max(np.abs(m.matvec(x) - rhs))
+    x = BandedCholesky(m).solve(rhs)
+    res = np.max(np.abs(m.to_dense() @ x - rhs))
     assert res <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
 
 
@@ -64,37 +59,3 @@ def test_not_spd_raises():
     m = BandedSymmetricMatrix(n=4, bandwidth=1, bands=bands)
     with pytest.raises(ValueError, match="not SPD"):
         BandedCholesky(m)
-
-
-def test_cg_diagonal_operator_exact():
-    d = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    rhs = np.array([5.0, 8.0, 9.0, 8.0, 5.0])
-    x = conjugate_gradient(lambda v: d * v, rhs, tol=1e-14, max_iter=5)
-    assert np.allclose(x, rhs / d, rtol=1e-12)
-
-
-def test_cg_agrees_with_banded_solver():
-    rng = np.random.default_rng(9)
-    m = _random_spd_banded(25, 2, rng)
-    rhs = rng.normal(size=25)
-    x_cg = conjugate_gradient(m.matvec, rhs, tol=1e-12, max_iter=200)
-    x_b = solve_banded_spd(m, rhs)
-    assert np.max(np.abs(x_cg - x_b)) < 1e-9
-
-
-def test_cg_tol_monotonicity():
-    rng = np.random.default_rng(17)
-    m = _random_spd_banded(30, 1, rng)
-    rhs = rng.normal(size=30)
-    res = []
-    for tol in (1e-4, 1e-8, 1e-12):
-        x = conjugate_gradient(m.matvec, rhs, tol=tol, max_iter=500)
-        res.append(np.linalg.norm(m.matvec(x) - rhs))
-    assert res[0] >= res[1] >= res[2]
-
-
-def test_cg_max_iter_exceeded():
-    rng = np.random.default_rng(2)
-    m = _random_spd_banded(30, 1, rng)
-    with pytest.raises(RuntimeError, match="conjugate gradient"):
-        conjugate_gradient(m.matvec, rng.normal(size=30), tol=1e-14, max_iter=1)

@@ -13,11 +13,9 @@ from etlab.scheme import (
     _block_matrix,
     _interleave,
     assemble_residual,
-    diagnostic_norms,
     dissipation_terms,
     entropy_audit,
     fixed_point_step,
-    linearized_solve,
     lyapunov_functional,
     make_initial_state,
     run_transient,
@@ -105,56 +103,6 @@ def test_residual_quadrature_telescopes():
             + p.delta * integrate(GRID, np.exp(-p.n_exp * cand.w) * cand.w)
         )
         assert integrate(GRID, r2) == pytest.approx(expected2, rel=1e-10, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# linearized problem
-# ---------------------------------------------------------------------------
-
-
-def test_linearized_solve_sigma_zero_gives_zero():
-    p = SchemeParams(tau=0.1, eps=1e-3, delta=1e-3)
-    prev = _bump_state(GRID)
-    out = linearized_solve(GRID, prev, prev, p, sigma=0.0)
-    assert np.max(np.abs(out.phi)) == 0.0
-    assert np.max(np.abs(out.w)) == 0.0
-
-
-def test_linearized_solve_constant_scalar_reduction():
-    # constant frozen data reduce the solves to two scalar equations
-    p = SchemeParams(tau=0.1, eps=1e-6, delta=1e-3, n_exp=2.0)
-    prev = _constant_state(2.5, 0.0)
-    frozen = _constant_state(2.6, 0.1)
-    out = linearized_solve(GRID, prev, frozen, p, sigma=1.0)
-    rho_f = to_primitive(frozen).rho[0]
-    e_f = to_primitive(frozen).energy[0]
-    theta_f = to_primitive(frozen).theta[0]
-    phi_exact = -(rho_f - 1.0) / (p.tau * p.delta)
-    w_exact = -(e_f - 2.5) / (
-        p.tau * (p.eps * (1.0 + theta_f) + p.delta * math.exp(-p.n_exp * frozen.w[0]))
-    )
-    assert np.allclose(out.phi, phi_exact, rtol=1e-10)
-    assert np.allclose(out.w, w_exact, rtol=1e-10)
-
-
-def test_linearized_solve_requires_positive_regularization():
-    prev = _bump_state(GRID)
-    with pytest.raises(ValueError):
-        linearized_solve(GRID, prev, prev, SchemeParams(eps=0.0, delta=1e-3), 1.0)
-    with pytest.raises(ValueError):
-        linearized_solve(GRID, prev, prev, SchemeParams(eps=1e-3, delta=0.0), 1.0)
-
-
-def test_linearized_solve_random_frozen_states_spd():
-    # the decoupled forms must admit a Cholesky factorization for any
-    # finite frozen state (solve raises otherwise)
-    rng = np.random.default_rng(12)
-    p = SchemeParams(tau=0.05, eps=1e-4, delta=1e-3)
-    prev = _bump_state(GRID)
-    for _ in range(10):
-        frozen = EntropicState(rng.uniform(0, 4, 16), rng.uniform(-1, 1, 16))
-        out = linearized_solve(GRID, prev, frozen, p, sigma=1.0)
-        assert np.all(np.isfinite(out.phi)) and np.all(np.isfinite(out.w))
 
 
 def test_entropic_state_requires_finite_entries():
@@ -422,29 +370,6 @@ def test_entropy_audit_slack_value():
     s = _constant_state(2.5, 0.0)
     audit = entropy_audit(GRID, s, s, p)
     assert audit.slack == pytest.approx(0.1 * 0.01 * math.exp(6.0) * GRID.length)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-
-def test_diagnostic_norms_equilibrium_values():
-    s = _constant_state(2.5, 0.0)
-    norms = diagnostic_norms(GRID, s)
-    assert norms["rho_log_rho"] == pytest.approx(0.0, abs=1e-14)
-    assert norms["theta"] == pytest.approx(1.0, rel=1e-13)
-    assert norms["rho2_theta"] == pytest.approx(1.0, rel=1e-13)
-    assert norms["grad_log_theta_sq"] == 0.0
-    assert norms["grad_sqrt_rho_theta_sq"] == 0.0
-
-
-def test_diagnostic_norms_all_finite():
-    rng = np.random.default_rng(8)
-    s = EntropicState(rng.uniform(-2, 4, 16), rng.uniform(-1, 1, 16))
-    norms = diagnostic_norms(GRID, s, n_exp=3.0)
-    assert len(norms) == 14
-    assert all(np.isfinite(v) for v in norms.values())
 
 
 def test_lyapunov_matches_manual_quadrature():
