@@ -20,7 +20,7 @@ from .kinetic import (
     moments,
     run_kinetic,
 )
-from .linalg import BandedCholesky, BandedSymmetricMatrix
+from .linalg import BandedCholesky, BandedSymmetricMatrix, NotSPDError
 from .scheme import (
     SchemeParams,
     StepFailureError,

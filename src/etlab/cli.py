@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from .kinetic import build_velocity_grid, run_kinetic
 from .scheme import (
     SchemeParams,
     StepFailureError,
+    StepReport,
     Trajectory,
     budget_audit,
     entropy_audit,
@@ -47,7 +49,7 @@ from .scheme import (
     run_transient,
     step_count,
 )
-from .thermo import EntropicState, to_primitive
+from .thermo import BlowupError, EntropicState, to_primitive
 
 MODES = ("macro", "kinetic", "compare", "sweep", "mms", "audit")
 
@@ -114,11 +116,17 @@ def _expect(cond: bool, path: str, message: str) -> None:
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that converts to a finite float; bools are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
 
 
 def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, int) and _is_number(value)
 
 
 def _is_number_list(value: Any) -> bool:
@@ -133,10 +141,8 @@ _SCHEME_FIELDS = {
     "t_final": float,
     "fp_tol": float,
     "fp_max_iter": int,
-    "fp_damping": float,
     "tau_backoff_limit": int,
     "inner_mode": str,
-    "sigma_ramp": list,
     "init_floor": float,
 }
 
@@ -233,22 +239,11 @@ def parse_config(
             value = float(value)
         elif want is int:
             _expect(_is_int(value), f"scheme.{key}", "must be an integer")
-        elif want is list:
-            _expect(
-                value is None or _is_number_list(value),
-                f"scheme.{key}",
-                "must be an array of numbers",
-            )
         scheme_kwargs[key] = value
     try:
         cfg.scheme = SchemeParams(**scheme_kwargs)
     except ValueError as exc:
         raise ConfigError("scheme", str(exc)) from exc
-    if cfg.mode in ("macro", "compare"):
-        try:
-            step_count(cfg.scheme.t_final, cfg.scheme.tau)
-        except ValueError as exc:
-            raise ConfigError("scheme.t_final", str(exc)) from exc
 
     kin = _get_section(doc, "kinetic")
     if "eps" in kin:
@@ -340,7 +335,31 @@ def parse_config(
             "must be an array of integers >= 3",
         )
         cfg.mms_resolutions = list(mms["resolutions"])
+
+    if cfg.mode == "sweep":
+        runs = _sweep_runs(cfg)
+    else:
+        runs = [{}] if cfg.mode in ("macro", "compare") else []
+    for changes in runs:
+        where = f" (sweep run {changes})" if changes else ""
+        try:
+            p = dataclasses.replace(cfg.scheme, **changes)
+        except ValueError as exc:
+            raise ConfigError("sweep", f"{exc}{where}") from exc
+        try:
+            step_count(p.t_final, p.tau)
+        except ValueError as exc:
+            raise ConfigError("scheme.t_final", f"{exc}{where}") from exc
     return cfg
+
+
+def _sweep_runs(cfg: RunConfig) -> List[Dict[str, float]]:
+    """The scheme fields each transient of a sweep changes."""
+    if cfg.sweep_which is not None:
+        return [{cfg.sweep_which: v} for v in cfg.sweep_values or []]
+    if cfg.sweep_varied is not None:
+        return SweepSpec(base=cfg.scheme, varied=cfg.sweep_varied).combinations()
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +399,7 @@ def _write_macro_outputs(
                 rep = traj.reports[report_idx]
                 t_acc += rep.tau_used
                 iters += rep.iterations
-                diss += sum(rep.dissipation_terms.values())
+                diss += sum(rep.entropy.dissipation.values())
                 report_idx += 1
         rows.append(
             [
@@ -413,36 +432,31 @@ def _write_macro_outputs(
         )
 
 
-def _audit_records(traj: Trajectory) -> List[Dict[str, Any]]:
-    records = []
-    t = 0.0
-    for k, rep in enumerate(traj.reports):
-        t += rep.tau_used
-        records.append(
-            {
-                "step": k + 1,
-                "t": t,
-                "tau_used": rep.tau_used,
-                "iterations": rep.iterations,
-                "residual": rep.residual,
-                "mass_lhs": rep.mass_lhs,
-                "mass_rhs": rep.mass_rhs,
-                "mass_error": rep.budget.mass_error,
-                "mass_pass": rep.budget.mass_pass,
-                "energy_lhs": rep.energy_lhs,
-                "energy_rhs": rep.energy_rhs,
-                "energy_error": rep.budget.energy_error,
-                "energy_pass": rep.budget.energy_pass,
-                "entropy_before": rep.entropy_before,
-                "entropy_after": rep.entropy_after,
-                "entropy_slack": rep.entropy.slack,
-                "entropy_violation": rep.entropy.violation,
-                "entropy_pass": rep.entropy.passed,
-                "edge_form_min": rep.entropy.edge_form_min,
-                "dissipation": rep.dissipation_terms,
-            }
-        )
-    return records
+def _audit_record(step: int, t: float, rep: StepReport) -> Dict[str, Any]:
+    """The audits.json record of one step, in ``macro`` and ``audit`` mode alike."""
+    budget, entropy = rep.budget, rep.entropy
+    return {
+        "step": step,
+        "t": t,
+        "tau_used": rep.tau_used,
+        "iterations": rep.iterations,
+        "residual": rep.residual,
+        "mass_lhs": budget.mass_lhs,
+        "mass_rhs": budget.mass_rhs,
+        "mass_error": budget.mass_error,
+        "mass_pass": budget.mass_pass,
+        "energy_lhs": budget.energy_lhs,
+        "energy_rhs": budget.energy_rhs,
+        "energy_error": budget.energy_error,
+        "energy_pass": budget.energy_pass,
+        "entropy_before": entropy.h_prev,
+        "entropy_after": entropy.h_next,
+        "entropy_slack": entropy.slack,
+        "entropy_violation": entropy.violation,
+        "entropy_pass": entropy.passed,
+        "edge_form_min": entropy.edge_form_min,
+        "dissipation": entropy.dissipation,
+    }
 
 
 def _json_default(value: Any):
@@ -464,7 +478,9 @@ def _write_audits(out: Path, records: List[Dict[str, Any]]) -> int:
     ]
     payload = {"all_passed": not failed, "records": records}
     with open(out / "audits.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=_json_default)
+        json.dump(
+            payload, f, indent=2, sort_keys=True, allow_nan=False, default=_json_default
+        )
         f.write("\n")
     if failed:
         print(
@@ -499,7 +515,12 @@ def _run_macro(cfg: RunConfig, out: Path) -> int:
     init = make_initial_state(rho0, theta0, floor=cfg.scheme.init_floor)
     traj = run_transient(grid, init, cfg.scheme)
     _write_macro_outputs(out, grid, traj, cfg.snapshot_stride)
-    return _write_audits(out, _audit_records(traj))
+    records = []
+    t = 0.0
+    for k, rep in enumerate(traj.reports):
+        t += rep.tau_used
+        records.append(_audit_record(k + 1, t, rep))
+    return _write_audits(out, records)
 
 
 def _run_kinetic(cfg: RunConfig, out: Path) -> int:
@@ -603,14 +624,36 @@ def _run_mms(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+def _read_snapshot(path: Path, n_cells: Optional[int]) -> EntropicState:
+    """The state stored in a snapshot; ConfigError naming a damaged file."""
+    try:
+        cols = _read_csv(path)
+        state = EntropicState(phi=cols["phi"], w=cols["w"])
+        to_primitive(state)
+    except (ValueError, KeyError, IndexError, BlowupError) as exc:
+        raise ConfigError(str(path), f"damaged snapshot: {exc}") from exc
+    if n_cells is not None and state.phi.size != n_cells:
+        raise ConfigError(
+            str(path), f"damaged snapshot: {state.phi.size} cells, snapshot_0 has {n_cells}"
+        )
+    return state
+
+
 def _run_audit(cfg: RunConfig, out: Path) -> int:
     """Re-audit a stored trajectory from its per-step snapshots."""
     traj_file = out / "trajectory.csv"
     if not traj_file.exists():
         raise ConfigError("output.directory", f"no trajectory.csv in {out}")
-    columns = _read_csv(traj_file)
-    times = columns["t"]
-    states = []
+    try:
+        times = _read_csv(traj_file)["t"]
+    except (ValueError, KeyError, IndexError) as exc:
+        raise ConfigError(str(traj_file), f"damaged trajectory: {exc}") from exc
+    _expect(
+        bool(np.all(np.diff(times) > 0.0)),
+        str(traj_file),
+        "damaged trajectory: times must increase",
+    )
+    states: List[EntropicState] = []
     for k in range(len(times)):
         snap = out / f"snapshot_{k}.csv"
         if not snap.exists():
@@ -618,39 +661,20 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
                 "output.snapshot_stride",
                 "audit mode needs snapshots at every step (snapshot_stride=1)",
             )
-        cols = _read_csv(snap)
-        states.append(EntropicState(phi=cols["phi"], w=cols["w"]))
+        states.append(_read_snapshot(snap, states[0].phi.size if states else None))
     grid = build_grid(len(states[0].phi), cfg.length)
     records = []
     for k in range(1, len(states)):
         tau_k = float(times[k] - times[k - 1])
         p_k = dataclasses.replace(cfg.scheme, tau=tau_k)
-        budget = budget_audit(grid, states[k - 1], states[k], p_k)
-        entropy = entropy_audit(grid, states[k - 1], states[k], p_k)
-        records.append(
-            {
-                "step": k,
-                "t": float(times[k]),
-                "tau_used": tau_k,
-                "iterations": 0,
-                "residual": float("nan"),
-                "mass_lhs": budget.mass_lhs,
-                "mass_rhs": budget.mass_rhs,
-                "mass_error": budget.mass_error,
-                "mass_pass": budget.mass_pass,
-                "energy_lhs": budget.energy_lhs,
-                "energy_rhs": budget.energy_rhs,
-                "energy_error": budget.energy_error,
-                "energy_pass": budget.energy_pass,
-                "entropy_before": entropy.h_prev,
-                "entropy_after": entropy.h_next,
-                "entropy_slack": entropy.slack,
-                "entropy_violation": entropy.violation,
-                "entropy_pass": entropy.passed,
-                "edge_form_min": entropy.edge_form_min,
-                "dissipation": entropy.dissipation,
-            }
+        rep = StepReport(
+            iterations=0,
+            residual=None,
+            tau_used=tau_k,
+            budget=budget_audit(grid, states[k - 1], states[k], p_k),
+            entropy=entropy_audit(grid, states[k - 1], states[k], p_k),
         )
+        records.append(_audit_record(k, float(times[k]), rep))
     return _write_audits(out, records)
 
 

@@ -38,20 +38,29 @@ class BandedSymmetricMatrix:
         return a
 
 
+class NotSPDError(ValueError):
+    """A pivot of the banded Cholesky factorization was not positive."""
+
+
 class BandedCholesky:
     """LL^T factorization of a banded SPD matrix; factor once, solve many.
 
-    Raises ValueError when the matrix is not positive definite, so callers
-    that back off on a bad step catch one exception type.
+    Raises NotSPDError when the matrix has a non-finite entry or is not
+    positive definite. A non-finite right-hand side gives a non-finite
+    solution rather than an error; callers test the result.
     """
 
     def __init__(self, m: BandedSymmetricMatrix):
+        if not np.all(np.isfinite(m.bands)):
+            raise NotSPDError("matrix not SPD: non-finite entries")
         try:
-            self._factor = cholesky_banded(m.bands, lower=True)
+            self._factor = cholesky_banded(m.bands, lower=True, check_finite=False)
         except LinAlgError as exc:
-            raise ValueError(f"matrix not SPD: {exc}") from exc
+            raise NotSPDError(f"matrix not SPD: {exc}") from exc
         self.n = m.n
         self.bandwidth = m.bandwidth
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self._factor, True), np.asarray(rhs, dtype=float))
+        return cho_solve_banded(
+            (self._factor, True), np.asarray(rhs, dtype=float), check_finite=False
+        )

@@ -7,7 +7,7 @@ second-difference regularization weighted by eps, and a zero-order
 stabilization weighted by delta. Because the unknowns are chart variables,
 rho and theta stay positive for any finite iterate.
 
-The nonlinear step is solved by damped quasi-Newton iterations on the exact
+The nonlinear step is solved by quasi-Newton iterations on the exact
 residual. Two interchangeable inner linearizations are provided:
 
 * ``coupled_implicit`` (default): one symmetric positive definite system in
@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .grid import Grid1D, div_edge, grad_edge, integrate, second_diff
-from .linalg import BandedCholesky, BandedSymmetricMatrix
+from .linalg import BandedCholesky, BandedSymmetricMatrix, NotSPDError
 from .thermo import (
-    DEFAULT_EXP_CAP,
     BlowupError,
     EntropicState,
     MacroState,
@@ -80,12 +79,9 @@ class SchemeParams:
     t_final: float = 0.1
     fp_tol: float = 1e-10
     fp_max_iter: int = 200
-    fp_damping: float = 1.0
     tau_backoff_limit: int = 10
     inner_mode: str = "coupled_implicit"
-    sigma_ramp: Optional[Sequence[float]] = None
     init_floor: float = 1e-12
-    exp_cap: float = DEFAULT_EXP_CAP
     source_mass: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     source_energy: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
@@ -102,38 +98,26 @@ class SchemeParams:
             raise ValueError("fp_tol must be positive")
         if self.fp_max_iter < 1:
             raise ValueError("fp_max_iter must be at least 1")
-        if not 0.0 < self.fp_damping <= 1.0:
-            raise ValueError("fp_damping must lie in (0, 1]")
         if self.tau_backoff_limit < 0:
             raise ValueError("tau_backoff_limit must be nonnegative")
         if self.inner_mode not in INNER_MODES:
             raise ValueError(f"inner_mode must be one of {INNER_MODES}")
-        if self.sigma_ramp is not None:
-            ramp = tuple(float(s) for s in self.sigma_ramp)
-            if not ramp or any(not 0.0 < s <= 1.0 for s in ramp):
-                raise ValueError("sigma_ramp values must lie in (0, 1]")
-            if ramp[-1] != 1.0:
-                raise ValueError("sigma_ramp must end at 1.0")
-            self.sigma_ramp = ramp
+        if self.inner_mode == "paper_picard" and (self.eps <= 0.0 or self.delta <= 0.0):
+            raise ValueError("paper_picard requires eps > 0 and delta > 0")
 
 
 @dataclass
 class BudgetAudit:
     """Exact discrete mass/energy identities for one accepted step."""
 
-    mass_prev: float
-    mass_next: float
     mass_lhs: float
     mass_rhs: float
     mass_error: float
     mass_pass: bool
-    energy_prev: float
-    energy_next: float
     energy_lhs: float
     energy_rhs: float
     energy_error: float
     energy_pass: bool
-    tol: float
 
 
 @dataclass
@@ -144,7 +128,6 @@ class EntropyAudit:
     h_next: float
     slack: float
     violation: float
-    tol_ent: float
     passed: bool
     edge_form_min: float
     dissipation: Dict[str, float]
@@ -152,16 +135,15 @@ class EntropyAudit:
 
 @dataclass
 class StepReport:
+    """One step: how the nonlinear solve converged and the step's audits.
+
+    ``residual`` is None for a step that was audited but not solved here
+    (``etlab audit`` re-checks stored states).
+    """
+
     iterations: int
-    residual: float
+    residual: Optional[float]
     tau_used: float
-    entropy_before: float
-    entropy_after: float
-    dissipation_terms: Dict[str, float]
-    mass_lhs: float
-    mass_rhs: float
-    energy_lhs: float
-    energy_rhs: float
     budget: BudgetAudit
     entropy: EntropyAudit
     residual_history: List[float] = field(default_factory=list)
@@ -182,15 +164,15 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _residual_parts(
+def _residual(
     grid: Grid1D,
     prev_mac: MacroState,
     cand: EntropicState,
     p: SchemeParams,
     t_new: float,
 ):
-    """Split nodal residual: sigma-scaled dynamic part and regularization part."""
-    mac = to_primitive(cand, cap=p.exp_cap)
+    """Nodal mass and energy residuals, and the candidate's primitive fields."""
+    mac = to_primitive(cand)
     rho, theta, w, phi = mac.rho, mac.theta, cand.w, cand.phi
 
     m11, m12, m22, eneg = onsager_edge(rho, theta, w)
@@ -223,7 +205,7 @@ def _residual_parts(
         reg_energy += p.delta * (
             -div_edge(grid, theta_e3 * dw) + np.exp(-p.n_exp * w) * w
         )
-    return dyn_mass, dyn_energy, reg_mass, reg_energy, mac
+    return dyn_mass + reg_mass, dyn_energy + reg_energy, mac
 
 
 def assemble_residual(
@@ -239,9 +221,8 @@ def assemble_residual(
     (mass(cand) - mass(prev)) / tau + delta * integrate(phi) exactly; the
     energy residual analogously. The budget audits rest on this.
     """
-    prev_mac = to_primitive(prev, cap=p.exp_cap)
-    dyn_m, dyn_e, reg_m, reg_e, _ = _residual_parts(grid, prev_mac, cand, p, t_new)
-    return dyn_m + reg_m, dyn_e + reg_e
+    r_mass, r_energy, _ = _residual(grid, to_primitive(prev), cand, p, t_new)
+    return r_mass, r_energy
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +261,7 @@ def _second_form_bands(grid: Grid1D, coeff_c: np.ndarray) -> np.ndarray:
 
 
 def _assemble_blocks(
-    grid: Grid1D, frozen: EntropicState, frozen_mac: MacroState, p: SchemeParams, sigma: float
+    grid: Grid1D, frozen: EntropicState, frozen_mac: MacroState, p: SchemeParams
 ):
     """Symmetric approximate-Jacobian blocks at the frozen state.
 
@@ -297,8 +278,8 @@ def _assemble_blocks(
     theta_e = edge_mean(theta)
 
     a11 = np.zeros((3, n))
-    a11[0] = sigma * (h / p.tau) * rho
-    a11[:2] += sigma * _stiffness_bands(grid, m11)
+    a11[0] = (h / p.tau) * rho
+    a11[:2] += _stiffness_bands(grid, m11)
     if p.eps > 0.0:
         a11 += p.eps * _second_form_bands(grid, np.ones(n))
     if p.delta > 0.0:
@@ -306,12 +287,12 @@ def _assemble_blocks(
         a11[0] += p.delta * h
 
     a12 = np.zeros((2, n))
-    a12[0] = sigma * (1.5 * h / p.tau) * rho
-    a12 += sigma * _stiffness_bands(grid, m12 * eneg)
+    a12[0] = (1.5 * h / p.tau) * rho
+    a12 += _stiffness_bands(grid, m12 * eneg)
 
     a22 = np.zeros((3, n))
-    a22[0] = sigma * (h / p.tau) * (1.0 + 3.75 * rho)
-    a22[:2] += sigma * _stiffness_bands(grid, m22 * eneg**2)
+    a22[0] = (h / p.tau) * (1.0 + 3.75 * rho)
+    a22[:2] += _stiffness_bands(grid, m22 * eneg**2)
     if p.eps > 0.0:
         a22 += p.eps * _second_form_bands(grid, np.ones(n))
         a22[:2] += p.eps * _stiffness_bands(grid, theta_e * eneg * dw**2)
@@ -352,61 +333,54 @@ def _converge(
     p: SchemeParams,
     t_new: float,
 ) -> Tuple[EntropicState, int, float, List[float]]:
-    """Drive the nonlinear residual below fp_tol; raises _NotConverged."""
+    """Drive the nonlinear residual below fp_tol; raises _NotConverged.
+
+    A non-finite residual or correction also raises _NotConverged, so the
+    caller backs off instead of building a state from it.
+    """
     n, h = grid.n_cells, grid.h
-    prev_mac = to_primitive(prev, cap=p.exp_cap)
+    prev_mac = to_primitive(prev)
     x = prev.copy()
     history: List[float] = []
-    total_iters = 0
-    stages = tuple(p.sigma_ramp) if p.sigma_ramp else (1.0,)
+    best_x = None
+    best_res = np.inf
+    polish_left = _POLISH_MAX
+    res_prev = np.inf
+    for _ in range(p.fp_max_iter):
+        r1, r2, mac = _residual(grid, prev_mac, x, p, t_new)
+        res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+        history.append(res)
+        if not np.isfinite(res):
+            raise _NotConverged(res)
+        if res <= p.fp_tol:
+            if res < best_res:
+                best_x, best_res = x, res
+            # A few extra corrections push the accepted step toward
+            # roundoff so the audit telescopes hold at their tolerances;
+            # stop as soon as progress stalls and keep the best iterate.
+            if res <= _POLISH_FLOOR or polish_left == 0 or res > 0.5 * res_prev:
+                break
+            polish_left -= 1
+        res_prev = res
 
-    for stage_idx, sigma in enumerate(stages):
-        final_stage = stage_idx == len(stages) - 1
-        tol = p.fp_tol if final_stage else max(p.fp_tol, 1e-8)
-        best_x = None
-        best_res = np.inf
-        polish_left = _POLISH_MAX
-        res_prev = np.inf
-        for _ in range(p.fp_max_iter):
-            total_iters += 1
-            dyn_m, dyn_e, reg_m, reg_e, mac = _residual_parts(
-                grid, prev_mac, x, p, t_new
-            )
-            r1 = sigma * dyn_m + reg_m
-            r2 = sigma * dyn_e + reg_e
-            res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
-            history.append(res)
-            if res <= tol:
-                if res < best_res:
-                    best_x, best_res = x, res
-                # A few extra corrections push the accepted step toward
-                # roundoff so the audit telescopes hold at their tolerances;
-                # stop as soon as progress stalls and keep the best iterate.
-                if not final_stage or res <= _POLISH_FLOOR or polish_left == 0:
-                    break
-                if res > 0.5 * res_prev:
-                    break
-                polish_left -= 1
-            res_prev = res
-
-            a11, a12, a22 = _assemble_blocks(grid, x, mac, p, sigma)
-            scale_e = np.exp(-x.w)
-            if p.inner_mode == "coupled_implicit":
-                rhs = np.empty(2 * n)
-                rhs[0::2] = -h * r1
-                rhs[1::2] = -h * scale_e * r2
-                delta_x = BandedCholesky(_interleave(n, a11, a12, a22)).solve(rhs)
-                dphi, dw = delta_x[0::2], delta_x[1::2]
-            else:  # paper_picard: decoupled sweeps, cross fluxes explicit
-                dphi = BandedCholesky(_block_matrix(n, a11)).solve(-h * r1)
-                dw = BandedCholesky(_block_matrix(n, a22)).solve(-h * scale_e * r2)
-            x = EntropicState(
-                phi=x.phi + p.fp_damping * dphi, w=x.w + p.fp_damping * dw
-            )
-        if best_x is None:
-            raise _NotConverged(history[-1] if history else np.inf)
-        x = best_x
-    return x, total_iters, best_res, history
+        a11, a12, a22 = _assemble_blocks(grid, x, mac, p)
+        scale_e = np.exp(-x.w)
+        if p.inner_mode == "coupled_implicit":
+            rhs = np.empty(2 * n)
+            rhs[0::2] = -h * r1
+            rhs[1::2] = -h * scale_e * r2
+            delta_x = BandedCholesky(_interleave(n, a11, a12, a22)).solve(rhs)
+            dphi, dw = delta_x[0::2], delta_x[1::2]
+        else:  # paper_picard: decoupled sweeps, cross fluxes explicit
+            dphi = BandedCholesky(_block_matrix(n, a11)).solve(-h * r1)
+            dw = BandedCholesky(_block_matrix(n, a22)).solve(-h * scale_e * r2)
+        phi, w = x.phi + dphi, x.w + dw
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(w))):
+            raise _NotConverged(res)
+        x = EntropicState(phi=phi, w=w)
+    if best_x is None:
+        raise _NotConverged(history[-1] if history else np.inf)
+    return best_x, len(history), best_res, history
 
 
 def fixed_point_step(
@@ -414,15 +388,14 @@ def fixed_point_step(
     prev: EntropicState,
     p: SchemeParams,
     t_start: float = 0.0,
-    tol_ent: float = 1e-8,
 ) -> Tuple[EntropicState, StepReport]:
-    """Advance one implicit step, halving tau on non-convergence.
+    """Advance one implicit step, halving tau on numerical failure.
 
-    Returns the state after the time increment that actually succeeded
-    (tau_used <= p.tau) together with its audit report.
+    Non-convergence, blow-up of the chart values and a non-SPD linear
+    system halve tau; any other error propagates. Returns the state after
+    the time increment that actually succeeded (tau_used <= p.tau) together
+    with its audit report.
     """
-    if p.inner_mode == "paper_picard" and (p.eps <= 0.0 or p.delta <= 0.0):
-        raise ValueError("paper_picard requires eps > 0 and delta > 0")
     tau_try = p.tau
     last_residual = np.inf
     for _ in range(p.tau_backoff_limit + 1):
@@ -433,24 +406,15 @@ def fixed_point_step(
             last_residual = exc.residual
             tau_try *= 0.5
             continue
-        except (BlowupError, ValueError):
+        except (BlowupError, NotSPDError):
             tau_try *= 0.5
             continue
-        budget = budget_audit(grid, prev, x, p_try, t_new=t_start + tau_try)
-        entropy = entropy_audit(grid, prev, x, p_try, tol_ent=tol_ent)
         report = StepReport(
             iterations=iters,
             residual=res,
             tau_used=tau_try,
-            entropy_before=entropy.h_prev,
-            entropy_after=entropy.h_next,
-            dissipation_terms=entropy.dissipation,
-            mass_lhs=budget.mass_lhs,
-            mass_rhs=budget.mass_rhs,
-            energy_lhs=budget.energy_lhs,
-            energy_rhs=budget.energy_rhs,
-            budget=budget,
-            entropy=entropy,
+            budget=budget_audit(grid, prev, x, p_try, t_new=t_start + tau_try),
+            entropy=entropy_audit(grid, prev, x, p_try),
             residual_history=history,
         )
         return x, report
@@ -569,19 +533,14 @@ def budget_audit(
     mass_error = abs(mass_lhs - mass_rhs)
     energy_error = abs(energy_lhs - energy_rhs)
     return BudgetAudit(
-        mass_prev=mass_prev,
-        mass_next=mass_next,
         mass_lhs=mass_lhs,
         mass_rhs=mass_rhs,
         mass_error=mass_error,
         mass_pass=mass_error <= tol * (1.0 + abs(mass_lhs)),
-        energy_prev=energy_prev,
-        energy_next=energy_next,
         energy_lhs=energy_lhs,
         energy_rhs=energy_rhs,
         energy_error=energy_error,
         energy_pass=energy_error <= tol * (1.0 + abs(energy_lhs)),
-        tol=tol,
     )
 
 
@@ -674,7 +633,6 @@ def entropy_audit(
         h_next=h_next,
         slack=slack,
         violation=violation,
-        tol_ent=tol_ent,
         passed=violation <= tol_ent * (1.0 + abs(h_prev)),
         edge_form_min=edge_min,
         dissipation=terms,

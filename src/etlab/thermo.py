@@ -103,8 +103,8 @@ def _require_positive(name: str, value) -> np.ndarray:
 def to_primitive(state: EntropicState, cap: float = DEFAULT_EXP_CAP) -> MacroState:
     """Evaluate (rho, theta, E) from the entropic chart.
 
-    Raises BlowupError naming the first offending cell when the chart values
-    exceed the cap or the density exponent would overflow.
+    Raises BlowupError naming the offending cell when the chart values
+    exceed the cap or the density exponent would overflow or underflow.
     """
     phi, w = state.phi, state.w
     bad = (np.abs(phi) > cap) | (np.abs(w) > cap)
@@ -121,6 +121,11 @@ def to_primitive(state: EntropicState, cap: float = DEFAULT_EXP_CAP) -> MacroSta
         cell = int(np.argmax(largest))
         raise BlowupError(
             f"state exponent overflows at cell {cell}: exp({largest[cell]:.6g})"
+        )
+    if np.any(expo < -_EXP_OVERFLOW):
+        cell = int(np.argmin(expo))
+        raise BlowupError(
+            f"density exponent underflows at cell {cell}: exp({expo[cell]:.6g})"
         )
     rho = np.exp(expo)
     theta = np.exp(w)

@@ -143,17 +143,17 @@ def test_criterion_3_exact_budgets(run_matrix):
         for rep in traj.reports:
             n_steps += 1
             worst_mass = max(
-                worst_mass, rep.budget.mass_error / (1.0 + abs(rep.mass_lhs))
+                worst_mass, rep.budget.mass_error / (1.0 + abs(rep.budget.mass_lhs))
             )
             worst_energy = max(
-                worst_energy, rep.budget.energy_error / (1.0 + abs(rep.energy_lhs))
+                worst_energy, rep.budget.energy_error / (1.0 + abs(rep.budget.energy_lhs))
             )
-            assert rep.budget.mass_error <= 1e-10 * (1.0 + abs(rep.mass_lhs))
-            assert rep.budget.energy_error <= 1e-10 * (1.0 + abs(rep.energy_lhs))
+            assert rep.budget.mass_error <= 1e-10 * (1.0 + abs(rep.budget.mass_lhs))
+            assert rep.budget.energy_error <= 1e-10 * (1.0 + abs(rep.budget.energy_lhs))
             if eps == 0.0 and delta == 0.0:
-                assert abs(rep.mass_lhs) <= 1e-10
-                assert abs(rep.energy_lhs) <= 1e-10
-                worst_cons = max(worst_cons, abs(rep.mass_lhs), abs(rep.energy_lhs))
+                assert abs(rep.budget.mass_lhs) <= 1e-10
+                assert abs(rep.budget.energy_lhs) <= 1e-10
+                worst_cons = max(worst_cons, abs(rep.budget.mass_lhs), abs(rep.budget.energy_lhs))
     _report(
         f"PASS criterion 3: budgets on {n_steps} accepted steps, worst relative "
         f"errors mass {worst_mass:.1e} / energy {worst_energy:.1e}, "

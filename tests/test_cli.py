@@ -110,11 +110,26 @@ def test_override_beats_env_var_beats_file(tmp_path, monkeypatch):
     assert cfg.output_dir == "from_override"
 
 
-@pytest.mark.parametrize("mode", ["macro", "compare"])
+@pytest.mark.parametrize("mode", ["macro", "compare", "sweep"])
 def test_t_final_not_multiple_of_tau_exits_3(tmp_path, capsys, mode):
-    doc = dict(MINIMAL, scheme={"t_final": 0.0015})
+    doc = dict(
+        MINIMAL,
+        scheme={"t_final": 0.0015},
+        sweep={"which": "delta", "values": [1e-2, 1e-3]},
+    )
     cfg = _write_config(tmp_path, doc)
     assert main([mode, cfg]) == 3
+    assert "scheme.t_final" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [{"which": "tau", "values": [1e-3, 3e-4]}, {"varied": {"t_final": [2e-3, 1.5e-3]}}],
+    ids=["swept-tau", "swept-t_final"],
+)
+def test_sweep_checks_step_count_of_every_run(tmp_path, capsys, sweep):
+    cfg = _write_config(tmp_path, dict(MINIMAL, scheme={"t_final": 2e-3}, sweep=sweep))
+    assert main(["sweep", cfg]) == 3
     assert "scheme.t_final" in capsys.readouterr().err
 
 
@@ -189,6 +204,62 @@ def test_audit_mode_flags_tampered_snapshot(tmp_path):
     assert payload["all_passed"] is False
     failed = [r["step"] for r in payload["records"] if not r["mass_pass"]]
     assert failed == [2, 3]
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_macro_and_audit_write_the_same_records(tmp_path):
+    doc = _macro_doc(tmp_path, delta=1e-4, eps=1e-6)
+    doc["init"]["preset"] = "gauss-bump"
+    cfg = _write_config(tmp_path, doc)
+    audits = tmp_path / "out" / "audits.json"
+    assert main(["macro", cfg]) == 0
+    solved = _strict_json(audits)["records"]
+    assert main(["audit", cfg]) == 0
+    replayed = _strict_json(audits)["records"]
+    flags = ("mass_pass", "energy_pass", "entropy_pass")
+    assert len(solved) == len(replayed) == 4
+    for a, b in zip(solved, replayed):
+        assert a.keys() == b.keys()
+        assert [a[f] for f in flags] == [b[f] for f in flags]
+        assert a["step"] == b["step"]
+        assert a["iterations"] > 0 and b["iterations"] == 0
+        assert a["residual"] >= 0.0 and b["residual"] is None
+
+
+def _corrupt_snapshot(out, damage):
+    if damage == "truncated":
+        snap = out / "snapshot_1.csv"
+        text = snap.read_text()
+        snap.write_text(text[: len(text) // 2])
+        return snap
+    snap = out / "snapshot_2.csv"
+    lines = snap.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[5] = {"w=1000": "1000", "nan": "nan"}[damage]  # the w column
+    lines[3] = ",".join(cells)
+    snap.write_text("\n".join(lines) + "\n")
+    return snap
+
+
+@pytest.mark.parametrize("damage", ["w=1000", "nan", "truncated"])
+def test_audit_on_corrupted_run_directory_exits_3(tmp_path, capsys, damage):
+    doc = _macro_doc(tmp_path, tau=1e-3, t_final=3e-3, delta=1e-4, eps=1e-6)
+    doc["grid"]["n_cells"] = 16
+    doc["init"]["preset"] = "gauss-bump"
+    cfg = _write_config(tmp_path, doc)
+    assert main(["macro", cfg]) == 0
+    snap = _corrupt_snapshot(tmp_path / "out", damage)
+    assert main(["audit", cfg]) == 3
+    assert snap.name in capsys.readouterr().err
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "config"
+    assert snap.name in record["message"]
 
 
 def test_audit_mode_requires_per_step_snapshots(tmp_path):

@@ -1,0 +1,87 @@
+"""Property test: ``etlab macro`` with any overrides exits with a documented code.
+
+The generated values keep every valid configuration tiny (at most 32 cells,
+at most 5 steps of tau, at most 4 tau halvings), so no example allocates a
+large grid or runs long.
+"""
+
+import json
+import tempfile
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from etlab.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main  # noqa: E402
+from etlab.experiments import PRESET_NAMES  # noqa: E402
+
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_SOLVER, EXIT_CONFIG, EXIT_AUDIT}
+
+# Raw override values that are not valid for any field, or only for some.
+_JUNK = st.sampled_from(
+    ["true", "null", "[]", "{}", '"x"', "oops", "1e999", "NaN", "-Infinity", "1" + "0" * 400]
+)
+
+
+def _json(strategy):
+    return strategy.map(json.dumps)
+
+
+# Valid-looking values per key; together with tau >= 1e-3 and
+# t_final <= 5e-3 a config that passes validation runs at most 5 steps.
+_FIELDS = {
+    "grid.n_cells": _json(st.integers(-1, 32)),
+    "grid.length": _json(st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0])),
+    "scheme.tau": _json(st.sampled_from([1e-3, 2e-3, 0.0, -1e-3])),
+    "scheme.t_final": _json(st.sampled_from([1e-3, 1.5e-3, 2e-3, 4e-3, 5e-3, 0.0])),
+    "scheme.eps": _json(st.sampled_from([0.0, 1e-6, 1e-3, -1.0])),
+    "scheme.delta": _json(st.sampled_from([0.0, 1e-4, 1e-2, -1.0])),
+    "scheme.n_exp": _json(st.sampled_from([0.5, 2.0, 4.5, 0.0, 5.0])),
+    "scheme.fp_tol": _json(st.sampled_from([1e-12, 1e-10, 1e-6, 0.0])),
+    "scheme.fp_max_iter": _json(st.integers(-1, 30)),
+    "scheme.tau_backoff_limit": _json(st.integers(-1, 4)),
+    "scheme.inner_mode": st.sampled_from(["coupled_implicit", "paper_picard", "newton"]),
+    "scheme.init_floor": _json(st.sampled_from([1e-12, 1e-3, 0.0])),
+    "init.preset": st.sampled_from(list(PRESET_NAMES) + ["nope"]),
+    "output.snapshot_stride": _json(st.integers(-1, 5)),
+    "scheme.sigma_ramp": _json(st.just(0.5)),
+    "scheme.fp_damping": _json(st.just(1.0)),
+    "grid.size": _json(st.just(8)),
+    "bogus.key": _json(st.just(1)),
+}
+
+
+@st.composite
+def _overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_FIELDS)), max_size=6, unique=True))
+    items = []
+    for key in keys:
+        raw = draw(st.one_of(_FIELDS[key], _JUNK))
+        items.append(f"{key}={raw}")
+    return items
+
+
+# Derandomized and without an example database: the same examples every
+# run, and no files left in the working directory.
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(overrides=_overrides())
+def test_macro_with_any_overrides_returns_documented_code(overrides):
+    base = {
+        "mode": "macro",
+        "grid": {"n_cells": 16, "length": 1.0},
+        "scheme": {"tau": 1e-3, "t_final": 2e-3, "tau_backoff_limit": 2},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/cfg.json"
+        with open(cfg, "w", encoding="utf-8") as f:
+            json.dump(base, f)
+        code = main(["macro", cfg, *overrides, f"output.directory={tmp}/out"])
+    assert code in DOCUMENTED_EXITS

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from etlab.linalg import BandedCholesky, BandedSymmetricMatrix
+from etlab.linalg import BandedCholesky, BandedSymmetricMatrix, NotSPDError
 
 
 def _random_spd_banded(n, bw, rng):
@@ -58,4 +58,12 @@ def test_not_spd_raises():
     bands[0] = [1.0, -1.0, 1.0, 1.0]
     m = BandedSymmetricMatrix(n=4, bandwidth=1, bands=bands)
     with pytest.raises(ValueError, match="not SPD"):
+        BandedCholesky(m)
+
+
+def test_non_finite_entries_raise_not_spd():
+    bands = np.ones((2, 4))
+    bands[0] = [4.0, np.nan, 4.0, 4.0]
+    m = BandedSymmetricMatrix(n=4, bandwidth=1, bands=bands)
+    with pytest.raises(NotSPDError, match="non-finite"):
         BandedCholesky(m)

@@ -61,6 +61,13 @@ def test_to_primitive_overflow_names_cell():
         to_primitive(state)
 
 
+def test_to_primitive_underflow_names_cell():
+    state = EntropicState(phi=np.array([0.0, 0.0, -300.0]), w=np.array([0.0, 0.0, -300.0]))
+    # phi + 1.5 w is below the float64 exp range at cell 2: rho would be 0
+    with pytest.raises(BlowupError, match="cell 2"):
+        to_primitive(state)
+
+
 def test_to_primitive_cap_is_configurable():
     state = EntropicState(phi=np.array([20.0]), w=np.array([0.0]))
     with pytest.raises(BlowupError):
