@@ -308,12 +308,18 @@ def parse_config(
         )
         cfg.sweep_which = sweep["which"]
     if "values" in sweep:
+        values = sweep["values"]
         _expect(
-            _is_number_list(sweep["values"]) and len(sweep["values"]) >= 2,
+            _is_number_list(values) and len(values) >= 2,
             "sweep.values",
             "must be an array of at least two numbers",
         )
-        cfg.sweep_values = [float(v) for v in sweep["values"]]
+        _expect(
+            all(b < a for a, b in zip(values, values[1:])),
+            "sweep.values",
+            "must be strictly decreasing",
+        )
+        cfg.sweep_values = [float(v) for v in values]
     if "varied" in sweep:
         varied = sweep["varied"]
         _expect(isinstance(varied, dict), "sweep.varied", "must be an object")

@@ -42,6 +42,19 @@ class VelocityGrid:
     nodes: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self):
+        # Transport's slices and wall reflection and the mirrored Maxwellian
+        # in _gauss_sums read the negative nodes as the exact mirror of the
+        # positive ones.
+        if self.nodes.shape != (self.n_v,) or self.weights.shape != (self.n_v,):
+            raise ValueError("velocity nodes and weights must have n_v entries each")
+        if not np.all(np.diff(self.nodes) > 0.0):
+            raise ValueError("velocity nodes must be strictly increasing")
+        if not np.array_equal(self.nodes[::-1], -self.nodes):
+            raise ValueError("velocity nodes must be exactly antisymmetric")
+        if not np.array_equal(self.weights[::-1], self.weights):
+            raise ValueError("velocity weights must be symmetric")
+
 
 def build_velocity_grid(v_max: float = 8.0, n_v: int = 64) -> VelocityGrid:
     if v_max <= 0.0 or n_v < 4:
@@ -118,26 +131,26 @@ def energy_total(grid: Grid1D, state: KineticState) -> float:
     return integrate(grid, state.theta_b + kinetic_energy)
 
 
-def _transport(g: np.ndarray, v: np.ndarray, courant: np.ndarray) -> np.ndarray:
+def _transport(g: np.ndarray, courant: np.ndarray) -> np.ndarray:
     """Flux-form upwind transport with specular reflection at both walls.
 
     courant = dt * v / (eps h), |courant| <= 1. Wall fluxes use the
     reflected distribution as ghost value, so the velocity-summed mass and
     energy fluxes through each wall cancel exactly on a symmetric grid.
+    The sorted nodes put the negative and positive velocities in two
+    contiguous column slices; a zero node (odd n_v) has no flux.
     """
-    n_x = g.shape[0]
-    pos = v > 0.0
-    neg = v < 0.0
-    flux = np.zeros((n_x + 1, g.shape[1]))
-    flux[1:n_x, pos] = g[:-1, pos]
-    flux[1:n_x, neg] = g[1:, neg]
-    g_left_refl = g[0, ::-1]
-    g_right_refl = g[-1, ::-1]
-    flux[0, pos] = g_left_refl[pos]
-    flux[0, neg] = g[0, neg]
-    flux[n_x, pos] = g[-1, pos]
-    flux[n_x, neg] = g_right_refl[neg]
-    return g - courant * (flux[1:] - flux[:-1])
+    n_v = g.shape[1]
+    neg = slice(0, n_v // 2)
+    pos = slice((n_v + 1) // 2, n_v)
+    # flux difference F[i+1] - F[i], F[i] being the upwind value at face i
+    diff = np.empty_like(g)
+    diff[1:, pos] = g[1:, pos] - g[:-1, pos]
+    diff[0, pos] = g[0, pos] - g[0, ::-1][pos]
+    diff[:-1, neg] = g[1:, neg] - g[:-1, neg]
+    diff[-1, neg] = g[-1, ::-1][neg] - g[-1, neg]
+    diff[:, neg.stop : pos.start] = 0.0
+    return g - courant * diff
 
 
 @lru_cache(maxsize=32)
@@ -151,38 +164,45 @@ def _heat_factor(n: int, h: float, dt: float) -> BandedCholesky:
 
 
 def _gauss_sums(theta: np.ndarray, v: np.ndarray, wq: np.ndarray):
-    """Discrete moments S_k = sum w v^k M1(theta) for k = 0, 2, 4, per cell."""
-    m1 = maxwellian_1d(theta[:, None], v[None, :])
+    """M1(theta) on the grid and its discrete moments S_k = sum w v^k M1, k = 0, 2.
+
+    M1 is even in v and the nodes are exactly antisymmetric, so it is
+    evaluated on the nonnegative half of the grid and mirrored.
+    """
+    half = v.shape[0] // 2
+    upper = maxwellian_1d(theta[:, None], v[None, half:])
+    m1 = np.concatenate((upper[:, ::-1][:, :half], upper), axis=1)
     s0 = m1 @ wq
     s2 = (m1 * v**2) @ wq
-    s4 = (m1 * v**4) @ wq
-    return m1, s0, s2, s4
+    return m1, s0, s2
 
 
 def _relax_temperature(
     theta_b: np.ndarray,
     rho: np.ndarray,
     e_kin: np.ndarray,
-    mu: np.ndarray,
+    mu: float,
     v: np.ndarray,
     wq: np.ndarray,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve theta + mu rho e_M(theta) = theta_b + mu e_kin per cell.
 
     e_M(theta) = (S2/S0 + 2 theta) / 2 is the kinetic energy of the
     discrete, mass-normalized Maxwellian target; the left side is strictly
     increasing in theta, so safeguarded Newton with a bracket converges.
+    Returns theta with the M1(theta) and S0 of the converged iterate.
     """
     rhs = theta_b + mu * e_kin
     lo = np.full_like(rhs, 1e-12)
     hi = rhs.copy()
     theta = np.clip(theta_b, lo, hi)
     for _ in range(_RELAX_MAX_ITER):
-        m1, s0, s2, s4 = _gauss_sums(theta, v, wq)
+        m1, s0, s2 = _gauss_sums(theta, v, wq)
         e_m = 0.5 * (s2 / s0 + 2.0 * theta)
         f = theta + mu * rho * e_m - rhs
         if np.all(np.abs(f) <= _RELAX_TOL * (1.0 + rhs)):
-            return theta
+            return theta, m1, s0
+        s4 = (m1 * v**4) @ wq
         # analytic d/dtheta of S_k through dM1/dtheta = M1 (v^2 - theta)/(2 theta^2)
         s0p = (s2 - theta * s0) / (2.0 * theta**2)
         s2p = (s4 - theta * s2) / (2.0 * theta**2)
@@ -208,8 +228,8 @@ def kinetic_step(state: KineticState, dt: float) -> KineticState:
     v, wq = vgrid.nodes, vgrid.weights
 
     courant = dt * v / (eps * grid.h)
-    g0 = _transport(state.g0, v, courant)
-    g2 = _transport(state.g2, v, courant)
+    g0 = _transport(state.g0, courant)
+    g2 = _transport(state.g2, courant)
 
     theta_b = _heat_factor(grid.n_cells, grid.h, dt).solve(state.theta_b)
 
@@ -217,8 +237,7 @@ def kinetic_step(state: KineticState, dt: float) -> KineticState:
     mu = lam / (1.0 + lam)
     rho = g0 @ wq
     e_kin = 0.5 * ((g0 * v**2) @ wq + g2 @ wq)
-    theta_star = _relax_temperature(theta_b, rho, e_kin, mu, v, wq)
-    m1, s0, _, _ = _gauss_sums(theta_star, v, wq)
+    theta_star, m1, s0 = _relax_temperature(theta_b, rho, e_kin, mu, v, wq)
     # Normalizing the target by its discrete mass makes relaxation conserve
     # the density exactly on this quadrature.
     target0 = rho[:, None] * m1 / s0[:, None]

@@ -392,34 +392,39 @@ def fixed_point_step(
     """Advance one implicit step, halving tau on numerical failure.
 
     Non-convergence, blow-up of the chart values and a non-SPD linear
-    system halve tau; any other error propagates. Returns the state after
-    the time increment that actually succeeded (tau_used <= p.tau) together
-    with its audit report.
+    system halve tau; any other error propagates. StepFailureError ends the
+    step after p.tau_backoff_limit halvings, or earlier when one more
+    halving would underflow tau to zero. Returns the state after the time
+    increment that actually succeeded (tau_used <= p.tau) together with its
+    audit report.
     """
     tau_try = p.tau
     last_residual = np.inf
-    for _ in range(p.tau_backoff_limit + 1):
+    halvings = 0
+    while halvings <= p.tau_backoff_limit:
         p_try = replace(p, tau=tau_try)
         try:
             x, iters, res, history = _converge(grid, prev, p_try, t_start + tau_try)
         except _NotConverged as exc:
             last_residual = exc.residual
-            tau_try *= 0.5
-            continue
         except (BlowupError, NotSPDError):
-            tau_try *= 0.5
-            continue
-        report = StepReport(
-            iterations=iters,
-            residual=res,
-            tau_used=tau_try,
-            budget=budget_audit(grid, prev, x, p_try, t_new=t_start + tau_try),
-            entropy=entropy_audit(grid, prev, x, p_try),
-            residual_history=history,
-        )
-        return x, report
+            pass
+        else:
+            report = StepReport(
+                iterations=iters,
+                residual=res,
+                tau_used=tau_try,
+                budget=budget_audit(grid, prev, x, p_try, t_new=t_start + tau_try),
+                entropy=entropy_audit(grid, prev, x, p_try),
+                residual_history=history,
+            )
+            return x, report
+        if tau_try * 0.5 == 0.0:
+            break  # one more halving would underflow tau to zero
+        tau_try *= 0.5
+        halvings += 1
     raise StepFailureError(
-        f"fixed point failed after {p.tau_backoff_limit + 1} tau halvings "
+        f"fixed point failed after {halvings} tau halvings "
         f"(last residual {last_residual:.3e})",
         residual=last_residual,
         tau_last=tau_try,

@@ -287,6 +287,16 @@ def test_solver_failure_exits_2(tmp_path):
     assert record["error"] == "solver"
 
 
+def test_solver_failure_exits_2_when_tau_would_underflow(tmp_path):
+    # Over 1074 halvings take tau below the smallest positive double.
+    doc = _macro_doc(tmp_path, fp_max_iter=1, tau_backoff_limit=1100)
+    doc["init"]["preset"] = "gauss-bump"
+    cfg = _write_config(tmp_path, doc)
+    assert main(["macro", cfg, "grid.n_cells=8"]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "solver"
+
+
 def test_kinetic_mode_writes_trajectory(tmp_path):
     doc = {
         "mode": "kinetic",
@@ -301,6 +311,28 @@ def test_kinetic_mode_writes_trajectory(tmp_path):
     lines = (tmp_path / "kin" / "kinetic_trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,mass,energy_total,min_theta_b,max_rho"
     assert (tmp_path / "kin" / "kinetic_final.csv").exists()
+
+
+def test_kinetic_byte_identical_reruns(tmp_path):
+    doc = {
+        "mode": "kinetic",
+        "grid": {"n_cells": 16, "length": 1.0},
+        "scheme": {"t_final": 0.005},
+        "kinetic": {"eps": 0.2, "n_v": 17},
+        "init": {"preset": "gauss-bump"},
+    }
+    cfg = _write_config(tmp_path, doc)
+    assert main(["kinetic", cfg, f"output.directory={tmp_path/'a'}"]) == 0
+    assert main(["kinetic", cfg, f"output.directory={tmp_path/'b'}"]) == 0
+    for name in ("kinetic_trajectory.csv", "kinetic_final.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_sweep_values_not_decreasing_exits_3(tmp_path, capsys):
+    doc = dict(MINIMAL, grid={"n_cells": 8, "length": 1.0}, scheme={"t_final": 2e-3})
+    cfg = _write_config(tmp_path, doc)
+    assert main(["sweep", cfg, "sweep.which=delta", "sweep.values=[1e-3,1e-2]"]) == 3
+    assert "sweep.values" in capsys.readouterr().err
 
 
 def test_sweep_mode_writes_table(tmp_path):

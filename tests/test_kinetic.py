@@ -3,6 +3,12 @@ import pytest
 
 from etlab.grid import build_grid, integrate
 from etlab.kinetic import (
+    _RELAX_MAX_ITER,
+    _RELAX_TOL,
+    KineticState,
+    VelocityGrid,
+    _gauss_sums,
+    _heat_factor,
     build_velocity_grid,
     closure_identity_errors,
     energy_total,
@@ -29,6 +35,20 @@ def test_velocity_grid_symmetry():
     assert np.array_equal(VGRID.weights[::-1], VGRID.weights)
     # odd moments of symmetric functions vanish to roundoff
     assert abs(np.sum(VGRID.weights * v * np.exp(-(v**2)))) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "nodes, weights",
+    [
+        (np.array([-1.0, -0.5, 0.5, 1.01]), np.full(4, 0.5)),
+        (np.array([1.0, 0.5, -0.5, -1.0]), np.full(4, 0.5)),
+        (np.array([-1.0, -0.5, 0.5, 1.0]), np.array([0.25, 0.5, 0.5, 0.5])),
+    ],
+    ids=["asymmetric-nodes", "decreasing-nodes", "asymmetric-weights"],
+)
+def test_velocity_grid_rejects_broken_symmetry(nodes, weights):
+    with pytest.raises(ValueError, match="velocity"):
+        VelocityGrid(v_max=1.0, n_v=4, nodes=nodes, weights=weights)
 
 
 def test_init_equilibrium_moments():
@@ -174,3 +194,99 @@ def test_closure_identities(theta):
 def test_maxwellian_1d_normalization_on_grid():
     m = maxwellian_1d(1.0, VGRID.nodes)
     assert float(np.sum(VGRID.weights * m)) == pytest.approx(1.0, abs=1e-12)
+
+
+# Reference for the byte-identity tests: the mask-based transport and the
+# full-grid relaxation that kinetic_step was rewritten from. The rewrite only
+# drops repeated work, so it must agree with this bit for bit.
+
+
+def _ref_transport(g, v, courant):
+    n_x = g.shape[0]
+    pos = v > 0.0
+    neg = v < 0.0
+    flux = np.zeros((n_x + 1, g.shape[1]))
+    flux[1:n_x, pos] = g[:-1, pos]
+    flux[1:n_x, neg] = g[1:, neg]
+    g_left_refl = g[0, ::-1]
+    g_right_refl = g[-1, ::-1]
+    flux[0, pos] = g_left_refl[pos]
+    flux[0, neg] = g[0, neg]
+    flux[n_x, pos] = g[-1, pos]
+    flux[n_x, neg] = g_right_refl[neg]
+    return g - courant * (flux[1:] - flux[:-1])
+
+
+def _ref_gauss_sums(theta, v, wq):
+    m1 = maxwellian_1d(theta[:, None], v[None, :])
+    s0 = m1 @ wq
+    s2 = (m1 * v**2) @ wq
+    s4 = (m1 * v**4) @ wq
+    return m1, s0, s2, s4
+
+
+def _ref_relax_temperature(theta_b, rho, e_kin, mu, v, wq):
+    rhs = theta_b + mu * e_kin
+    lo = np.full_like(rhs, 1e-12)
+    hi = rhs.copy()
+    theta = np.clip(theta_b, lo, hi)
+    for _ in range(_RELAX_MAX_ITER):
+        m1, s0, s2, s4 = _ref_gauss_sums(theta, v, wq)
+        e_m = 0.5 * (s2 / s0 + 2.0 * theta)
+        f = theta + mu * rho * e_m - rhs
+        if np.all(np.abs(f) <= _RELAX_TOL * (1.0 + rhs)):
+            return theta
+        s0p = (s2 - theta * s0) / (2.0 * theta**2)
+        s2p = (s4 - theta * s2) / (2.0 * theta**2)
+        de_m = 0.5 * ((s2p * s0 - s2 * s0p) / s0**2 + 2.0)
+        fp = 1.0 + mu * rho * de_m
+        hi = np.where(f > 0.0, np.minimum(hi, theta), hi)
+        lo = np.where(f < 0.0, np.maximum(lo, theta), lo)
+        theta_new = theta - f / fp
+        outside = (theta_new <= lo) | (theta_new >= hi)
+        theta = np.where(outside, 0.5 * (lo + hi), theta_new)
+    raise RuntimeError("reference relaxation did not converge")
+
+
+def _ref_kinetic_step(state, dt):
+    grid, vgrid, eps = state.grid, state.vgrid, state.eps
+    v, wq = vgrid.nodes, vgrid.weights
+    courant = dt * v / (eps * grid.h)
+    g0 = _ref_transport(state.g0, v, courant)
+    g2 = _ref_transport(state.g2, v, courant)
+    theta_b = _heat_factor(grid.n_cells, grid.h, dt).solve(state.theta_b)
+    lam = dt / eps**2
+    mu = lam / (1.0 + lam)
+    rho = g0 @ wq
+    e_kin = 0.5 * ((g0 * v**2) @ wq + g2 @ wq)
+    theta_star = _ref_relax_temperature(theta_b, rho, e_kin, mu, v, wq)
+    m1, s0, _, _ = _ref_gauss_sums(theta_star, v, wq)
+    target0 = rho[:, None] * m1 / s0[:, None]
+    g0 = (g0 + lam * target0) / (1.0 + lam)
+    g2 = (g2 + lam * 2.0 * theta_star[:, None] * target0) / (1.0 + lam)
+    e_kin_new = 0.5 * ((g0 * v**2) @ wq + g2 @ wq)
+    theta_b = theta_b + (e_kin - e_kin_new)
+    return KineticState(g0=g0, g2=g2, theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid)
+
+
+@pytest.mark.parametrize("n_v", [64, 5])
+def test_step_matches_reference_bit_for_bit(n_v):
+    vgrid = build_velocity_grid(8.0, n_v)
+    rho0, theta0 = _bump_fields(GRID)
+    state = init_equilibrium(GRID, vgrid, rho0, theta0, eps=0.1)
+    ref = state.copy()
+    dt = 0.9 * 0.1 * GRID.h / vgrid.v_max
+    for _ in range(50):
+        state = kinetic_step(state, dt)
+        ref = _ref_kinetic_step(ref, dt)
+    assert np.array_equal(state.g0, ref.g0)
+    assert np.array_equal(state.g2, ref.g2)
+    assert np.array_equal(state.theta_b, ref.theta_b)
+
+
+@pytest.mark.parametrize("n_v", [64, 5])
+def test_mirrored_maxwellian_equals_full_grid(n_v):
+    vgrid = build_velocity_grid(8.0, n_v)
+    theta = np.linspace(0.05, 5.0, 17)
+    m1, _, _ = _gauss_sums(theta, vgrid.nodes, vgrid.weights)
+    assert np.array_equal(m1, maxwellian_1d(theta[:, None], vgrid.nodes[None, :]))
