@@ -254,6 +254,11 @@ def parse_config(
                 "kinetic.eps",
                 "values must be positive numbers",
             )
+            _expect(
+                all(b < a for a, b in zip(eps, eps[1:])),
+                "kinetic.eps",
+                "must be strictly decreasing",
+            )
             cfg.kinetic_eps_values = [float(v) for v in eps]
             cfg.kinetic_eps = cfg.kinetic_eps_values[0]
         else:
@@ -431,10 +436,9 @@ def _write_macro_outputs(
         _write_csv(
             out / f"snapshot_{k}.csv",
             ["x", "rho", "theta", "E", "phi", "w"],
-            [
-                [grid.cell_centers[i], mac.rho[i], mac.theta[i], mac.energy[i], state.phi[i], state.w[i]]
-                for i in range(grid.n_cells)
-            ],
+            np.column_stack(
+                [grid.cell_centers, mac.rho, mac.theta, mac.energy, state.phi, state.w]
+            ).tolist(),
         )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 
 @dataclass
@@ -53,14 +53,18 @@ class BandedCholesky:
     def __init__(self, m: BandedSymmetricMatrix):
         if not np.all(np.isfinite(m.bands)):
             raise NotSPDError("matrix not SPD: non-finite entries")
-        try:
-            self._factor = cholesky_banded(m.bands, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise NotSPDError(f"matrix not SPD: {exc}") from exc
+        self._factor, info = dpbtrf(m.bands, lower=1)
+        if info > 0:
+            raise NotSPDError(
+                f"matrix not SPD: {info}-th leading minor not positive definite"
+            )
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrf")
         self.n = m.n
         self.bandwidth = m.bandwidth
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve_banded(
-            (self._factor, True), np.asarray(rhs, dtype=float), check_finite=False
-        )
+        x, info = dpbtrs(self._factor, np.asarray(rhs, dtype=float), lower=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
+        return x

@@ -25,6 +25,7 @@ the entropy monotonicity check with its explicit delta-level slack.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
@@ -155,9 +156,6 @@ class Trajectory:
     states: List[EntropicState]
     reports: List[StepReport]
 
-    def macro_states(self) -> List[MacroState]:
-        return [to_primitive(s) for s in self.states]
-
 
 # ---------------------------------------------------------------------------
 # residual assembly
@@ -230,9 +228,8 @@ def assemble_residual(
 # ---------------------------------------------------------------------------
 
 
-def _stiffness_bands(grid: Grid1D, coeff_e: np.ndarray) -> np.ndarray:
+def _stiffness_bands(n: int, h: float, coeff_e: np.ndarray) -> np.ndarray:
     """Lower bands (2, n) of the edge-weighted stiffness form sum_e h c_e Du Dpsi."""
-    n, h = grid.n_cells, grid.h
     bands = np.zeros((2, n))
     bands[0, :-1] += coeff_e / h
     bands[0, 1:] += coeff_e / h
@@ -240,24 +237,28 @@ def _stiffness_bands(grid: Grid1D, coeff_e: np.ndarray) -> np.ndarray:
     return bands
 
 
-def _second_form_bands(grid: Grid1D, coeff_c: np.ndarray) -> np.ndarray:
-    """Lower bands (3, n) of the form sum_i h c_i (Lu)_i (Lpsi)_i.
+@functools.lru_cache(maxsize=8)
+def _unit_bands(n: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The state-independent bands of the Jacobian blocks, built once per grid.
 
-    L is the second difference with even-reflection ghosts; the form
-    annihilates constants exactly.
+    Returns the lower bands (3, n) of the form sum_i h (Lu)_i (Lpsi)_i, where
+    L is the second difference with even-reflection ghosts (the form
+    annihilates constants exactly), and the lower bands (2, n) of the unit
+    stiffness form. Both are read-only because every call shares them.
     """
-    n, h = grid.n_cells, grid.h
     lo = 1.0 / h**2
     ld = np.full(n, -2.0 / h**2)
     ld[0] = ld[-1] = -1.0 / h**2
-    c = np.asarray(coeff_c, dtype=float)
-    bands = np.zeros((3, n))
-    bands[0] = h * c * ld**2
-    bands[0, :-1] += h * c[1:] * lo**2
-    bands[0, 1:] += h * c[:-1] * lo**2
-    bands[1, : n - 1] = h * lo * (c[:-1] * ld[:-1] + c[1:] * ld[1:])
-    bands[2, : n - 2] = h * lo**2 * c[1 : n - 1]
-    return bands
+    second = np.zeros((3, n))
+    second[0] = h * ld**2
+    second[0, :-1] += h * lo**2
+    second[0, 1:] += h * lo**2
+    second[1, : n - 1] = h * lo * (ld[:-1] + ld[1:])
+    second[2, : n - 2] = h * lo**2
+    stiffness = _stiffness_bands(n, h, np.ones(n - 1))
+    second.flags.writeable = False
+    stiffness.flags.writeable = False
+    return second, stiffness
 
 
 def _assemble_blocks(
@@ -276,29 +277,30 @@ def _assemble_blocks(
     m11, m12, m22, eneg = onsager_edge(rho, theta, w)
     dw = grad_edge(grid, w)
     theta_e = edge_mean(theta)
+    second, stiffness = _unit_bands(n, h)
 
     a11 = np.zeros((3, n))
     a11[0] = (h / p.tau) * rho
-    a11[:2] += _stiffness_bands(grid, m11)
+    a11[:2] += _stiffness_bands(n, h, m11)
     if p.eps > 0.0:
-        a11 += p.eps * _second_form_bands(grid, np.ones(n))
+        a11 += p.eps * second
     if p.delta > 0.0:
-        a11[:2] += p.delta * _stiffness_bands(grid, np.ones(n - 1))
+        a11[:2] += p.delta * stiffness
         a11[0] += p.delta * h
 
     a12 = np.zeros((2, n))
     a12[0] = (1.5 * h / p.tau) * rho
-    a12 += _stiffness_bands(grid, m12 * eneg)
+    a12 += _stiffness_bands(n, h, m12 * eneg)
 
     a22 = np.zeros((3, n))
     a22[0] = (h / p.tau) * (1.0 + 3.75 * rho)
-    a22[:2] += _stiffness_bands(grid, m22 * eneg**2)
+    a22[:2] += _stiffness_bands(n, h, m22 * eneg**2)
     if p.eps > 0.0:
-        a22 += p.eps * _second_form_bands(grid, np.ones(n))
-        a22[:2] += p.eps * _stiffness_bands(grid, theta_e * eneg * dw**2)
+        a22 += p.eps * second
+        a22[:2] += p.eps * _stiffness_bands(n, h, theta_e * eneg * dw**2)
         a22[0] += p.eps * h * (1.0 + np.exp(-w))
     if p.delta > 0.0:
-        a22[:2] += p.delta * _stiffness_bands(grid, theta_e**3 * eneg)
+        a22[:2] += p.delta * _stiffness_bands(n, h, theta_e**3 * eneg)
         a22[0] += p.delta * h * np.exp(-(p.n_exp + 1.0) * w)
     return a11, a12, a22
 
@@ -340,7 +342,7 @@ def _converge(
     """
     n, h = grid.n_cells, grid.h
     prev_mac = to_primitive(prev)
-    x = prev.copy()
+    x = prev
     history: List[float] = []
     best_x = None
     best_res = np.inf

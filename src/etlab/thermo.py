@@ -13,8 +13,8 @@ standard closed forms for this closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -32,42 +32,58 @@ class BlowupError(RuntimeError):
     """Entropic chart values too large to exponentiate; names the cell."""
 
 
-@dataclass
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of a, at least one-dimensional."""
+    out = np.array(a, dtype=float, ndmin=1)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
 class EntropicState:
-    """Nodal entropic variables (phi, w); the scheme's unknowns."""
+    """Nodal entropic variables (phi, w); the scheme's unknowns.
+
+    The state is immutable: it holds read-only copies of its arrays, so the
+    primitive view that to_primitive memoizes on it cannot go stale.
+    """
 
     phi: np.ndarray
     w: np.ndarray
+    _primitive: Optional["MacroState"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        self.phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
-        self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
-        if self.phi.shape != self.w.shape:
-            raise ValueError(f"phi shape {self.phi.shape} != w shape {self.w.shape}")
-        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.w))):
+        phi, w = _frozen(self.phi), _frozen(self.w)
+        if phi.shape != w.shape:
+            raise ValueError(f"phi shape {phi.shape} != w shape {w.shape}")
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(w))):
             raise ValueError("entropic state entries must be finite")
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "w", w)
 
-    def copy(self) -> "EntropicState":
-        return EntropicState(self.phi.copy(), self.w.copy())
 
-
-@dataclass
+@dataclass(frozen=True)
 class MacroState:
-    """Nodal primitive fields (rho, theta, E); the observable output."""
+    """Nodal primitive fields (rho, theta, E); the observable output.
+
+    Immutable, with read-only copies of its arrays like EntropicState.
+    """
 
     rho: np.ndarray
     theta: np.ndarray
     energy: np.ndarray
 
     def __post_init__(self):
-        self.rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
-        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        self.energy = np.atleast_1d(np.asarray(self.energy, dtype=float))
-        if not (np.all(self.rho > 0.0) and np.all(self.theta > 0.0)):
+        rho, theta, energy = _frozen(self.rho), _frozen(self.theta), _frozen(self.energy)
+        if not (np.all(rho > 0.0) and np.all(theta > 0.0)):
             raise ValueError("rho and theta must be strictly positive")
-        expected = self.theta * (1.0 + 1.5 * self.rho)
-        if np.max(np.abs(self.energy - expected) / np.abs(expected)) > 1e-14:
+        expected = theta * (1.0 + 1.5 * rho)
+        if np.max(np.abs(energy - expected) / np.abs(expected)) > 1e-14:
             raise ValueError("energy inconsistent with theta * (1 + 1.5 rho)")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "energy", energy)
 
     @classmethod
     def from_rho_theta(cls, rho, theta) -> "MacroState":
@@ -105,7 +121,12 @@ def to_primitive(state: EntropicState, cap: float = DEFAULT_EXP_CAP) -> MacroSta
 
     Raises BlowupError naming the offending cell when the chart values
     exceed the cap or the density exponent would overflow or underflow.
+    The result at the default cap is memoized on the (immutable) state, so
+    the checks run once per state; any other cap bypasses the memo.
     """
+    memoize = cap == DEFAULT_EXP_CAP
+    if memoize and state._primitive is not None:
+        return state._primitive
     phi, w = state.phi, state.w
     bad = (np.abs(phi) > cap) | (np.abs(w) > cap)
     if np.any(bad):
@@ -129,7 +150,10 @@ def to_primitive(state: EntropicState, cap: float = DEFAULT_EXP_CAP) -> MacroSta
         )
     rho = np.exp(expo)
     theta = np.exp(w)
-    return MacroState(rho=rho, theta=theta, energy=theta * (1.0 + 1.5 * rho))
+    mac = MacroState(rho=rho, theta=theta, energy=theta * (1.0 + 1.5 * rho))
+    if memoize:
+        object.__setattr__(state, "_primitive", mac)
+    return mac
 
 
 def to_entropic(rho, theta) -> EntropicState:

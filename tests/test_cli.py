@@ -335,6 +335,13 @@ def test_sweep_values_not_decreasing_exits_3(tmp_path, capsys):
     assert "sweep.values" in capsys.readouterr().err
 
 
+def test_kinetic_eps_not_decreasing_exits_3(tmp_path, capsys):
+    doc = dict(MINIMAL, grid={"n_cells": 8, "length": 1.0}, scheme={"t_final": 2e-3})
+    cfg = _write_config(tmp_path, doc)
+    assert main(["compare", cfg, "kinetic.eps=[0.2,0.4]"]) == 3
+    assert "kinetic.eps" in capsys.readouterr().err
+
+
 def test_sweep_mode_writes_table(tmp_path):
     doc = {
         "mode": "sweep",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from etlab.linalg import BandedCholesky, BandedSymmetricMatrix, NotSPDError
 
@@ -66,4 +67,29 @@ def test_non_finite_entries_raise_not_spd():
     bands[0] = [4.0, np.nan, 4.0, 4.0]
     m = BandedSymmetricMatrix(n=4, bandwidth=1, bands=bands)
     with pytest.raises(NotSPDError, match="non-finite"):
+        BandedCholesky(m)
+
+
+@pytest.mark.parametrize("bw", [1, 2, 4])
+def test_bit_identical_to_scipy_banded_wrappers(bw):
+    # scipy's cholesky_banded/cho_solve_banded call the same LAPACK
+    # pbtrf/pbtrs; they stay here as the reference.
+    rng = np.random.default_rng(10 + bw)
+    for n in (bw + 1, 17, 128):
+        m = _random_spd_banded(n, bw, rng)
+        rhs = rng.normal(size=n)
+        chol = BandedCholesky(m)
+        factor = cholesky_banded(m.bands, lower=True)
+        assert np.array_equal(chol._factor, factor)
+        assert np.array_equal(chol.solve(rhs), cho_solve_banded((factor, True), rhs))
+
+
+@pytest.mark.parametrize("bw", [1, 2, 4])
+def test_not_spd_raises_like_scipy(bw):
+    rng = np.random.default_rng(20 + bw)
+    m = _random_spd_banded(12, bw, rng)
+    m.bands[0, 5] = -1.0
+    with pytest.raises(LinAlgError):
+        cholesky_banded(m.bands, lower=True)
+    with pytest.raises(NotSPDError, match="6-th leading minor"):
         BandedCholesky(m)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -72,6 +73,37 @@ def test_to_primitive_cap_is_configurable():
     state = EntropicState(phi=np.array([20.0]), w=np.array([0.0]))
     with pytest.raises(BlowupError):
         to_primitive(state, cap=10.0)
+    # the memoized default-cap view does not answer for another cap
+    to_primitive(state)
+    with pytest.raises(BlowupError):
+        to_primitive(state, cap=10.0)
+
+
+def test_state_arrays_are_read_only_copies():
+    phi, w = np.array([1.0, 2.0]), np.array([0.0, 0.5])
+    state = EntropicState(phi=phi, w=w)
+    phi[0] = 5.0  # the caller's array stays writable and is not shared
+    assert state.phi[0] == 1.0
+    mac = to_primitive(state)
+    for arr in (state.phi, state.w, mac.rho, mac.theta, mac.energy):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.phi = np.zeros(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mac.rho = np.ones(2)
+
+
+def test_to_primitive_memo_matches_fresh_state_bit_for_bit():
+    rng = np.random.default_rng(3)
+    phi, w = rng.uniform(-3.0, 3.0, 50), rng.uniform(-2.0, 2.0, 50)
+    state = EntropicState(phi=phi, w=w)
+    first = to_primitive(state)
+    second = to_primitive(state)
+    fresh = to_primitive(EntropicState(phi=phi, w=w))
+    assert second is first
+    for name in ("rho", "theta", "energy"):
+        assert np.array_equal(getattr(second, name), getattr(fresh, name))
 
 
 def test_to_entropic_examples():
