@@ -7,9 +7,9 @@ output location; dotted key=value arguments override individual fields. All
 numeric tables are written as CSV with 17-significant-digit floats and LF
 line endings, so identical configurations produce byte-identical outputs.
 
-Exit codes: 0 success, 2 solver failure (fixed point or backoff exhausted),
-3 configuration error, 4 audit failure (``macro`` or ``audit`` wrote
-``audits.json`` with ``all_passed: false``).
+Exit codes: 0 success, 2 solver failure (tau backoff exhausted, or the
+kinetic relaxation solve failed), 3 configuration error, 4 audit failure
+(``macro`` or ``audit`` wrote ``audits.json`` with ``all_passed: false``).
 """
 
 from __future__ import annotations
@@ -176,16 +176,15 @@ def _set_path(doc: Dict[str, Any], key: str, value: Any) -> None:
     node[parts[-1]] = value
 
 
-def parse_config(
+def _document(
     text: str, overrides: Sequence[str] = (), mode: Optional[str] = None
-) -> RunConfig:
-    """Validate a JSON document into a RunConfig with defaults filled.
+) -> Dict[str, Any]:
+    """The JSON document as edited by the environment and the command line.
 
-    Each dotted ``key=value`` override edits the document before it is
-    validated; its value is read as JSON, or taken as a plain string when
-    it is not JSON. Precedence: overrides, then ``ETLAB_OUTPUT_DIR``, then
-    the file. ``mode``, the command-line subcommand, replaces the
-    document's mode.
+    Each dotted ``key=value`` override edits the document; its value is read
+    as JSON, or taken as a plain string when it is not JSON. Precedence:
+    overrides, then ``ETLAB_OUTPUT_DIR``, then the file. ``mode``, the
+    command-line subcommand, replaces the document's mode.
     """
     try:
         doc = json.loads(text)
@@ -206,7 +205,23 @@ def parse_config(
         _set_path(doc, key, value)
     if mode is not None:
         doc["mode"] = mode
+    return doc
 
+
+def _output_directory(doc: Dict[str, Any]) -> str:
+    """``output.directory``, checked first so later errors can leave error.json."""
+    section = doc.get("output", {})
+    _expect(isinstance(section, dict), "output", "must be an object")
+    directory = section.get("directory", RunConfig.output_dir)
+    _expect(isinstance(directory, str), "output.directory", "must be a string")
+    return directory
+
+
+def parse_config(
+    text: str, overrides: Sequence[str] = (), mode: Optional[str] = None
+) -> RunConfig:
+    """Validate the document, edited as ``_document`` says, into a RunConfig."""
+    doc = _document(text, overrides, mode)
     for name in doc:
         _expect(name == "mode" or name in _SECTIONS, name, "unknown section")
     cfg = RunConfig()
@@ -293,9 +308,7 @@ def parse_config(
             setattr(cfg, key, [float(v) for v in init[key]])
 
     out = _get_section(doc, "output")
-    if "directory" in out:
-        _expect(isinstance(out["directory"], str), "output.directory", "must be a string")
-        cfg.output_dir = out["directory"]
+    cfg.output_dir = _output_directory(doc)
     if "snapshot_stride" in out:
         _expect(
             _is_int(out["snapshot_stride"]) and out["snapshot_stride"] >= 1,
@@ -710,8 +723,8 @@ def main(argv: Sequence[str]) -> int:
             text = Path(config_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError("<config>", f"cannot read {config_path}: {exc}") from exc
+        out = Path(_output_directory(_document(text, argv[2:], mode)))
         cfg = parse_config(text, argv[2:], mode=mode)
-        out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[mode](cfg, out)
     except ConfigError as exc:

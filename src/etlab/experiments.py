@@ -277,12 +277,7 @@ def _mms_error(
     grid = build_grid(n_cells, length)
     x = grid.cell_centers
     init = MacroState.from_rho_theta(ms.rho(x, 0.0), ms.theta(x, 0.0))
-    # The time-difference quotient has a roundoff floor of order eps/tau;
-    # keep the residual tolerance above it for the tau ~ h^2 refinements.
-    fp_tol = max(p.fp_tol, 1e-13 / p.tau)
-    p_run = replace(
-        p, source_mass=ms.source_mass, source_energy=ms.source_energy, fp_tol=fp_tol
-    )
+    p_run = replace(p, source_mass=ms.source_mass, source_energy=ms.source_energy)
     traj = run_transient(grid, init, p_run)
     mac = to_primitive(traj.states[-1])
     t_end = p_run.t_final
@@ -333,13 +328,8 @@ def mms_convergence(
     init = MacroState.from_rho_theta(ms.rho(x, 0.0), ms.theta(x, 0.0))
 
     def _final_state(tau_t: float) -> MacroState:
-        fp_tol = max(p.fp_tol, 1e-13 / tau_t)
         p_run = replace(
-            p,
-            tau=tau_t,
-            source_mass=ms.source_mass,
-            source_energy=ms.source_energy,
-            fp_tol=fp_tol,
+            p, tau=tau_t, source_mass=ms.source_mass, source_energy=ms.source_energy
         )
         return to_primitive(run_transient(grid, init, p_run).states[-1])
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .grid import Grid1D, integrate
 from .linalg import BandedCholesky, BandedSymmetricMatrix
+from .scheme import StepFailureError
 
 _RELAX_TOL = 1e-14
 _RELAX_MAX_ITER = 60
@@ -214,8 +215,9 @@ def _relax_temperature(
         outside = (theta_new <= lo) | (theta_new >= hi)
         theta = np.where(outside, 0.5 * (lo + hi), theta_new)
     bad = int(np.argmax(np.abs(f)))
-    raise RuntimeError(
-        f"relaxation temperature solve failed at cell {bad}: residual {f[bad]:.3e}"
+    raise StepFailureError(
+        f"relaxation temperature solve failed at cell {bad}: residual {f[bad]:.3e}",
+        residual=float(f[bad]),
     )
 
 

@@ -297,6 +297,70 @@ def test_solver_failure_exits_2_when_tau_would_underflow(tmp_path):
     assert record["error"] == "solver"
 
 
+def _assert_run_passed(out):
+    assert json.loads((out / "audits.json").read_text())["all_passed"] is True
+    last = max(out.glob("snapshot_*.csv"), key=lambda f: int(f.stem.split("_")[1]))
+    rows = np.loadtxt(last, delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, 1:3] > 0.0)  # rho, theta
+
+
+@pytest.mark.parametrize("n_cells", [1024, 2048])
+def test_macro_default_settings_converge_on_fine_grids(tmp_path, n_cells):
+    # The residual's roundoff floor grows like h^-2.5 and passes the default
+    # fp_tol near n = 384; the chart-variable update does not.
+    cfg = _write_config(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    overrides = [f"grid.n_cells={n_cells}", "scheme.t_final=1e-3"]
+    assert main(["macro", cfg, *overrides, f"output.directory={out}"]) == 0
+    _assert_run_passed(out)
+
+
+def test_macro_default_settings_converge_on_cold_data(tmp_path):
+    # theta drops to 1e-3 away from a hot bump: near the degeneracy of the
+    # system, where ellipticity is lost as theta vanishes.
+    x = (np.arange(64) + 0.5) / 64
+    theta0 = 1e-3 + np.exp(-200.0 * (x - 0.5) ** 2)
+    doc = dict(MINIMAL, init={"rho0": [1.0] * 64, "theta0": theta0.tolist()})
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["macro", cfg, "scheme.t_final=0.01", f"output.directory={out}"]) == 0
+    _assert_run_passed(out)
+
+
+@pytest.mark.parametrize("source", ["override", "env", "file"])
+def test_config_error_leaves_error_json(tmp_path, monkeypatch, capsys, source):
+    out = tmp_path / source
+    doc = dict(MINIMAL, output={"directory": str(out)}) if source == "file" else MINIMAL
+    cfg = _write_config(tmp_path, doc)
+    overrides = ["scheme.tau=true"]
+    if source == "override":
+        overrides.append(f"output.directory={out}")
+    elif source == "env":
+        monkeypatch.setenv("ETLAB_OUTPUT_DIR", str(out))
+    assert main(["macro", cfg, *overrides]) == 3
+    assert "scheme.tau" in capsys.readouterr().err
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "config", "message": "scheme.tau: must be a number"}
+
+
+def test_kinetic_relaxation_failure_exits_2(tmp_path, capsys):
+    # Eight nodes on [-1e6, 1e6] cannot resolve a unit-temperature
+    # Maxwellian: its discrete moments underflow and relaxation fails.
+    doc = {
+        "mode": "kinetic",
+        "grid": {"n_cells": 16, "length": 1.0},
+        "scheme": {"t_final": 1e-6},
+        "kinetic": {"eps": 0.5, "n_v": 8, "v_max": 1e6},
+        "output": {"directory": str(tmp_path / "kin")},
+    }
+    cfg = _write_config(tmp_path, doc)
+    with np.errstate(invalid="ignore"):
+        assert main(["kinetic", cfg]) == 2
+    assert "relaxation temperature solve failed" in capsys.readouterr().err
+    record = json.loads((tmp_path / "kin" / "error.json").read_text())
+    assert record["error"] == "solver"
+
+
 def test_kinetic_mode_writes_trajectory(tmp_path):
     doc = {
         "mode": "kinetic",

@@ -1,4 +1,5 @@
-"""Property test: ``etlab macro`` with any overrides exits with a documented code.
+"""Property test: ``etlab macro`` with any overrides exits with a documented code,
+and every solver failure or configuration error leaves a well-formed ``error.json``.
 
 The generated values keep every valid configuration tiny (at most 32 cells,
 at most 5 steps of tau, at most 4 tau halvings), so no example allocates a
@@ -7,6 +8,7 @@ large grid or runs long.
 
 import json
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -84,4 +86,12 @@ def test_macro_with_any_overrides_returns_documented_code(overrides):
         with open(cfg, "w", encoding="utf-8") as f:
             json.dump(base, f)
         code = main(["macro", cfg, *overrides, f"output.directory={tmp}/out"])
+        error_file = Path(tmp) / "out" / "error.json"
+        if code in (EXIT_SOLVER, EXIT_CONFIG):
+            record = json.loads(error_file.read_text(encoding="utf-8"))
+            kind = "solver" if code == EXIT_SOLVER else "config"
+            assert record == {"error": kind, "message": record["message"]}
+            assert isinstance(record["message"], str) and record["message"]
+        else:
+            assert not error_file.exists()
     assert code in DOCUMENTED_EXITS
