@@ -67,10 +67,6 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @dataclass
 class RunConfig:
     mode: str = "macro"
@@ -392,19 +388,20 @@ def _sweep_runs(cfg: RunConfig) -> List[Dict[str, float]]:
 
 
 def _write_csv(path: Path, header: List[str], rows: List[List[float]]) -> None:
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.writelines(line % tuple(row) for row in rows)
 
 
 def _read_csv(path: Path) -> Dict[str, np.ndarray]:
+    """The columns of a CSV file; ValueError when it has no rows."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")
-        data = [
-            [float(v) for v in line.strip().split(",")] for line in f if line.strip()
-        ]
-    cols = np.array(data, dtype=float).T if data else np.zeros((len(header), 0))
+        rows = [line for line in f if line.strip()]
+    if not rows:
+        raise ValueError("no rows")
+    cols = np.loadtxt(rows, delimiter=",", ndmin=2).T
     return {name: cols[i] for i, name in enumerate(header)}
 
 

@@ -57,7 +57,7 @@ def _check_cells(grid: Grid1D, field: np.ndarray, name: str = "field") -> np.nda
 def grad_edge(grid: Grid1D, field: np.ndarray) -> np.ndarray:
     """Edge differences (field[j+1] - field[j]) / h on the interior edges."""
     field = _check_cells(grid, field)
-    return np.diff(field) / grid.h
+    return (field[1:] - field[:-1]) / grid.h
 
 
 def div_edge(grid: Grid1D, flux: np.ndarray) -> np.ndarray:
@@ -97,4 +97,4 @@ def second_diff(grid: Grid1D, field: np.ndarray) -> np.ndarray:
 def integrate(grid: Grid1D, field: np.ndarray) -> float:
     """Midpoint quadrature sum h * field_i."""
     field = _check_cells(grid, field)
-    return grid.h * float(np.sum(field))
+    return grid.h * float(field.sum())

@@ -199,10 +199,13 @@ def _relax_temperature(
     theta = np.clip(theta_b, lo, hi)
     for _ in range(_RELAX_MAX_ITER):
         m1, s0, s2 = _gauss_sums(theta, v, wq)
-        e_m = 0.5 * (s2 / s0 + 2.0 * theta)
+        with np.errstate(divide="ignore", invalid="ignore"):  # S0 = 0 if M1 underflows
+            e_m = 0.5 * (s2 / s0 + 2.0 * theta)
         f = theta + mu * rho * e_m - rhs
         if np.all(np.abs(f) <= _RELAX_TOL * (1.0 + rhs)):
             return theta, m1, s0
+        if not np.isfinite(f).all():
+            break  # no Newton update can repair non-finite moments
         s4 = (m1 * v**4) @ wq
         # analytic d/dtheta of S_k through dM1/dtheta = M1 (v^2 - theta)/(2 theta^2)
         s0p = (s2 - theta * s0) / (2.0 * theta**2)

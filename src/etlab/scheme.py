@@ -170,13 +170,15 @@ def _residual(
     p: SchemeParams,
     t_new: float,
 ):
-    """Nodal mass and energy residuals, and the candidate's primitive fields."""
+    """Nodal residuals, the candidate's primitive fields, and its edge data
+    (m11, m12, m22, exp(-w_e), dw, theta_e), which _assemble_blocks reuses."""
     mac = to_primitive(cand)
     rho, theta, w, phi = mac.rho, mac.theta, cand.w, cand.phi
 
     m11, m12, m22, eneg = onsager_edge(rho, theta, w)
     dphi = grad_edge(grid, phi)
     dw = grad_edge(grid, w)
+    theta_e = edge_mean(theta)
     flux_mass = m11 * dphi + m12 * eneg * dw
     flux_energy = m12 * dphi + m22 * eneg * dw
 
@@ -192,7 +194,6 @@ def _residual(
     if p.eps > 0.0:
         reg_mass += p.eps * second_diff(grid, second_diff(grid, phi))
         lw = second_diff(grid, w)
-        theta_e = edge_mean(theta)
         reg_energy += p.eps * (
             second_diff(grid, theta * lw)
             - div_edge(grid, theta_e * dw**3)
@@ -200,11 +201,11 @@ def _residual(
         )
     if p.delta > 0.0:
         reg_mass += p.delta * (phi - second_diff(grid, phi))
-        theta_e3 = edge_mean(theta) ** 3
         reg_energy += p.delta * (
-            -div_edge(grid, theta_e3 * dw) + np.exp(-p.n_exp * w) * w
+            -div_edge(grid, theta_e**3 * dw) + np.exp(-p.n_exp * w) * w
         )
-    return dyn_mass + reg_mass, dyn_energy + reg_energy, mac
+    edges = (m11, m12, m22, eneg, dw, theta_e)
+    return dyn_mass + reg_mass, dyn_energy + reg_energy, mac, edges
 
 
 def assemble_residual(
@@ -220,7 +221,7 @@ def assemble_residual(
     (mass(cand) - mass(prev)) / tau + delta * integrate(phi) exactly; the
     energy residual analogously. The budget audits rest on this.
     """
-    r_mass, r_energy, _ = _residual(grid, to_primitive(prev), cand, p, t_new)
+    r_mass, r_energy, _, _ = _residual(grid, to_primitive(prev), cand, p, t_new)
     return r_mass, r_energy
 
 
@@ -263,9 +264,10 @@ def _unit_bands(n: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _assemble_blocks(
-    grid: Grid1D, frozen: EntropicState, frozen_mac: MacroState, p: SchemeParams
+    grid: Grid1D, frozen: EntropicState, frozen_mac: MacroState, edges, p: SchemeParams
 ):
-    """Symmetric approximate-Jacobian blocks at the frozen state.
+    """Symmetric approximate-Jacobian blocks at the frozen state, whose edge
+    data ``edges`` _residual has returned.
 
     The energy rows are rescaled by exp(-w) so the time-derivative block
     becomes the symmetric matrix [[rho, 3 rho/2], [3 rho/2, 1 + 15 rho/4]],
@@ -274,10 +276,8 @@ def _assemble_blocks(
     shape the iteration; fixed points solve the exact residual.
     """
     n, h = grid.n_cells, grid.h
-    rho, theta, w = frozen_mac.rho, frozen_mac.theta, frozen.w
-    m11, m12, m22, eneg = onsager_edge(rho, theta, w)
-    dw = grad_edge(grid, w)
-    theta_e = edge_mean(theta)
+    rho, w = frozen_mac.rho, frozen.w
+    m11, m12, m22, eneg, dw, theta_e = edges
     second, stiffness = _unit_bands(n, h)
 
     a11 = np.zeros((3, n))
@@ -351,16 +351,16 @@ def _converge(
     history: List[float] = []
     update = np.inf
     for _ in range(p.fp_max_iter):
-        r1, r2, mac = _residual(grid, prev_mac, x, p, t_new)
-        res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+        r1, r2, mac, edges = _residual(grid, prev_mac, x, p, t_new)
+        res = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
         history.append(res)
         if not np.isfinite(res):
             raise _NotConverged(res)
         if update <= p.fp_tol or res == 0.0:
-            if p.tau * h * max(abs(np.sum(r1)), abs(np.sum(r2))) <= _BUDGET_GUARD:
+            if p.tau * h * max(abs(r1.sum()), abs(r2.sum())) <= _BUDGET_GUARD:
                 return x, history
 
-        a11, a12, a22 = _assemble_blocks(grid, x, mac, p)
+        a11, a12, a22 = _assemble_blocks(grid, x, mac, edges, p)
         scale_e = np.exp(-x.w)
         if p.inner_mode == "coupled_implicit":
             rhs = np.empty(2 * n)
@@ -372,9 +372,9 @@ def _converge(
             dphi = BandedCholesky(_block_matrix(n, a11)).solve(-h * r1)
             dw = BandedCholesky(_block_matrix(n, a22)).solve(-h * scale_e * r2)
         phi, w = x.phi + dphi, x.w + dw
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(w))):
+        if not (np.isfinite(phi).all() and np.isfinite(w).all()):
             raise _NotConverged(res)
-        update = max(float(np.max(np.abs(dphi))), float(np.max(np.abs(dw))))
+        update = max(float(np.abs(dphi).max()), float(np.abs(dw).max()))
         x = EntropicState(phi=phi, w=w)
     raise _NotConverged(history[-1])
 
@@ -575,39 +575,39 @@ def dissipation_terms(
         m22 * eneg**2 * dw**2,
     )
     terms: Dict[str, float] = {
-        "edge_form": h * float(np.sum(edge_form)),
-        "grad_log_theta_sq": h * float(np.sum(dw**2)),
+        "edge_form": h * float(edge_form.sum()),
+        "grad_log_theta_sq": h * float((dw**2).sum()),
         "theta_grad_sqrt_rho_sq": 0.125
         * h
-        * float(np.sum(theta_e * grad_edge(grid, np.sqrt(rho)) ** 2)),
+        * float((theta_e * grad_edge(grid, np.sqrt(rho)) ** 2).sum()),
         "grad_sqrt_rho_theta_sq": (1.0 / 64.0)
         * h
-        * float(np.sum(grad_edge(grid, np.sqrt(rho * theta)) ** 2)),
+        * float((grad_edge(grid, np.sqrt(rho * theta)) ** 2).sum()),
     }
     if p.eps > 0.0:
         lphi = second_diff(grid, phi)
         lw = second_diff(grid, w)
-        terms["eps_hess_phi_sq"] = p.eps * h * float(np.sum(lphi**2))
+        terms["eps_hess_phi_sq"] = p.eps * h * float((lphi**2).sum())
         terms["eps_w_terms"] = (
             0.5
             * p.eps
             * (
-                h * float(np.sum(lw**2))
-                + h * float(np.sum(dw**4))
-                + h * float(np.sum(w**2))
+                h * float((lw**2).sum())
+                + h * float((dw**4).sum())
+                + h * float((w**2).sum())
             )
         )
     if p.delta > 0.0:
         terms["delta_phi"] = p.delta * (
-            h * float(np.sum(dphi**2)) + h * float(np.sum(phi**2))
+            h * float((dphi**2).sum()) + h * float((phi**2).sum())
         )
         terms["delta_grad_theta_sq"] = p.delta * h * float(
-            np.sum(grad_edge(grid, theta) ** 2)
+            (grad_edge(grid, theta) ** 2).sum()
         )
         terms["delta_theta_neg"] = p.delta * h * float(
-            np.sum(np.exp(-(p.n_exp + 1.0) * w))
+            np.exp(-(p.n_exp + 1.0) * w).sum()
         )
-    edge_min = float(np.min(edge_form)) if edge_form.size else 0.0
+    edge_min = float(edge_form.min()) if edge_form.size else 0.0
     return terms, edge_min
 
 

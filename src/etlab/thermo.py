@@ -57,7 +57,7 @@ class EntropicState:
         phi, w = _frozen(self.phi), _frozen(self.w)
         if phi.shape != w.shape:
             raise ValueError(f"phi shape {phi.shape} != w shape {w.shape}")
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(w))):
+        if not (np.isfinite(phi).all() and np.isfinite(w).all()):
             raise ValueError("entropic state entries must be finite")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "w", w)
@@ -76,10 +76,10 @@ class MacroState:
 
     def __post_init__(self):
         rho, theta, energy = _frozen(self.rho), _frozen(self.theta), _frozen(self.energy)
-        if not (np.all(rho > 0.0) and np.all(theta > 0.0)):
+        if not ((rho > 0.0).all() and (theta > 0.0).all()):
             raise ValueError("rho and theta must be strictly positive")
         expected = theta * (1.0 + 1.5 * rho)
-        if np.max(np.abs(energy - expected) / np.abs(expected)) > 1e-14:
+        if (np.abs(energy - expected) / np.abs(expected)).max() > 1e-14:
             raise ValueError("energy inconsistent with theta * (1 + 1.5 rho)")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "theta", theta)
@@ -111,7 +111,7 @@ class OnsagerMatrix:
 
 def _require_positive(name: str, value) -> np.ndarray:
     value = np.asarray(value, dtype=float)
-    if np.any(value <= 0.0) or not np.all(np.isfinite(value)):
+    if (value <= 0.0).any() or not np.isfinite(value).all():
         raise ValueError(f"{name} must be strictly positive and finite")
     return value
 
@@ -129,7 +129,7 @@ def to_primitive(state: EntropicState, cap: float = DEFAULT_EXP_CAP) -> MacroSta
         return state._primitive
     phi, w = state.phi, state.w
     bad = (np.abs(phi) > cap) | (np.abs(w) > cap)
-    if np.any(bad):
+    if bad.any():
         cell = int(np.argmax(bad))
         raise BlowupError(
             f"entropic state out of range at cell {cell}: "
@@ -138,12 +138,12 @@ def to_primitive(state: EntropicState, cap: float = DEFAULT_EXP_CAP) -> MacroSta
     expo = phi + 1.5 * w - 2.5
     # the energy product theta * (1 + 1.5 rho) peaks near exp(expo + w)
     largest = np.maximum(expo, np.maximum(w, expo + w + 1.0))
-    if np.any(largest > _EXP_OVERFLOW):
+    if (largest > _EXP_OVERFLOW).any():
         cell = int(np.argmax(largest))
         raise BlowupError(
             f"state exponent overflows at cell {cell}: exp({largest[cell]:.6g})"
         )
-    if np.any(expo < -_EXP_OVERFLOW):
+    if (expo < -_EXP_OVERFLOW).any():
         cell = int(np.argmin(expo))
         raise BlowupError(
             f"density exponent underflows at cell {cell}: exp({expo[cell]:.6g})"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import etlab
-from etlab.cli import EXIT_AUDIT, ConfigError, main, parse_config
+from etlab.cli import EXIT_AUDIT, ConfigError, _read_csv, _write_csv, main, parse_config
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -206,6 +206,47 @@ def test_audit_mode_flags_tampered_snapshot(tmp_path):
     assert failed == [2, 3]
 
 
+# A short repr, a repeating fraction, signed zero, the smallest subnormal, the
+# largest finite double, Python integers and numpy float64 scalars.
+CSV_VALUES = [
+    0.1,
+    1 / 3,
+    -0.0,
+    5e-324,
+    1.7976931348623157e308,
+    7,
+    -12,
+    np.float64(2.5),
+    np.float64(-1e-300),
+]
+
+
+def _write_csv_values(tmp_path):
+    path = tmp_path / "values.csv"
+    header = [f"c{i}" for i in range(len(CSV_VALUES))]
+    rows = [CSV_VALUES, CSV_VALUES[::-1]]
+    _write_csv(path, header, rows)
+    return path, header, rows
+
+
+def test_write_csv_formats_each_value_as_format_17g(tmp_path):
+    path, header, rows = _write_csv_values(tmp_path)
+    lines = [",".join(header)] + [
+        ",".join(format(float(x), ".17g") for x in row) for row in rows
+    ]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_read_csv_round_trips_written_values_bit_for_bit(tmp_path):
+    path, header, rows = _write_csv_values(tmp_path)
+    cols = _read_csv(path)
+    assert list(cols) == header
+    for i, name in enumerate(header):
+        want = np.array([float(row[i]) for row in rows])
+        assert cols[name].dtype == np.float64
+        assert np.array_equal(cols[name].view(np.int64), want.view(np.int64))
+
+
 def _strict_json(path):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -233,6 +274,10 @@ def test_macro_and_audit_write_the_same_records(tmp_path):
 
 
 def _corrupt_snapshot(out, damage):
+    if damage == "header-only trajectory":
+        traj = out / "trajectory.csv"
+        traj.write_text(traj.read_text().splitlines()[0] + "\n")
+        return traj
     if damage == "truncated":
         snap = out / "snapshot_1.csv"
         text = snap.read_text()
@@ -247,7 +292,10 @@ def _corrupt_snapshot(out, damage):
     return snap
 
 
-@pytest.mark.parametrize("damage", ["w=1000", "nan", "truncated"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "damage", ["w=1000", "nan", "truncated", "header-only trajectory"]
+)
 def test_audit_on_corrupted_run_directory_exits_3(tmp_path, capsys, damage):
     doc = _macro_doc(tmp_path, tau=1e-3, t_final=3e-3, delta=1e-4, eps=1e-6)
     doc["grid"]["n_cells"] = 16
@@ -260,6 +308,8 @@ def test_audit_on_corrupted_run_directory_exits_3(tmp_path, capsys, damage):
     record = json.loads((tmp_path / "out" / "error.json").read_text())
     assert record["error"] == "config"
     assert snap.name in record["message"]
+    if damage == "header-only trajectory":
+        assert "damaged trajectory: no rows" in record["message"]
 
 
 def test_audit_mode_requires_per_step_snapshots(tmp_path):
@@ -343,6 +393,7 @@ def test_config_error_leaves_error_json(tmp_path, monkeypatch, capsys, source):
     assert record == {"error": "config", "message": "scheme.tau: must be a number"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kinetic_relaxation_failure_exits_2(tmp_path, capsys):
     # Eight nodes on [-1e6, 1e6] cannot resolve a unit-temperature
     # Maxwellian: its discrete moments underflow and relaxation fails.
@@ -354,8 +405,7 @@ def test_kinetic_relaxation_failure_exits_2(tmp_path, capsys):
         "output": {"directory": str(tmp_path / "kin")},
     }
     cfg = _write_config(tmp_path, doc)
-    with np.errstate(invalid="ignore"):
-        assert main(["kinetic", cfg]) == 2
+    assert main(["kinetic", cfg]) == 2
     assert "relaxation temperature solve failed" in capsys.readouterr().err
     record = json.loads((tmp_path / "kin" / "error.json").read_text())
     assert record["error"] == "solver"

@@ -13,6 +13,7 @@ from etlab.scheme import (
     _assemble_blocks,
     _block_matrix,
     _interleave,
+    _residual,
     assemble_residual,
     dissipation_terms,
     entropy_audit,
@@ -119,7 +120,8 @@ def test_assembled_blocks_are_spd():
     p = SchemeParams(tau=0.05, eps=1e-5, delta=1e-3)
     for _ in range(5):
         frozen = EntropicState(rng.uniform(1, 3, 16), rng.uniform(-0.5, 0.5, 16))
-        a11, a12, a22 = _assemble_blocks(GRID, frozen, to_primitive(frozen), p)
+        _, _, mac, edges = _residual(GRID, to_primitive(frozen), frozen, p, 0.0)
+        a11, a12, a22 = _assemble_blocks(GRID, frozen, mac, edges, p)
         coupled = _interleave(16, a11, a12, a22)
         BandedCholesky(coupled)
         assert np.min(np.linalg.eigvalsh(coupled.to_dense())) > 0.0
