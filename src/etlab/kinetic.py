@@ -132,26 +132,27 @@ def energy_total(grid: Grid1D, state: KineticState) -> float:
     return integrate(grid, state.theta_b + kinetic_energy)
 
 
-def _transport(g: np.ndarray, courant: np.ndarray) -> np.ndarray:
+def _transport(g: np.ndarray, courant: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Flux-form upwind transport with specular reflection at both walls.
 
-    courant = dt * v / (eps h), |courant| <= 1. Wall fluxes use the
-    reflected distribution as ghost value, so the velocity-summed mass and
-    energy fluxes through each wall cancel exactly on a symmetric grid.
-    The sorted nodes put the negative and positive velocities in two
-    contiguous column slices; a zero node (odd n_v) has no flux.
+    courant = dt * v / (eps h), |courant| <= 1, tiled to g's shape. Wall
+    fluxes use the reflected distribution as ghost value, so the
+    velocity-summed mass and energy fluxes through each wall cancel exactly
+    on a symmetric grid. The sorted nodes put the negative and positive
+    velocities in two contiguous column slices; a zero node (odd n_v) has no
+    flux. The flux differences are formed in ``out``, which is returned.
     """
     n_v = g.shape[1]
     neg = slice(0, n_v // 2)
     pos = slice((n_v + 1) // 2, n_v)
     # flux difference F[i+1] - F[i], F[i] being the upwind value at face i
-    diff = np.empty_like(g)
-    diff[1:, pos] = g[1:, pos] - g[:-1, pos]
-    diff[0, pos] = g[0, pos] - g[0, ::-1][pos]
-    diff[:-1, neg] = g[1:, neg] - g[:-1, neg]
-    diff[-1, neg] = g[-1, ::-1][neg] - g[-1, neg]
-    diff[:, neg.stop : pos.start] = 0.0
-    return g - courant * diff
+    np.subtract(g[1:, pos], g[:-1, pos], out=out[1:, pos])
+    np.subtract(g[0, pos], g[0, ::-1][pos], out=out[0, pos])
+    np.subtract(g[1:, neg], g[:-1, neg], out=out[:-1, neg])
+    np.subtract(g[-1, ::-1][neg], g[-1, neg], out=out[-1, neg])
+    out[:, neg.stop : pos.start] = 0.0
+    np.multiply(courant, out, out=out)
+    return np.subtract(g, out, out=out)
 
 
 @lru_cache(maxsize=32)
@@ -164,18 +165,42 @@ def _heat_factor(n: int, h: float, dt: float) -> BandedCholesky:
     return BandedCholesky(BandedSymmetricMatrix(n=n, bandwidth=1, bands=bands))
 
 
-def _gauss_sums(theta: np.ndarray, v: np.ndarray, wq: np.ndarray):
-    """M1(theta) on the grid and its discrete moments S_k = sum w v^k M1, k = 0, 2.
+@lru_cache(maxsize=4)
+def _step_constants(n: int, h: float, dt: float, eps: float, nodes: bytes):
+    """Courant numbers dt v / (eps h), v^2 and v^4, each tiled to (n, n_v).
+
+    Keyed like _heat_factor, plus eps and the velocity nodes' bytes. Tiled,
+    the per-step products with the distributions run on contiguous arrays.
+    A run uses one entry; the small cache bounds the memory the tiles hold.
+    """
+    v = np.frombuffer(nodes)
+    tiled = tuple(np.tile(row, (n, 1)) for row in (dt * v / (eps * h), v**2, v**4))
+    for a in tiled:
+        a.setflags(write=False)
+    return tiled
+
+
+def _gauss_sums(
+    theta: np.ndarray,
+    v: np.ndarray,
+    wq: np.ndarray,
+    v2: np.ndarray,
+    m1: np.ndarray,
+    work: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Write M1(theta) on the grid into m1; return S_k = sum w v^k M1, k = 0, 2.
 
     M1 is even in v and the nodes are exactly antisymmetric, so it is
-    evaluated on the nonnegative half of the grid and mirrored.
+    evaluated on the nonnegative half of the grid and mirrored. ``v2`` is
+    v^2 tiled to m1's shape; ``work`` is scratch of the same shape.
     """
     half = v.shape[0] // 2
     upper = maxwellian_1d(theta[:, None], v[None, half:])
-    m1 = np.concatenate((upper[:, ::-1][:, :half], upper), axis=1)
+    m1[:, half:] = upper
+    m1[:, :half] = upper[:, ::-1][:, :half]
     s0 = m1 @ wq
-    s2 = (m1 * v**2) @ wq
-    return m1, s0, s2
+    s2 = np.multiply(m1, v2, out=work) @ wq
+    return s0, s2
 
 
 def _relax_temperature(
@@ -185,28 +210,33 @@ def _relax_temperature(
     mu: float,
     v: np.ndarray,
     wq: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    v2: np.ndarray,
+    v4: np.ndarray,
+    m1: np.ndarray,
+    work: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Solve theta + mu rho e_M(theta) = theta_b + mu e_kin per cell.
 
     e_M(theta) = (S2/S0 + 2 theta) / 2 is the kinetic energy of the
     discrete, mass-normalized Maxwellian target; the left side is strictly
     increasing in theta, so safeguarded Newton with a bracket converges.
-    Returns theta with the M1(theta) and S0 of the converged iterate.
+    Returns theta and S0 of the converged iterate, whose M1 is left in m1;
+    ``work`` is scratch, and v2, v4 are v^2, v^4 tiled to m1's shape.
     """
     rhs = theta_b + mu * e_kin
     lo = np.full_like(rhs, 1e-12)
     hi = rhs.copy()
     theta = np.clip(theta_b, lo, hi)
     for _ in range(_RELAX_MAX_ITER):
-        m1, s0, s2 = _gauss_sums(theta, v, wq)
+        s0, s2 = _gauss_sums(theta, v, wq, v2, m1, work)
         with np.errstate(divide="ignore", invalid="ignore"):  # S0 = 0 if M1 underflows
             e_m = 0.5 * (s2 / s0 + 2.0 * theta)
         f = theta + mu * rho * e_m - rhs
         if np.all(np.abs(f) <= _RELAX_TOL * (1.0 + rhs)):
-            return theta, m1, s0
+            return theta, s0
         if not np.isfinite(f).all():
             break  # no Newton update can repair non-finite moments
-        s4 = (m1 * v**4) @ wq
+        s4 = np.multiply(m1, v4, out=work) @ wq
         # analytic d/dtheta of S_k through dM1/dtheta = M1 (v^2 - theta)/(2 theta^2)
         s0p = (s2 - theta * s0) / (2.0 * theta**2)
         s2p = (s4 - theta * s2) / (2.0 * theta**2)
@@ -225,30 +255,41 @@ def _relax_temperature(
 
 
 def kinetic_step(state: KineticState, dt: float) -> KineticState:
-    """One split step: transport, background heat diffusion, implicit relaxation."""
+    """One split step: transport, background heat diffusion, implicit relaxation.
+
+    The transport writes the new distributions, which the relaxation then
+    updates in place. They and the two scratch arrays m1 and work share one
+    allocation, so a step makes no other distribution-sized array, and the
+    allocator sees one request and one release of the same size per step
+    and keeps the pages instead of returning them to the OS between steps.
+    """
     grid, vgrid, eps = state.grid, state.vgrid, state.eps
     cfl_bound = eps * grid.h / vgrid.v_max
     if dt > cfl_bound * (1.0 + 1e-9):
         raise ValueError(f"dt = {dt:.3e} violates the CFL bound {cfl_bound:.3e}")
     v, wq = vgrid.nodes, vgrid.weights
+    courant, v2, v4 = _step_constants(grid.n_cells, grid.h, dt, eps, v.tobytes())
 
-    courant = dt * v / (eps * grid.h)
-    g0 = _transport(state.g0, courant)
-    g2 = _transport(state.g2, courant)
+    g0, g2, m1, work = np.empty((4,) + state.g0.shape)
+    _transport(state.g0, courant, g0)
+    _transport(state.g2, courant, g2)
 
     theta_b = _heat_factor(grid.n_cells, grid.h, dt).solve(state.theta_b)
 
     lam = dt / eps**2
     mu = lam / (1.0 + lam)
     rho = g0 @ wq
-    e_kin = 0.5 * ((g0 * v**2) @ wq + g2 @ wq)
-    theta_star, m1, s0 = _relax_temperature(theta_b, rho, e_kin, mu, v, wq)
+    e_kin = 0.5 * (np.multiply(g0, v2, out=work) @ wq + g2 @ wq)
+    theta_star, s0 = _relax_temperature(theta_b, rho, e_kin, mu, v, wq, v2, v4, m1, work)
     # Normalizing the target by its discrete mass makes relaxation conserve
     # the density exactly on this quadrature.
-    target0 = rho[:, None] * m1 / s0[:, None]
-    g0 = (g0 + lam * target0) / (1.0 + lam)
-    g2 = (g2 + lam * 2.0 * theta_star[:, None] * target0) / (1.0 + lam)
-    e_kin_new = 0.5 * ((g0 * v**2) @ wq + g2 @ wq)
+    target0 = np.multiply(rho[:, None], m1, out=m1)
+    target0 /= s0[:, None]
+    g0 += np.multiply(lam, target0, out=work)
+    g0 /= 1.0 + lam
+    g2 += np.multiply(lam * 2.0 * theta_star[:, None], target0, out=work)
+    g2 /= 1.0 + lam
+    e_kin_new = 0.5 * (np.multiply(g0, v2, out=work) @ wq + g2 @ wq)
     # The background absorbs exactly what the gas released.
     theta_b = theta_b + (e_kin - e_kin_new)
 

@@ -4,14 +4,43 @@ Only the lower bands are stored, which keeps symmetry by construction. The
 storage ``bands[k, j] = A[j+k, j]`` is LAPACK's lower band layout, so the
 factorization (``pbtrf``) and the triangular solves (``pbtrs``) run on the
 assembled array directly.
+
+The two routines come from scipy's compiled LAPACK wrapper module
+``scipy.linalg._flapack``, the module ``scipy.linalg.lapack`` re-exports
+them from. It is loaded by file location, so ``scipy/linalg/__init__.py``
+(and the array-API layer it pulls in, most of a process's start-up time)
+never runs.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, loaded without executing scipy or scipy.linalg."""
+    name = "scipy.linalg._flapack"
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        linalg_dir = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(linalg_dir, "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module
+    raise ImportError(f"LAPACK wrapper module {name} not found", name=name)
+
+
+_flapack = _load_flapack()
+dpbtrf = _flapack.dpbtrf
+dpbtrs = _flapack.dpbtrs
 
 
 @dataclass

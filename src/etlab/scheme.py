@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -279,9 +280,15 @@ def _assemble_blocks(
     rho, w = frozen_mac.rho, frozen.w
     m11, m12, m22, eneg, dw, theta_e = edges
     second, stiffness = _unit_bands(n, h)
+    h_tau = h / p.tau
+    # (h / tau) (1 + 15 rho / 4) bounds every time-derivative entry. Once tau
+    # has been halved close to underflow it is not finite, and the system
+    # cannot be formed: a numerical failure like a non-SPD matrix.
+    if not math.isfinite(h_tau * (1.0 + 3.75 * float(rho.max()))):
+        raise NotSPDError(f"time-derivative block overflows at tau = {p.tau:.3e}")
 
     a11 = np.zeros((3, n))
-    a11[0] = (h / p.tau) * rho
+    a11[0] = h_tau * rho
     a11[:2] += _stiffness_bands(n, h, m11)
     if p.eps > 0.0:
         a11 += p.eps * second
@@ -294,7 +301,7 @@ def _assemble_blocks(
     a12 += _stiffness_bands(n, h, m12 * eneg)
 
     a22 = np.zeros((3, n))
-    a22[0] = (h / p.tau) * (1.0 + 3.75 * rho)
+    a22[0] = h_tau * (1.0 + 3.75 * rho)
     a22[:2] += _stiffness_bands(n, h, m22 * eneg**2)
     if p.eps > 0.0:
         a22 += p.eps * second

@@ -507,3 +507,34 @@ def test_import_cli_does_not_import_sympy():
     proc = _run_python("-c", "import sys, etlab.cli; print('sympy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_IMPORT_BOUNDARY = """
+import sys
+import etlab.cli
+print(sorted(m for m in ("scipy.linalg", "sympy") if m in sys.modules))
+import numpy as np
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from etlab.linalg import BandedCholesky, BandedSymmetricMatrix
+rng = np.random.default_rng(5)
+n = 50
+for bw in (1, 3):
+    bands = rng.normal(size=(bw + 1, n))
+    for k in range(1, bw + 1):
+        bands[k, n - k :] = 0.0
+    bands[0] = np.abs(bands[0]) + 2.0 * (bw + 1) * np.abs(bands).max() + 1.0
+    rhs = rng.normal(size=n)
+    chol = BandedCholesky(BandedSymmetricMatrix(n=n, bandwidth=bw, bands=bands))
+    factor, info_f = dpbtrf(bands, lower=1)
+    x, info_s = dpbtrs(factor, rhs, lower=1)
+    print(info_f, info_s, np.array_equal(chol._factor, factor), np.array_equal(chol.solve(rhs), x))
+"""
+
+
+def test_import_cli_leaves_scipy_linalg_unimported_and_importable():
+    # etlab loads scipy's LAPACK wrapper module by file location; a later
+    # import of scipy.linalg in the same process must still work and call
+    # the same routines.
+    proc = _run_python("-c", _IMPORT_BOUNDARY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0 0 True True", "0 0 True True"]

@@ -288,5 +288,50 @@ def test_step_matches_reference_bit_for_bit(n_v):
 def test_mirrored_maxwellian_equals_full_grid(n_v):
     vgrid = build_velocity_grid(8.0, n_v)
     theta = np.linspace(0.05, 5.0, 17)
-    m1, _, _ = _gauss_sums(theta, vgrid.nodes, vgrid.weights)
+    v = vgrid.nodes
+    m1 = np.empty((theta.shape[0], n_v))
+    v2 = np.tile(v**2, (theta.shape[0], 1))
+    _gauss_sums(theta, v, vgrid.weights, v2, m1, np.empty_like(m1))
     assert np.array_equal(m1, maxwellian_1d(theta[:, None], vgrid.nodes[None, :]))
+
+
+def test_step_leaves_input_state_unchanged():
+    rho0, theta0 = _bump_fields(GRID)
+    state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
+    dt = 0.9 * 0.1 * GRID.h / VGRID.v_max
+    for _ in range(3):  # inputs made by kinetic_step itself, as in a run
+        before = state.copy()
+        new = kinetic_step(state, dt)
+        assert np.array_equal(state.g0, before.g0)
+        assert np.array_equal(state.g2, before.g2)
+        assert np.array_equal(state.theta_b, before.theta_b)
+        state = new
+
+
+@pytest.mark.parametrize("n_v", [64, 5])
+def test_run_kinetic_equals_independent_steps_bit_for_bit(n_v):
+    vgrid = build_velocity_grid(8.0, n_v)
+    rho0, theta0 = _bump_fields(GRID)
+    eps, t_final, n_records = 0.1, 0.02, 20
+    run = run_kinetic(GRID, vgrid, rho0, theta0, eps, t_final, n_records=n_records)
+    # run_kinetic's step size and record schedule
+    n_steps = int(np.ceil(t_final / (0.9 * eps * GRID.h / vgrid.v_max)))
+    dt = t_final / n_steps
+    record_every = max(1, n_steps // n_records)
+    assert n_steps >= 50
+
+    state = init_equilibrium(GRID, vgrid, rho0, theta0, eps)
+    records = [moments(state) + (state.theta_b.copy(),)]
+    for k in range(1, n_steps + 1):
+        state = kinetic_step(state.copy(), dt)
+        if k % record_every == 0 or k == n_steps:
+            records.append(moments(state) + (state.theta_b.copy(),))
+    assert len(records) == len(run.rho)
+    for i, (rho, e_kin, flux, theta_b) in enumerate(records):
+        assert np.array_equal(run.rho[i], rho)
+        assert np.array_equal(run.kinetic_energy[i], e_kin)
+        assert np.array_equal(run.mass_flux[i], flux)
+        assert np.array_equal(run.theta_b[i], theta_b)
+    assert np.array_equal(run.final_state.g0, state.g0)
+    assert np.array_equal(run.final_state.g2, state.g2)
+    assert np.array_equal(run.final_state.theta_b, state.theta_b)
