@@ -106,6 +106,11 @@ class RunConfig:
         return initial_condition(self.preset, grid)
 
 
+# The smallest kinetic eps whose square is a normal double; the relaxation
+# rate dt / eps**2 needs eps**2, which underflows to zero below about 1.6e-162.
+_MIN_KINETIC_EPS = math.sqrt(sys.float_info.min)
+
+
 def _expect(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(path, message)
@@ -261,9 +266,9 @@ def parse_config(
         eps = kin["eps"]
         if isinstance(eps, list):
             _expect(
-                _is_number_list(eps) and eps and all(v > 0 for v in eps),
+                _is_number_list(eps) and eps and all(v >= _MIN_KINETIC_EPS for v in eps),
                 "kinetic.eps",
-                "values must be positive numbers",
+                f"values must be numbers >= {_MIN_KINETIC_EPS:.3g}",
             )
             _expect(
                 all(b < a for a, b in zip(eps, eps[1:])),
@@ -273,7 +278,11 @@ def parse_config(
             cfg.kinetic_eps_values = [float(v) for v in eps]
             cfg.kinetic_eps = cfg.kinetic_eps_values[0]
         else:
-            _expect(_is_number(eps) and eps > 0, "kinetic.eps", "must be positive")
+            _expect(
+                _is_number(eps) and eps >= _MIN_KINETIC_EPS,
+                "kinetic.eps",
+                f"must be a number >= {_MIN_KINETIC_EPS:.3g}",
+            )
             cfg.kinetic_eps = float(eps)
     if "v_max" in kin:
         _expect(

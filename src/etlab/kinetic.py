@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -254,14 +254,17 @@ def _relax_temperature(
     )
 
 
-def kinetic_step(state: KineticState, dt: float) -> KineticState:
+def kinetic_step(
+    state: KineticState, dt: float, out: Optional[np.ndarray] = None
+) -> KineticState:
     """One split step: transport, background heat diffusion, implicit relaxation.
 
     The transport writes the new distributions, which the relaxation then
-    updates in place. They and the two scratch arrays m1 and work share one
-    allocation, so a step makes no other distribution-sized array, and the
-    allocator sees one request and one release of the same size per step
-    and keeps the pages instead of returning them to the OS between steps.
+    updates in place. They and the two scratch arrays m1 and work are the
+    four layers of one step block of shape (4, n_x, n_v): ``out`` when given,
+    which must not hold the input state's distributions, else a new array.
+    A step makes no other distribution-sized array; the returned state's g0
+    and g2 are views into the block.
     """
     grid, vgrid, eps = state.grid, state.vgrid, state.eps
     cfl_bound = eps * grid.h / vgrid.v_max
@@ -270,7 +273,7 @@ def kinetic_step(state: KineticState, dt: float) -> KineticState:
     v, wq = vgrid.nodes, vgrid.weights
     courant, v2, v4 = _step_constants(grid.n_cells, grid.h, dt, eps, v.tobytes())
 
-    g0, g2, m1, work = np.empty((4,) + state.g0.shape)
+    g0, g2, m1, work = np.empty((4,) + state.g0.shape) if out is None else out
     _transport(state.g0, courant, g0)
     _transport(state.g2, courant, g2)
 
@@ -324,7 +327,12 @@ def run_kinetic(
     cfl: float = 0.9,
     n_records: int = 20,
 ) -> KineticTrajectory:
-    """March equilibrium initial data to t_final with a CFL-consistent dt."""
+    """March equilibrium initial data to t_final with a CFL-consistent dt.
+
+    The steps write into two step blocks in turn (see kinetic_step), so a
+    run allocates its distributions once, whatever the allocator's
+    thresholds; the final state's distributions are views into one block.
+    """
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
     state = init_equilibrium(grid, vgrid, rho0, theta0, eps)
@@ -336,8 +344,12 @@ def run_kinetic(
     times = [0.0]
     rho, e_kin, flux = moments(state)
     rhos, e_kins, theta_bs, fluxes = [rho], [e_kin], [state.theta_b.copy()], [flux]
+    # Two arrays, not one of shape (2, 4, n_x, n_v): in one array each step's
+    # source and destination layers lie exactly a block apart (512 KiB at
+    # n_x = 256, n_v = 64), and a run on that grid measured about 7% slower.
+    blocks = [np.empty((4,) + state.g0.shape) for _ in range(2)]
     for k in range(1, n_steps + 1):
-        state = kinetic_step(state, dt)
+        state = kinetic_step(state, dt, out=blocks[k % 2])
         if k % record_every == 0 or k == n_steps:
             rho, e_kin, flux = moments(state)
             times.append(k * dt)

@@ -8,9 +8,14 @@ stabilization weighted by delta. Because the unknowns are chart variables,
 rho and theta stay positive for any finite iterate.
 
 The nonlinear step is solved by quasi-Newton iterations on the exact
-residual until the update of the chart variables, O(1) logarithms, is at
-most ``fp_tol`` (see ``_converge``). Two interchangeable inner
-linearizations are provided:
+residual until the error of the chart variables, O(1) logarithms, is
+estimated at most ``fp_tol`` from the size of the last update and the
+observed contraction rate (see ``_converge``). Each step after the first of
+a run starts from the linear extrapolation of the last two accepted states,
+which is admissible because any finite chart values are; should that start
+fail, the step is retried from the previous state (see
+``fixed_point_step``). Two interchangeable inner linearizations are
+provided:
 
 * ``coupled_implicit`` (default): one symmetric positive definite system in
   the interleaved (phi, w) unknowns per iteration, with frozen coefficients.
@@ -340,30 +345,37 @@ def _block_matrix(n: int, bands3: np.ndarray) -> BandedSymmetricMatrix:
 def _converge(
     grid: Grid1D,
     prev: EntropicState,
+    start: EntropicState,
     p: SchemeParams,
     t_new: float,
 ) -> Tuple[EntropicState, List[float]]:
-    """Iterate until a correction max|(dphi, dw)| is at most fp_tol.
+    """Iterate from ``start`` until the estimated error of an iterate is at
+    most fp_tol.
 
-    The iterate after it is accepted once tau * h * |sum r| of both its
-    residuals, exactly the budget-identity error with no-flux walls, is at
-    most _BUDGET_GUARD; a zero residual is accepted without a solve. No
-    acceptance within fp_max_iter residual evaluations, or a non-finite
-    residual or correction, raises _NotConverged so the caller backs off.
-    Returns the accepted iterate and max|r| of every iterate, its own last.
+    With u_k = max|(dphi, dw)| of the correction that produced iterate k and
+    the contraction rate theta_k = u_k / u_(k-1), the error of iterate k is
+    estimated by u_k theta_k / (1 - theta_k) when theta_k < 1/2, and by u_k
+    otherwise (also for the first correction, which has no rate). The
+    iterate is accepted once its estimate is at most fp_tol and
+    tau * h * |sum r| of both its residuals, exactly the budget-identity
+    error with no-flux walls, is at most _BUDGET_GUARD; a zero residual is
+    accepted without a solve. No acceptance within fp_max_iter residual
+    evaluations, or a non-finite residual or correction, raises
+    _NotConverged so the caller backs off. Returns the accepted iterate and
+    max|r| of every iterate, its own last.
     """
     n, h = grid.n_cells, grid.h
     prev_mac = to_primitive(prev)
-    x = prev
+    x = start
     history: List[float] = []
-    update = np.inf
+    update = error = math.inf
     for _ in range(p.fp_max_iter):
         r1, r2, mac, edges = _residual(grid, prev_mac, x, p, t_new)
         res = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
         history.append(res)
         if not np.isfinite(res):
             raise _NotConverged(res)
-        if update <= p.fp_tol or res == 0.0:
+        if error <= p.fp_tol or res == 0.0:
             if p.tau * h * max(abs(r1.sum()), abs(r2.sum())) <= _BUDGET_GUARD:
                 return x, history
 
@@ -381,7 +393,9 @@ def _converge(
         phi, w = x.phi + dphi, x.w + dw
         if not (np.isfinite(phi).all() and np.isfinite(w).all()):
             raise _NotConverged(res)
-        update = max(float(np.abs(dphi).max()), float(np.abs(dw).max()))
+        last, update = update, max(float(np.abs(dphi).max()), float(np.abs(dw).max()))
+        rate = update / last if 0.0 < last < math.inf else 1.0
+        error = update * rate / (1.0 - rate) if rate < 0.5 else update
         x = EntropicState(phi=phi, w=w)
     raise _NotConverged(history[-1])
 
@@ -391,23 +405,40 @@ def fixed_point_step(
     prev: EntropicState,
     p: SchemeParams,
     t_start: float = 0.0,
+    older: Optional[EntropicState] = None,
+    tau_prev: Optional[float] = None,
 ) -> Tuple[EntropicState, StepReport]:
     """Advance one implicit step, halving tau on numerical failure.
 
+    ``older`` is the accepted state before ``prev`` and ``tau_prev`` the
+    step that led from it to ``prev``. Given both, the first attempt starts
+    from the linear extrapolation prev + (tau / tau_prev) (prev - older);
+    any chart values are admissible, since rho and theta stay positive. If
+    that attempt fails numerically, the same tau is tried once more from
+    ``prev``; without history every attempt starts from ``prev``.
     Non-convergence, blow-up of the chart values and a non-SPD linear
-    system halve tau; any other error propagates. StepFailureError ends the
-    step after p.tau_backoff_limit halvings, or earlier when one more
-    halving would underflow tau to zero. Returns the state after the time
-    increment that actually succeeded (tau_used <= p.tau) together with its
-    audit report.
+    system then halve tau; any other error propagates. StepFailureError
+    ends the step after p.tau_backoff_limit halvings, or earlier when one
+    more halving would underflow tau to zero. Returns the state after the
+    time increment that actually succeeded (tau_used <= p.tau) together
+    with its audit report.
     """
     tau_try = p.tau
+    start = prev
+    if older is not None and tau_prev is not None:
+        ratio = tau_try / tau_prev
+        # tau_prev after many halvings can overflow the ratio; checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = prev.phi + ratio * (prev.phi - older.phi)
+            w = prev.w + ratio * (prev.w - older.w)
+        if np.isfinite(phi).all() and np.isfinite(w).all():
+            start = EntropicState(phi=phi, w=w)
     last_residual = np.inf
     halvings = 0
     while halvings <= p.tau_backoff_limit:
         p_try = replace(p, tau=tau_try)
         try:
-            x, history = _converge(grid, prev, p_try, t_start + tau_try)
+            x, history = _converge(grid, prev, start, p_try, t_start + tau_try)
         except _NotConverged as exc:
             last_residual = exc.residual
         except (BlowupError, NotSPDError):
@@ -422,6 +453,9 @@ def fixed_point_step(
                 residual_history=history,
             )
             return x, report
+        if start is not prev:
+            start = prev  # retry the same tau from prev before halving
+            continue
         if tau_try * 0.5 == 0.0:
             break  # one more halving would underflow tau to zero
         tau_try *= 0.5
@@ -461,25 +495,32 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
     """March to t_final in steps of tau, auditing every accepted step.
 
     A step that needed backoff is completed by dyadic substeps so the
-    recorded states still sit at exact multiples of tau.
+    recorded states still sit at exact multiples of tau. Every step after
+    the first starts its nonlinear iteration from the linear extrapolation
+    of the last two accepted states (see fixed_point_step).
     """
     n_steps = step_count(p.t_final, p.tau)
     state = to_entropic(init.rho, init.theta)
     states = [state]
     reports: List[StepReport] = []
+    older: Optional[EntropicState] = None
+    tau_prev: Optional[float] = None
     for k in range(n_steps):
         remaining = p.tau
         t_base = k * p.tau
         while remaining > 1e-12 * p.tau:
             p_sub = replace(p, tau=min(p.tau, remaining))
             try:
-                state, rep = fixed_point_step(grid, state, p_sub, t_start=t_base)
+                nxt, rep = fixed_point_step(
+                    grid, state, p_sub, t_start=t_base, older=older, tau_prev=tau_prev
+                )
             except StepFailureError as exc:
                 raise StepFailureError(
                     f"step {k + 1} (t in [{t_base:.6g}, {t_base + p.tau:.6g}]): {exc}",
                     residual=exc.residual,
                     tau_last=exc.tau_last,
                 ) from exc
+            older, state, tau_prev = state, nxt, rep.tau_used
             reports.append(rep)
             remaining -= rep.tau_used
             t_base += rep.tau_used

@@ -456,6 +456,23 @@ def test_kinetic_eps_not_decreasing_exits_3(tmp_path, capsys):
     assert "kinetic.eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, value", [("kinetic", "1e-300"), ("compare", "[1e-300]")])
+def test_kinetic_eps_with_underflowing_square_exits_3(tmp_path, capsys, mode, value):
+    # eps**2 underflows to zero, so the relaxation rate dt / eps**2 has no value
+    doc = {
+        "mode": mode,
+        "grid": {"n_cells": 8, "length": 1.0},
+        "scheme": {"t_final": 2e-3},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    cfg = _write_config(tmp_path, doc)
+    assert main([mode, cfg, f"kinetic.eps={value}"]) == 3
+    assert "kinetic.eps" in capsys.readouterr().err
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "config"
+    assert record["message"].startswith("kinetic.eps: ")
+
+
 def test_sweep_mode_writes_table(tmp_path):
     doc = {
         "mode": "sweep",

@@ -308,6 +308,19 @@ def test_step_leaves_input_state_unchanged():
         state = new
 
 
+def test_step_into_given_block_matches_fresh_step_bit_for_bit():
+    rho0, theta0 = _bump_fields(GRID)
+    state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
+    dt = 0.9 * 0.1 * GRID.h / VGRID.v_max
+    block = np.full((4,) + state.g0.shape, np.nan)  # stale contents must not leak
+    fresh = kinetic_step(state, dt)
+    given = kinetic_step(state, dt, out=block)
+    assert np.shares_memory(given.g0, block) and np.shares_memory(given.g2, block)
+    assert np.array_equal(given.g0, fresh.g0)
+    assert np.array_equal(given.g2, fresh.g2)
+    assert np.array_equal(given.theta_b, fresh.theta_b)
+
+
 @pytest.mark.parametrize("n_v", [64, 5])
 def test_run_kinetic_equals_independent_steps_bit_for_bit(n_v):
     vgrid = build_velocity_grid(8.0, n_v)

@@ -1,9 +1,15 @@
+import importlib.util
+import json
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from etlab.cli import parse_config
+from etlab.experiments import initial_condition
 from etlab.grid import build_grid, integrate
 from etlab.linalg import BandedCholesky
 from etlab.scheme import (
@@ -21,6 +27,7 @@ from etlab.scheme import (
     lyapunov_functional,
     make_initial_state,
     run_transient,
+    step_count,
 )
 from etlab.thermo import EntropicState, MacroState, to_entropic, to_primitive
 
@@ -253,9 +260,87 @@ def test_step_backoff_exhaustion_raises_with_residual():
     assert err.value.tau_last < 1e-2
 
 
+def _max_gap(a, b):
+    return max(float(np.max(np.abs(a.phi - b.phi))), float(np.max(np.abs(a.w - b.w))))
+
+
+@pytest.mark.parametrize("inner_mode", ["coupled_implicit", "paper_picard"])
+@pytest.mark.parametrize("preset, n_cells", [("temp-step", 64), ("gauss-bump", 256)])
+def test_step_accepted_iterate_within_fp_tol(preset, n_cells, inner_mode):
+    # The contraction estimate may accept early, but never farther than
+    # fp_tol from the fixed point, with or without an extrapolated start.
+    grid = build_grid(n_cells, 1.0)
+    init = make_initial_state(*initial_condition(preset, grid))
+    x0 = to_entropic(init.rho, init.theta)
+    p = SchemeParams(inner_mode=inner_mode)
+    x1, _ = fixed_point_step(grid, x0, p)
+    exact, _ = fixed_point_step(grid, x1, replace(p, fp_tol=1e-14), t_start=p.tau)
+    for history in ({}, {"older": x0, "tau_prev": p.tau}):
+        out, rep = fixed_point_step(grid, x1, p, t_start=p.tau, **history)
+        assert rep.tau_used == p.tau
+        assert _max_gap(out, exact) <= p.fp_tol
+
+
+def test_step_first_correction_is_judged_by_its_size():
+    # Near equilibrium the first iterate already passes the budget guard, but
+    # its correction (about 1e-5) has no contraction rate to discount it and
+    # exceeds fp_tol, so the iterate after the second correction is accepted.
+    s = to_entropic(1.0 + 1e-5 * np.cos(np.pi * GRID.cell_centers), np.ones(16))
+    _, rep = fixed_point_step(GRID, s, SchemeParams(tau=1e-2, eps=0.0, delta=0.0))
+    assert rep.iterations == 3
+
+
+@pytest.mark.parametrize(
+    "w_shift, tau_prev",
+    [
+        (400.0, 1e-3),  # the extrapolated w exceeds the chart cap and blows up
+        (1e-3, 5e-324),  # the ratio tau / tau_prev overflows: no extrapolation
+    ],
+)
+def test_step_falls_back_to_prev_when_extrapolation_fails(w_shift, tau_prev):
+    # Either way the step is solved at the full tau from prev.
+    grid = build_grid(32, 1.0)
+    prev = _bump_state(grid)
+    older = EntropicState(phi=prev.phi, w=prev.w - w_shift)
+    p = SchemeParams(tau=1e-3, eps=1e-6, delta=1e-4)
+    cold, _ = fixed_point_step(grid, prev, p)
+    out, rep = fixed_point_step(grid, prev, p, older=older, tau_prev=tau_prev)
+    assert rep.tau_used == p.tau
+    assert _max_gap(out, cold) <= p.fp_tol
+    assert rep.budget.mass_pass and rep.budget.energy_pass
+
+
 # ---------------------------------------------------------------------------
 # transient runs
 # ---------------------------------------------------------------------------
+
+
+def _benchmark_config(monkeypatch, workload: str, seed: int):
+    """The config that perfbench/run.py generates for a workload and seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    doc = module.WORKLOADS[workload].config(seed)
+    return parse_config(json.dumps(doc), mode="macro")
+
+
+def test_transient_extrapolated_starts_save_iterations(monkeypatch):
+    # temp-step, n = 64, 200 steps: the warm-started run needs at most 90%
+    # of the residual evaluations of the same steps started from prev.
+    cfg = _benchmark_config(monkeypatch, "macro-n64-replay", 1)
+    grid = cfg.build_grid()
+    init = make_initial_state(*cfg.initial_fields(grid))
+    p = cfg.scheme
+    warm = sum(rep.iterations for rep in run_transient(grid, init, p).reports)
+    state = to_entropic(init.rho, init.theta)
+    cold = 0
+    for k in range(step_count(p.t_final, p.tau)):
+        state, rep = fixed_point_step(grid, state, p, t_start=k * p.tau)
+        assert rep.tau_used == p.tau
+        cold += rep.iterations
+    assert warm <= 0.9 * cold
 
 
 def test_transient_equilibrium_constant_trajectory():
