@@ -36,7 +36,12 @@ from .experiments import (
     run_sweep,
 )
 from .grid import Grid1D, build_grid, integrate
-from .kinetic import build_velocity_grid, run_kinetic
+from .kinetic import (
+    MAX_KINETIC_STEPS,
+    build_velocity_grid,
+    kinetic_step_count,
+    run_kinetic,
+)
 from .scheme import (
     SchemeParams,
     StepFailureError,
@@ -364,6 +369,17 @@ def parse_config(
             "must be an array of integers >= 3",
         )
         cfg.mms_resolutions = list(mms["resolutions"])
+
+    if cfg.mode in ("kinetic", "compare"):
+        eps = cfg.kinetic_eps if cfg.mode == "kinetic" else min(cfg.kinetic_eps_values)
+        h = cfg.length / cfg.n_cells
+        steps = kinetic_step_count(cfg.scheme.t_final, eps, h, cfg.v_max)
+        _expect(
+            steps <= MAX_KINETIC_STEPS,
+            "kinetic.eps",
+            f"eps = {eps:.3g} needs {steps:.3g} kinetic steps to reach t_final, "
+            f"more than {MAX_KINETIC_STEPS}",
+        )
 
     if cfg.mode == "sweep":
         runs = _sweep_runs(cfg)

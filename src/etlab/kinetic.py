@@ -20,6 +20,7 @@ is invariant by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -32,6 +33,11 @@ from .scheme import StepFailureError
 
 _RELAX_TOL = 1e-14
 _RELAX_MAX_ITER = 60
+
+# Most explicit steps a kinetic run may take; ``etlab`` rejects a config that
+# needs more (exit 3). About 440 times the 2276 steps of an n = 256,
+# eps = 0.1, t_final = 0.1 run, and a run of minutes at n = 256.
+MAX_KINETIC_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -317,6 +323,15 @@ class KineticTrajectory:
         return self.theta_b[index] + self.kinetic_energy[index]
 
 
+def kinetic_step_count(
+    t_final: float, eps: float, h: float, v_max: float, cfl: float = 0.9
+) -> float:
+    """Steps of at most the CFL bound cfl * eps * h / v_max that reach t_final:
+    at least 1, and inf when the bound underflows to zero."""
+    dt_max = cfl * eps * h / v_max
+    return max(1.0, float(np.ceil(t_final / dt_max))) if dt_max > 0.0 else math.inf
+
+
 def run_kinetic(
     grid: Grid1D,
     vgrid: VelocityGrid,
@@ -336,8 +351,7 @@ def run_kinetic(
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
     state = init_equilibrium(grid, vgrid, rho0, theta0, eps)
-    dt_max = cfl * eps * grid.h / vgrid.v_max
-    n_steps = max(1, int(np.ceil(t_final / dt_max)))
+    n_steps = int(kinetic_step_count(t_final, eps, grid.h, vgrid.v_max, cfl))
     dt = t_final / n_steps
     record_every = max(1, n_steps // max(1, n_records))
 

@@ -10,12 +10,14 @@ rho and theta stay positive for any finite iterate.
 The nonlinear step is solved by quasi-Newton iterations on the exact
 residual until the error of the chart variables, O(1) logarithms, is
 estimated at most ``fp_tol`` from the size of the last update and the
-observed contraction rate (see ``_converge``). Each step after the first of
-a run starts from the linear extrapolation of the last two accepted states,
-which is admissible because any finite chart values are; should that start
-fail, the step is retried from the previous state (see
-``fixed_point_step``). Two interchangeable inner linearizations are
-provided:
+observed contraction rate (see ``_converge``). The iterations are chord
+iterations: the approximate Jacobian is factored at an attempt's start and
+reused, and refactored only once the contraction rate reaches 1/2. Each step
+after the first of a run starts from the linear extrapolation of the last
+two accepted states, which is admissible because any finite chart values
+are. An attempt that fails while reusing factors is retried once refactoring
+at every iterate, then from the previous state (see ``fixed_point_step``).
+Two interchangeable inner linearizations are provided:
 
 * ``coupled_implicit`` (default): one symmetric positive definite system in
   the interleaved (phi, w) unknowns per iteration, with frozen coefficients.
@@ -279,7 +281,8 @@ def _assemble_blocks(
     becomes the symmetric matrix [[rho, 3 rho/2], [3 rho/2, 1 + 15 rho/4]],
     which is positive definite for rho > 0. Flux blocks inherit positive
     semidefiniteness from the edge Onsager matrix. The approximations only
-    shape the iteration; fixed points solve the exact residual.
+    shape the iteration; fixed points solve the exact residual. The coupling
+    block ``a12`` is None for ``paper_picard``, which never reads it.
     """
     n, h = grid.n_cells, grid.h
     rho, w = frozen_mac.rho, frozen.w
@@ -301,9 +304,11 @@ def _assemble_blocks(
         a11[:2] += p.delta * stiffness
         a11[0] += p.delta * h
 
-    a12 = np.zeros((2, n))
-    a12[0] = (1.5 * h / p.tau) * rho
-    a12 += _stiffness_bands(n, h, m12 * eneg)
+    a12 = None  # paper_picard leaves the coupling explicit
+    if p.inner_mode == "coupled_implicit":
+        a12 = np.zeros((2, n))
+        a12[0] = (1.5 * h / p.tau) * rho
+        a12 += _stiffness_bands(n, h, m12 * eneg)
 
     a22 = np.zeros((3, n))
     a22[0] = h_tau * (1.0 + 3.75 * rho)
@@ -342,12 +347,48 @@ def _block_matrix(n: int, bands3: np.ndarray) -> BandedSymmetricMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _factor(
+    grid: Grid1D, x: EntropicState, mac: MacroState, edges, p: SchemeParams
+) -> Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """Factor the approximate Jacobian at ``x``; return the map from the
+    residuals (r1, r2) of any iterate to the correction (dphi, dw).
+
+    The energy rows' scaling exp(-w) is taken at ``x`` too, so a reused
+    factor always solves with the right-hand side of its own matrix.
+    """
+    n, h = grid.n_cells, grid.h
+    a11, a12, a22 = _assemble_blocks(grid, x, mac, edges, p)
+    scale_e = -h * np.exp(-x.w)
+    if p.inner_mode == "coupled_implicit":
+        chol = BandedCholesky(_interleave(n, a11, a12, a22))
+
+        def solve(r1, r2):
+            rhs = np.empty(2 * n)
+            rhs[0::2] = -h * r1
+            rhs[1::2] = scale_e * r2
+            delta_x = chol.solve(rhs)
+            return delta_x[0::2], delta_x[1::2]
+
+    else:  # paper_picard: decoupled sweeps, cross fluxes explicit
+        chol_phi = BandedCholesky(_block_matrix(n, a11))
+        chol_w = BandedCholesky(_block_matrix(n, a22))
+
+        def solve(r1, r2):
+            return chol_phi.solve(-h * r1), chol_w.solve(scale_e * r2)
+
+    return solve
+
+
+# A diverging iterate may overflow on its way to a non-finite residual or
+# correction, which the loop itself detects and reports as _NotConverged.
+@np.errstate(over="ignore", invalid="ignore")
 def _converge(
     grid: Grid1D,
     prev: EntropicState,
     start: EntropicState,
     p: SchemeParams,
     t_new: float,
+    refresh_always: bool = False,
 ) -> Tuple[EntropicState, List[float]]:
     """Iterate from ``start`` until the estimated error of an iterate is at
     most fp_tol.
@@ -363,12 +404,20 @@ def _converge(
     evaluations, or a non-finite residual or correction, raises
     _NotConverged so the caller backs off. Returns the accepted iterate and
     max|r| of every iterate, its own last.
+
+    Chord iteration: the approximate Jacobian and the energy rows' scaling
+    are factored at ``start`` (see ``_factor``) and every later iterate
+    reuses them. They are refactored at iterate k only when theta_k >= 1/2,
+    the rate from which the error estimate no longer discounts u_k, and at
+    every iterate with ``refresh_always``.
     """
-    n, h = grid.n_cells, grid.h
+    h = grid.h
     prev_mac = to_primitive(prev)
     x = start
     history: List[float] = []
     update = error = math.inf
+    rate = math.nan  # no rate yet; NaN compares false below
+    solve = None
     for _ in range(p.fp_max_iter):
         r1, r2, mac, edges = _residual(grid, prev_mac, x, p, t_new)
         res = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
@@ -379,22 +428,14 @@ def _converge(
             if p.tau * h * max(abs(r1.sum()), abs(r2.sum())) <= _BUDGET_GUARD:
                 return x, history
 
-        a11, a12, a22 = _assemble_blocks(grid, x, mac, edges, p)
-        scale_e = np.exp(-x.w)
-        if p.inner_mode == "coupled_implicit":
-            rhs = np.empty(2 * n)
-            rhs[0::2] = -h * r1
-            rhs[1::2] = -h * scale_e * r2
-            delta_x = BandedCholesky(_interleave(n, a11, a12, a22)).solve(rhs)
-            dphi, dw = delta_x[0::2], delta_x[1::2]
-        else:  # paper_picard: decoupled sweeps, cross fluxes explicit
-            dphi = BandedCholesky(_block_matrix(n, a11)).solve(-h * r1)
-            dw = BandedCholesky(_block_matrix(n, a22)).solve(-h * scale_e * r2)
+        if solve is None or rate >= 0.5 or refresh_always:
+            solve = _factor(grid, x, mac, edges, p)
+        dphi, dw = solve(r1, r2)
         phi, w = x.phi + dphi, x.w + dw
         if not (np.isfinite(phi).all() and np.isfinite(w).all()):
             raise _NotConverged(res)
         last, update = update, max(float(np.abs(dphi).max()), float(np.abs(dw).max()))
-        rate = update / last if 0.0 < last < math.inf else 1.0
+        rate = update / last if 0.0 < last < math.inf else math.nan
         error = update * rate / (1.0 - rate) if rate < 0.5 else update
         x = EntropicState(phi=phi, w=w)
     raise _NotConverged(history[-1])
@@ -413,9 +454,12 @@ def fixed_point_step(
     ``older`` is the accepted state before ``prev`` and ``tau_prev`` the
     step that led from it to ``prev``. Given both, the first attempt starts
     from the linear extrapolation prev + (tau / tau_prev) (prev - older);
-    any chart values are admissible, since rho and theta stay positive. If
-    that attempt fails numerically, the same tau is tried once more from
-    ``prev``; without history every attempt starts from ``prev``.
+    any chart values are admissible, since rho and theta stay positive;
+    without history every attempt starts from ``prev``. Each attempt is a
+    chord iteration that reuses factors (see ``_converge``); if it fails
+    numerically, it is retried once at the same tau and start, refactoring
+    at every iterate. If that fails too and the start was extrapolated, the
+    same tau is tried once more from ``prev``, again chord first.
     Non-convergence, blow-up of the chart values and a non-SPD linear
     system then halve tau; any other error propagates. StepFailureError
     ends the step after p.tau_backoff_limit halvings, or earlier when one
@@ -435,10 +479,13 @@ def fixed_point_step(
             start = EntropicState(phi=phi, w=w)
     last_residual = np.inf
     halvings = 0
+    refresh_always = False
     while halvings <= p.tau_backoff_limit:
         p_try = replace(p, tau=tau_try)
         try:
-            x, history = _converge(grid, prev, start, p_try, t_start + tau_try)
+            x, history = _converge(
+                grid, prev, start, p_try, t_start + tau_try, refresh_always
+            )
         except _NotConverged as exc:
             last_residual = exc.residual
         except (BlowupError, NotSPDError):
@@ -453,6 +500,9 @@ def fixed_point_step(
                 residual_history=history,
             )
             return x, report
+        refresh_always = not refresh_always
+        if refresh_always:
+            continue  # retry the same tau and start without reusing factors
         if start is not prev:
             start = prev  # retry the same tau from prev before halving
             continue

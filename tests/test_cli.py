@@ -365,16 +365,32 @@ def test_macro_default_settings_converge_on_fine_grids(tmp_path, n_cells):
     _assert_run_passed(out)
 
 
-def test_macro_default_settings_converge_on_cold_data(tmp_path):
-    # theta drops to 1e-3 away from a hot bump: near the degeneracy of the
-    # system, where ellipticity is lost as theta vanishes.
+# Substeps of the cold-data runs below when every iterate was refactored;
+# each tau halving adds substeps, and reusing factors may add none.
+_COLD_SUBSTEPS = {
+    (1e-2, "coupled_implicit"): 0,
+    (1e-2, "paper_picard"): 0,
+    (1e-3, "coupled_implicit"): 4,
+    (1e-3, "paper_picard"): 5,
+}
+
+
+@pytest.mark.parametrize("inner_mode", ["coupled_implicit", "paper_picard"])
+@pytest.mark.parametrize("theta_min", [1e-2, 1e-3])
+def test_macro_default_settings_converge_on_cold_data(tmp_path, theta_min, inner_mode):
+    # theta drops to theta_min away from a hot bump: near the degeneracy of
+    # the system, where ellipticity is lost as theta vanishes.
     x = (np.arange(64) + 0.5) / 64
-    theta0 = 1e-3 + np.exp(-200.0 * (x - 0.5) ** 2)
+    theta0 = theta_min + np.exp(-200.0 * (x - 0.5) ** 2)
     doc = dict(MINIMAL, init={"rho0": [1.0] * 64, "theta0": theta0.tolist()})
     cfg = _write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert main(["macro", cfg, "scheme.t_final=0.01", f"output.directory={out}"]) == 0
+    overrides = ["scheme.t_final=0.02", f"scheme.inner_mode={inner_mode}"]
+    assert main(["macro", cfg, *overrides, f"output.directory={out}"]) == 0
     _assert_run_passed(out)
+    records = json.loads((out / "audits.json").read_text())["records"]
+    substeps = sum(r["tau_used"] < 1e-3 for r in records)
+    assert substeps <= _COLD_SUBSTEPS[theta_min, inner_mode]
 
 
 @pytest.mark.parametrize("source", ["override", "env", "file"])
@@ -466,6 +482,25 @@ def test_kinetic_eps_with_underflowing_square_exits_3(tmp_path, capsys, mode, va
         "output": {"directory": str(tmp_path / "out")},
     }
     cfg = _write_config(tmp_path, doc)
+    assert main([mode, cfg, f"kinetic.eps={value}"]) == 3
+    assert "kinetic.eps" in capsys.readouterr().err
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "config"
+    assert record["message"].startswith("kinetic.eps: ")
+
+
+@pytest.mark.parametrize("mode, value", [("kinetic", "1e-150"), ("compare", "[0.1,1e-150]")])
+def test_kinetic_step_count_beyond_bound_exits_3(tmp_path, capsys, mode, value):
+    # About 7e148 CFL steps to reach t_final: rejected before any step runs.
+    doc = {
+        "mode": mode,
+        "grid": {"n_cells": 8, "length": 1.0},
+        "scheme": {"t_final": 1e-3},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    cfg = _write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match="kinetic steps"):
+        parse_config(json.dumps(doc), [f"kinetic.eps={value}"])
     assert main([mode, cfg, f"kinetic.eps={value}"]) == 3
     assert "kinetic.eps" in capsys.readouterr().err
     record = json.loads((tmp_path / "out" / "error.json").read_text())

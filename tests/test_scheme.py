@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from etlab import scheme
 from etlab.cli import parse_config
 from etlab.experiments import initial_condition
 from etlab.grid import build_grid, integrate
@@ -264,15 +265,33 @@ def _max_gap(a, b):
     return max(float(np.max(np.abs(a.phi - b.phi))), float(np.max(np.abs(a.w - b.w))))
 
 
+def _cold_fields(grid, theta_min):
+    # rho = 1 and theta down to theta_min away from a hot bump: near the
+    # degeneracy of the system, where ellipticity is lost as theta vanishes
+    x = grid.cell_centers
+    return np.ones(grid.n_cells), theta_min + np.exp(-200.0 * (x - 0.5) ** 2)
+
+
 @pytest.mark.parametrize("inner_mode", ["coupled_implicit", "paper_picard"])
-@pytest.mark.parametrize("preset, n_cells", [("temp-step", 64), ("gauss-bump", 256)])
-def test_step_accepted_iterate_within_fp_tol(preset, n_cells, inner_mode):
+@pytest.mark.parametrize(
+    "preset, n_cells, tau",
+    [("temp-step", 64, 1e-3), ("gauss-bump", 256, 1e-3), ("cold", 64, 3e-4)],
+    ids=["temp-step-64", "gauss-bump-256", "cold-64"],
+)
+def test_step_accepted_iterate_within_fp_tol(preset, n_cells, tau, inner_mode):
     # The contraction estimate may accept early, but never farther than
     # fp_tol from the fixed point, with or without an extrapolated start.
+    # On the cold data (theta_min = 1e-2) the extrapolated coupled chord
+    # iteration contracts at a rate of about 0.35-0.4 near acceptance, where
+    # the estimate's factor 1 / (1 - theta) keeps the accepted iterate within
+    # fp_tol.
     grid = build_grid(n_cells, 1.0)
-    init = make_initial_state(*initial_condition(preset, grid))
+    if preset == "cold":
+        init = make_initial_state(*_cold_fields(grid, 1e-2))
+    else:
+        init = make_initial_state(*initial_condition(preset, grid))
     x0 = to_entropic(init.rho, init.theta)
-    p = SchemeParams(inner_mode=inner_mode)
+    p = SchemeParams(tau=tau, inner_mode=inner_mode)
     x1, _ = fixed_point_step(grid, x0, p)
     exact, _ = fixed_point_step(grid, x1, replace(p, fp_tol=1e-14), t_start=p.tau)
     for history in ({}, {"older": x0, "tau_prev": p.tau}):
@@ -310,6 +329,60 @@ def test_step_falls_back_to_prev_when_extrapolation_fails(w_shift, tau_prev):
     assert rep.budget.mass_pass and rep.budget.energy_pass
 
 
+class _Counted:
+    """Counts the calls of a module function while the test runs."""
+
+    def __init__(self, monkeypatch, module, name):
+        self.calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_step_chord_corrections_reuse_the_start_factor(monkeypatch):
+    # bump, n = 32, tau = 1e-2: the iteration contracts fast enough that one
+    # factor, built at the start iterate together with its energy-row scaling
+    # exp(-w), serves every correction.
+    grid = build_grid(32, 1.0)
+    prev = _bump_state(grid)
+    p = SchemeParams(tau=1e-2)
+    residuals = _Counted(monkeypatch, scheme, "_residual")
+    factors = _Counted(monkeypatch, scheme, "BandedCholesky")
+    _, rep = fixed_point_step(grid, prev, p)
+    assert len(factors.calls) == 1 < rep.iterations == len(residuals.calls)
+    iterates = [args[2] for args in residuals.calls]
+    start = iterates[0]
+    _, _, mac, edges = _residual(grid, to_primitive(prev), start, p, p.tau)
+    dense = _interleave(32, *_assemble_blocks(grid, start, mac, edges, p)).to_dense()
+    for x, nxt in zip(iterates[1:4], iterates[2:5]):
+        r1, r2 = assemble_residual(grid, prev, x, p, p.tau)
+        rhs = np.empty(64)
+        rhs[0::2] = -grid.h * r1
+        rhs[1::2] = -grid.h * np.exp(-start.w) * r2
+        expected = np.linalg.solve(dense, rhs)
+        step = np.empty(64)
+        step[0::2], step[1::2] = nxt.phi - x.phi, nxt.w - x.w
+        assert np.max(np.abs(step - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+
+def test_step_chord_refactors_when_contraction_is_slow(monkeypatch):
+    # bump, n = 32, tau = 0.1: the start factor alone contracts too slowly to
+    # converge within fp_max_iter; refactoring once the rate reaches 1/2
+    # lets the first attempt converge with a few factors.
+    grid = build_grid(32, 1.0)
+    p = SchemeParams(tau=0.1)
+    residuals = _Counted(monkeypatch, scheme, "_residual")
+    factors = _Counted(monkeypatch, scheme, "BandedCholesky")
+    _, rep = fixed_point_step(grid, _bump_state(grid), p)
+    assert rep.tau_used == p.tau
+    assert rep.iterations == len(residuals.calls)  # no retry
+    assert 1 < len(factors.calls) < rep.iterations - 1
+
+
 # ---------------------------------------------------------------------------
 # transient runs
 # ---------------------------------------------------------------------------
@@ -341,6 +414,21 @@ def test_transient_extrapolated_starts_save_iterations(monkeypatch):
         assert rep.tau_used == p.tau
         cold += rep.iterations
     assert warm <= 0.9 * cold
+
+
+def test_transient_factors_once_per_step(monkeypatch):
+    # macro-n64-replay, seed 1: every step's iteration reuses the factor of
+    # its start iterate, so the run factors once per step, with about the
+    # 909 residual evaluations of refactoring at every iterate.
+    cfg = _benchmark_config(monkeypatch, "macro-n64-replay", 1)
+    grid = cfg.build_grid()
+    init = make_initial_state(*cfg.initial_fields(grid))
+    residuals = _Counted(monkeypatch, scheme, "_residual")
+    factors = _Counted(monkeypatch, scheme, "BandedCholesky")
+    traj = run_transient(grid, init, cfg.scheme)
+    assert len(traj.reports) == step_count(cfg.scheme.t_final, cfg.scheme.tau) == 200
+    assert len(factors.calls) == 200
+    assert abs(len(residuals.calls) - 909) <= 0.01 * 909
 
 
 def test_transient_equilibrium_constant_trajectory():
