@@ -522,11 +522,11 @@ def _write_audits(out: Path, records: List[Dict[str, Any]]) -> int:
         if not (r["mass_pass"] and r["energy_pass"] and r["entropy_pass"])
     ]
     payload = {"all_passed": not failed, "records": records}
+    # One compact json.dumps: only without indent, and only for a one-shot
+    # encode, does the json module use its C encoder.
+    text = json.dumps(payload, sort_keys=True, allow_nan=False, default=_json_default)
     with open(out / "audits.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump(
-            payload, f, indent=2, sort_keys=True, allow_nan=False, default=_json_default
-        )
-        f.write("\n")
+        f.write(text + "\n")
     if failed:
         print(
             f"audit failure: {len(failed)} of {len(records)} steps failed "

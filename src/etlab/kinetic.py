@@ -84,7 +84,11 @@ def maxwellian_1d(theta, v):
 
 @dataclass
 class KineticState:
-    """Reduced distributions, background temperature, and scaled Knudsen number."""
+    """Reduced distributions, background temperature, and scaled Knudsen number.
+
+    ``delta`` is the per-cell energy defect S2/S0 - theta of the discrete
+    Maxwellian at the last relaxation temperature (see _relax_temperature).
+    """
 
     g0: np.ndarray  # (n_x, n_v), nonnegative
     g2: np.ndarray  # (n_x, n_v), nonnegative
@@ -92,6 +96,7 @@ class KineticState:
     eps: float
     grid: Grid1D
     vgrid: VelocityGrid
+    delta: np.ndarray  # (n_x,)
 
     def copy(self) -> "KineticState":
         return KineticState(
@@ -101,13 +106,18 @@ class KineticState:
             eps=self.eps,
             grid=self.grid,
             vgrid=self.vgrid,
+            delta=self.delta.copy(),
         )
 
 
 def init_equilibrium(
     grid: Grid1D, vgrid: VelocityGrid, rho0, theta0, eps: float
 ) -> KineticState:
-    """Local-equilibrium data: g0 = rho M1(theta), g2 = 2 theta g0, theta_b = theta."""
+    """Local-equilibrium data: g0 = rho M1(theta), g2 = 2 theta g0, theta_b = theta.
+
+    The state's energy defect is S2/S0 - theta at theta0, and 0, the
+    continuum law, in a cell whose Maxwellian underflows on the grid (S0 = 0).
+    """
     rho0 = np.asarray(rho0, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
     if np.any(rho0 <= 0.0) or np.any(theta0 <= 0.0):
@@ -115,10 +125,19 @@ def init_equilibrium(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     m1 = maxwellian_1d(theta0[:, None], vgrid.nodes[None, :])
+    s0 = m1 @ vgrid.weights
+    s2 = (m1 * vgrid.nodes**2) @ vgrid.weights
+    delta = np.divide(s2, s0, out=theta0.copy(), where=s0 > 0.0) - theta0
     g0 = rho0[:, None] * m1
     g2 = 2.0 * theta0[:, None] * g0
     return KineticState(
-        g0=g0, g2=g2, theta_b=theta0.copy(), eps=float(eps), grid=grid, vgrid=vgrid
+        g0=g0,
+        g2=g2,
+        theta_b=theta0.copy(),
+        eps=float(eps),
+        grid=grid,
+        vgrid=vgrid,
+        delta=delta,
     )
 
 
@@ -213,6 +232,7 @@ def _relax_temperature(
     theta_b: np.ndarray,
     rho: np.ndarray,
     e_kin: np.ndarray,
+    delta: np.ndarray,
     mu: float,
     v: np.ndarray,
     wq: np.ndarray,
@@ -220,26 +240,37 @@ def _relax_temperature(
     v4: np.ndarray,
     m1: np.ndarray,
     work: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve theta + mu rho e_M(theta) = theta_b + mu e_kin per cell.
 
     e_M(theta) = (S2/S0 + 2 theta) / 2 is the kinetic energy of the
     discrete, mass-normalized Maxwellian target; the left side is strictly
     increasing in theta, so safeguarded Newton with a bracket converges.
-    Returns theta and S0 of the converged iterate, whose M1 is left in m1;
-    ``work`` is scratch, and v2, v4 are v^2, v^4 tiled to m1's shape.
+
+    Newton starts from the solution of the same equation with the energy
+    defect S2/S0 - theta frozen at ``delta``, its value at the previous
+    step's temperature: e_M is then 3 theta / 2 + delta / 2 and the equation
+    is linear. On a velocity grid that resolves the Maxwellian, the defect
+    is roundoff-small and barely moves between steps, so this start already
+    meets the tolerance and a step evaluates the Maxwellian once. The
+    stopping rule, the bracket and the iteration cap are those of any start.
+
+    Returns theta, S0 of the converged iterate, whose M1 is left in m1, and
+    its defect S2/S0 - theta for the next step; ``work`` is scratch, and v2,
+    v4 are v^2, v^4 tiled to m1's shape.
     """
     rhs = theta_b + mu * e_kin
     lo = np.full_like(rhs, 1e-12)
     hi = rhs.copy()
-    theta = np.clip(theta_b, lo, hi)
+    theta = np.clip((rhs - 0.5 * mu * rho * delta) / (1.0 + 1.5 * mu * rho), lo, hi)
     for _ in range(_RELAX_MAX_ITER):
         s0, s2 = _gauss_sums(theta, v, wq, v2, m1, work)
         with np.errstate(divide="ignore", invalid="ignore"):  # S0 = 0 if M1 underflows
-            e_m = 0.5 * (s2 / s0 + 2.0 * theta)
+            ratio = s2 / s0
+        e_m = 0.5 * (ratio + 2.0 * theta)
         f = theta + mu * rho * e_m - rhs
         if np.all(np.abs(f) <= _RELAX_TOL * (1.0 + rhs)):
-            return theta, s0
+            return theta, s0, ratio - theta
         if not np.isfinite(f).all():
             break  # no Newton update can repair non-finite moments
         s4 = np.multiply(m1, v4, out=work) @ wq
@@ -289,7 +320,9 @@ def kinetic_step(
     mu = lam / (1.0 + lam)
     rho = g0 @ wq
     e_kin = 0.5 * (np.multiply(g0, v2, out=work) @ wq + g2 @ wq)
-    theta_star, s0 = _relax_temperature(theta_b, rho, e_kin, mu, v, wq, v2, v4, m1, work)
+    theta_star, s0, delta = _relax_temperature(
+        theta_b, rho, e_kin, state.delta, mu, v, wq, v2, v4, m1, work
+    )
     # Normalizing the target by its discrete mass makes relaxation conserve
     # the density exactly on this quadrature.
     target0 = np.multiply(rho[:, None], m1, out=m1)
@@ -303,7 +336,7 @@ def kinetic_step(
     theta_b = theta_b + (e_kin - e_kin_new)
 
     return KineticState(
-        g0=g0, g2=g2, theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid
+        g0=g0, g2=g2, theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid, delta=delta
     )
 
 

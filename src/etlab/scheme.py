@@ -319,7 +319,14 @@ def _assemble_blocks(
         a22[0] += p.eps * h * (1.0 + np.exp(-w))
     if p.delta > 0.0:
         a22[:2] += p.delta * _stiffness_bands(n, h, theta_e**3 * eneg)
-        a22[0] += p.delta * h * np.exp(-(p.n_exp + 1.0) * w)
+        # d/dw of e^(-N w) w is e^(-N w) (1 - N w). Where w > 0 the factor
+        # is floored at 1, which keeps the entry positive and the matrix SPD.
+        a22[0] += (
+            p.delta
+            * h
+            * np.exp(-(p.n_exp + 1.0) * w)
+            * np.maximum(1.0, 1.0 - p.n_exp * w)
+        )
     return a11, a12, a22
 
 

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 import etlab
-from etlab.cli import EXIT_AUDIT, ConfigError, _read_csv, _write_csv, main, parse_config
+from etlab.cli import (
+    EXIT_AUDIT,
+    EXIT_OK,
+    ConfigError,
+    _read_csv,
+    _write_audits,
+    _write_csv,
+    main,
+    parse_config,
+)
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -165,6 +174,29 @@ def test_macro_outputs_snapshots_and_audits(tmp_path):
     payload = json.loads((out / "audits.json").read_text())
     assert payload["all_passed"] is True
     assert len(payload["records"]) == 4
+
+
+def test_write_audits_round_trips_the_payload(tmp_path):
+    # numpy scalars as the solver reports them, and audit mode's null residual
+    passed = {"mass_pass": np.bool_(True), "energy_pass": True, "entropy_pass": True}
+    records = [
+        dict(
+            passed,
+            step=1,
+            t=np.float64(0.1),
+            tau_used=1e-3,
+            iterations=np.int64(4),
+            residual=np.float64(2.5e-11),
+        ),
+        dict(passed, step=2, t=0.2, tau_used=1e-3, iterations=0, residual=None),
+    ]
+    assert _write_audits(tmp_path, records) == EXIT_OK
+    text = (tmp_path / "audits.json").read_text(encoding="utf-8")
+    assert json.loads(text) == {"all_passed": True, "records": records}
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text.index('"all_passed"') < text.index('"records"')  # sorted keys
+    with pytest.raises(ValueError):
+        _write_audits(tmp_path, [dict(records[1], t=float("nan"))])
 
 
 def test_macro_byte_identical_reruns(tmp_path):
@@ -365,18 +397,22 @@ def test_macro_default_settings_converge_on_fine_grids(tmp_path, n_cells):
     _assert_run_passed(out)
 
 
-# Substeps of the cold-data runs below when every iterate was refactored;
-# each tau halving adds substeps, and reusing factors may add none.
+# Substeps (records of a halved tau) measured on the cold-data runs below.
+# The coupled runs' two come from step 1, where the first attempt diverges.
 _COLD_SUBSTEPS = {
     (1e-2, "coupled_implicit"): 0,
     (1e-2, "paper_picard"): 0,
-    (1e-3, "coupled_implicit"): 4,
-    (1e-3, "paper_picard"): 5,
+    (1e-3, "coupled_implicit"): 2,
+    (1e-3, "paper_picard"): 0,
+    (1e-4, "coupled_implicit"): 2,
+    (1e-4, "paper_picard"): 0,
+    (1e-8, "coupled_implicit"): 2,
+    (1e-8, "paper_picard"): 0,
 }
 
 
 @pytest.mark.parametrize("inner_mode", ["coupled_implicit", "paper_picard"])
-@pytest.mark.parametrize("theta_min", [1e-2, 1e-3])
+@pytest.mark.parametrize("theta_min", [1e-2, 1e-3, 1e-4, 1e-8])
 def test_macro_default_settings_converge_on_cold_data(tmp_path, theta_min, inner_mode):
     # theta drops to theta_min away from a hot bump: near the degeneracy of
     # the system, where ellipticity is lost as theta vanishes.

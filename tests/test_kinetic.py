@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from etlab import kinetic
 from etlab.grid import build_grid, integrate
 from etlab.kinetic import (
     _RELAX_MAX_ITER,
@@ -14,6 +15,7 @@ from etlab.kinetic import (
     energy_total,
     init_equilibrium,
     kinetic_step,
+    kinetic_step_count,
     limit_compare,
     maxwellian_1d,
     moments,
@@ -27,6 +29,12 @@ VGRID = build_velocity_grid(8.0, 64)
 def _bump_fields(grid):
     x = grid.cell_centers
     return 0.2 + np.exp(-50.0 * (x - 0.5) ** 2), np.ones(grid.n_cells)
+
+
+def _hot_bump_fields(grid, theta_scale):
+    """Density bump and a temperature bump spanning [0.3, 1] * theta_scale."""
+    bump = np.exp(-50.0 * (grid.cell_centers - 0.5) ** 2)
+    return 0.2 + bump, theta_scale * (0.3 + 0.7 * bump)
 
 
 def test_velocity_grid_symmetry():
@@ -72,6 +80,30 @@ def test_init_equilibrium_rejects_bad_input():
         init_equilibrium(GRID, VGRID, np.ones(32), np.ones(32), eps=0.0)
 
 
+def test_init_equilibrium_energy_defect():
+    # The coldest cells underflow on the grid (S0 = 0): their defect is 0,
+    # the continuum law, and no warning is raised.
+    theta0 = np.geomspace(1e-8, 4.0, 32)
+    state = init_equilibrium(GRID, VGRID, np.ones(32), theta0, eps=0.1)
+    _, s0, s2, _ = _ref_gauss_sums(theta0, VGRID.nodes, VGRID.weights)
+    resolved = s0 > 0.0
+    assert 0 < np.count_nonzero(resolved) < 32
+    assert np.all(state.delta[~resolved] == 0.0)
+    expected = s2[resolved] / s0[resolved] - theta0[resolved]
+    assert np.array_equal(state.delta[resolved], expected)
+    assert abs(state.delta[-1]) > 1e-6  # v_max = 8 truncates M1(4)
+
+
+def test_copy_carries_energy_defect():
+    rho0, theta0 = _hot_bump_fields(GRID, 4.0)
+    state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
+    state = kinetic_step(state, 0.9 * 0.1 * GRID.h / VGRID.v_max)
+    copied = state.copy()
+    assert np.any(state.delta != 0.0)
+    assert np.array_equal(copied.delta, state.delta)
+    assert not np.shares_memory(copied.delta, state.delta)
+
+
 def test_moments_linear_in_distribution():
     state = init_equilibrium(GRID, VGRID, np.ones(32), np.ones(32), eps=0.1)
     doubled = state.copy()
@@ -105,6 +137,51 @@ def test_step_conserves_mass_and_energy():
         e_new = energy_total(GRID, new)
         assert abs(e_new - e_old) <= 1e-10 * (1.0 + abs(e_old))
         state = new
+
+
+def test_resolved_step_evaluates_the_maxwellian_once(monkeypatch):
+    # On a velocity grid that resolves theta in [0.3, 1], the relaxation
+    # start with the carried energy defect already meets the tolerance.
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _gauss_sums(*args)
+
+    monkeypatch.setattr(kinetic, "_gauss_sums", counting)
+    rho0, theta0 = _hot_bump_fields(GRID, 1.0)
+    state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
+    dt = 0.9 * 0.1 * GRID.h / VGRID.v_max
+    for _ in range(50):
+        calls.clear()
+        state = kinetic_step(state, dt)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.1])
+@pytest.mark.parametrize("theta_scale", [0.02, 0.3, 1.0, 4.0])
+@pytest.mark.parametrize("n_v", [5, 17, 64])
+def test_relaxation_conserves_across_velocity_grids(n_v, theta_scale, eps):
+    # Velocity grids from far too coarse to resolved, temperatures from
+    # unresolved to truncated at v_max: every step converges within
+    # criterion 8's per-step bounds.
+    grid = build_grid(64, 1.0)
+    vgrid = build_velocity_grid(8.0, n_v)
+    rho0, theta0 = _hot_bump_fields(grid, theta_scale)
+    state = init_equilibrium(grid, vgrid, rho0, theta0, eps)
+    n_steps = int(kinetic_step_count(0.01, eps, grid.h, vgrid.v_max))
+    dt = 0.01 / n_steps
+    mass_prev = integrate(grid, moments(state)[0])
+    energy_prev = energy_total(grid, state)
+    for _ in range(n_steps):
+        state = kinetic_step(state, dt)
+        mass = integrate(grid, moments(state)[0])
+        energy = energy_total(grid, state)
+        assert abs(mass - mass_prev) <= 1e-12 * (1.0 + abs(mass_prev))
+        assert abs(energy - energy_prev) <= 1e-10 * (1.0 + abs(energy_prev))
+        mass_prev, energy_prev = mass, energy
+    assert np.min(state.g0) >= 0.0 and np.min(state.g2) >= 0.0
+    assert np.min(state.theta_b) > 0.0
 
 
 def test_step_preserves_nonnegativity():
@@ -225,17 +302,18 @@ def _ref_gauss_sums(theta, v, wq):
     return m1, s0, s2, s4
 
 
-def _ref_relax_temperature(theta_b, rho, e_kin, mu, v, wq):
+def _ref_relax_temperature(theta_b, rho, e_kin, delta, mu, v, wq):
     rhs = theta_b + mu * e_kin
     lo = np.full_like(rhs, 1e-12)
     hi = rhs.copy()
-    theta = np.clip(theta_b, lo, hi)
+    # the solution with the energy defect S2/S0 - theta frozen at delta
+    theta = np.clip((rhs - 0.5 * mu * rho * delta) / (1.0 + 1.5 * mu * rho), lo, hi)
     for _ in range(_RELAX_MAX_ITER):
         m1, s0, s2, s4 = _ref_gauss_sums(theta, v, wq)
         e_m = 0.5 * (s2 / s0 + 2.0 * theta)
         f = theta + mu * rho * e_m - rhs
         if np.all(np.abs(f) <= _RELAX_TOL * (1.0 + rhs)):
-            return theta
+            return theta, s2 / s0 - theta
         s0p = (s2 - theta * s0) / (2.0 * theta**2)
         s2p = (s4 - theta * s2) / (2.0 * theta**2)
         de_m = 0.5 * ((s2p * s0 - s2 * s0p) / s0**2 + 2.0)
@@ -259,14 +337,18 @@ def _ref_kinetic_step(state, dt):
     mu = lam / (1.0 + lam)
     rho = g0 @ wq
     e_kin = 0.5 * ((g0 * v**2) @ wq + g2 @ wq)
-    theta_star = _ref_relax_temperature(theta_b, rho, e_kin, mu, v, wq)
+    theta_star, delta = _ref_relax_temperature(
+        theta_b, rho, e_kin, state.delta, mu, v, wq
+    )
     m1, s0, _, _ = _ref_gauss_sums(theta_star, v, wq)
     target0 = rho[:, None] * m1 / s0[:, None]
     g0 = (g0 + lam * target0) / (1.0 + lam)
     g2 = (g2 + lam * 2.0 * theta_star[:, None] * target0) / (1.0 + lam)
     e_kin_new = 0.5 * ((g0 * v**2) @ wq + g2 @ wq)
     theta_b = theta_b + (e_kin - e_kin_new)
-    return KineticState(g0=g0, g2=g2, theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid)
+    return KineticState(
+        g0=g0, g2=g2, theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid, delta=delta
+    )
 
 
 @pytest.mark.parametrize("n_v", [64, 5])
@@ -282,6 +364,7 @@ def test_step_matches_reference_bit_for_bit(n_v):
     assert np.array_equal(state.g0, ref.g0)
     assert np.array_equal(state.g2, ref.g2)
     assert np.array_equal(state.theta_b, ref.theta_b)
+    assert np.array_equal(state.delta, ref.delta)
 
 
 @pytest.mark.parametrize("n_v", [64, 5])

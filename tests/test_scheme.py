@@ -137,6 +137,33 @@ def test_assembled_blocks_are_spd():
             BandedCholesky(_block_matrix(16, block))
 
 
+def test_delta_entry_is_the_derivative_of_the_scaled_delta_term():
+    # The delta term of the energy residual is delta e^(-N w) w; the energy
+    # rows are scaled by h e^(-w), frozen at the state. Where 1 - N w >= 1
+    # the diagonal entry must be the exact derivative, down to theta = 1e-4.
+    p = SchemeParams(delta=1.0)
+    w = np.linspace(-9.2, 1.0, 16)
+    frozen = EntropicState(np.ones(16), w)
+    _, _, mac, edges = _residual(GRID, to_primitive(frozen), frozen, p, 0.0)
+    edges = edges[:-1] + (np.zeros(15),)  # theta_e = 0: no delta stiffness
+    a22_on = _assemble_blocks(GRID, frozen, mac, edges, p)[2]
+    a22_off = _assemble_blocks(GRID, frozen, mac, edges, replace(p, delta=0.0))[2]
+    entry = a22_on[0] - a22_off[0]
+
+    def scaled_term(shift):
+        w_shifted = w + shift
+        return GRID.h * np.exp(-w) * p.delta * np.exp(-p.n_exp * w_shifted) * w_shifted
+
+    eta = 1e-6
+    fd = (scaled_term(eta) - scaled_term(-eta)) / (2.0 * eta)
+    exact = 1.0 - p.n_exp * w >= 1.0
+    assert 0 < np.count_nonzero(exact) < 16
+    np.testing.assert_allclose(entry[exact], fd[exact], rtol=1e-7)
+    # elsewhere the factor is floored at 1, which keeps the entry positive
+    floored = GRID.h * p.delta * np.exp(-(p.n_exp + 1.0) * w[~exact])
+    np.testing.assert_allclose(entry[~exact], floored, rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # fixed-point step
 # ---------------------------------------------------------------------------
