@@ -26,7 +26,6 @@ from .scheme import (
     StepFailureError,
     StepReport,
     Trajectory,
-    assemble_residual,
     budget_audit,
     entropy_audit,
     fixed_point_step,
@@ -39,15 +38,11 @@ from .thermo import (
     EntropicState,
     MacroState,
     OnsagerMatrix,
-    entropy_density,
     entropy_tilde,
     flux_consistency,
-    gibbs,
     hessian_htilde,
-    maxwellian_3d,
     maxwellian_moments_check,
     onsager,
-    potentials,
     to_entropic,
     to_primitive,
 )

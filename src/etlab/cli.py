@@ -27,13 +27,12 @@ import numpy as np
 
 from .experiments import (
     PRESET_NAMES,
-    SweepSpec,
     default_manufactured,
     initial_condition,
     kinetic_limit_study,
     mms_convergence,
     regularization_study,
-    run_sweep,
+    write_csv,
 )
 from .grid import Grid1D, build_grid, integrate
 from .kinetic import (
@@ -96,18 +95,9 @@ class RunConfig:
         return build_grid(self.n_cells, self.length)
 
     def initial_fields(self, grid: Grid1D):
-        if self.rho0 is not None or self.theta0 is not None:
-            if self.rho0 is None or self.theta0 is None:
-                raise ConfigError("init", "rho0 and theta0 must be given together")
-            rho0 = np.asarray(self.rho0, dtype=float)
-            theta0 = np.asarray(self.theta0, dtype=float)
-            if rho0.shape != (grid.n_cells,) or theta0.shape != (grid.n_cells,):
-                raise ConfigError(
-                    "init", f"explicit arrays must have length {grid.n_cells}"
-                )
-            if np.any(rho0 <= 0.0) or np.any(theta0 <= 0.0):
-                raise ConfigError("init", "explicit arrays must be positive")
-            return rho0, theta0
+        """The explicit init arrays, which parse_config checked, else the preset's."""
+        if self.rho0 is not None:
+            return np.array(self.rho0, dtype=float), np.array(self.theta0, dtype=float)
         return initial_condition(self.preset, grid)
 
 
@@ -382,6 +372,16 @@ def parse_config(
         )
 
     if cfg.mode == "sweep":
+        _expect(
+            cfg.sweep_which is not None or cfg.sweep_varied is not None,
+            "sweep",
+            "needs either which/values or varied",
+        )
+        _expect(
+            cfg.sweep_which is None or cfg.sweep_values is not None,
+            "sweep.values",
+            "required when sweep.which is set",
+        )
         runs = _sweep_runs(cfg)
     else:
         runs = [{}] if cfg.mode in ("macro", "compare") else []
@@ -395,28 +395,31 @@ def parse_config(
             step_count(p.t_final, p.tau)
         except ValueError as exc:
             raise ConfigError("scheme.t_final", f"{exc}{where}") from exc
+
+    explicit = [a for a in (cfg.rho0, cfg.theta0) if a is not None]
+    if explicit and cfg.mode in ("macro", "kinetic", "compare", "sweep"):
+        n = cfg.n_cells
+        _expect(len(explicit) == 2, "init", "rho0 and theta0 must be given together")
+        lengths_ok = all(len(a) == n for a in explicit)
+        _expect(lengths_ok, "init", f"explicit arrays must have length {n}")
+        _expect(min(map(min, explicit)) > 0.0, "init", "explicit arrays must be positive")
     return cfg
 
 
 def _sweep_runs(cfg: RunConfig) -> List[Dict[str, float]]:
-    """The scheme fields each transient of a sweep changes."""
+    """The scheme fields each transient of a sweep changes: the values of
+    ``which``, or the cross product of ``varied`` over its sorted names."""
     if cfg.sweep_which is not None:
-        return [{cfg.sweep_which: v} for v in cfg.sweep_values or []]
-    if cfg.sweep_varied is not None:
-        return SweepSpec(base=cfg.scheme, varied=cfg.sweep_varied).combinations()
-    return []
+        return [{cfg.sweep_which: v} for v in cfg.sweep_values]
+    combos: List[Dict[str, float]] = [{}]
+    for name in sorted(cfg.sweep_varied):
+        combos = [dict(c, **{name: v}) for c in combos for v in cfg.sweep_varied[name]]
+    return combos
 
 
 # ---------------------------------------------------------------------------
 # writers / readers
 # ---------------------------------------------------------------------------
-
-
-def _write_csv(path: Path, header: List[str], rows: List[List[float]]) -> None:
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        f.writelines(line % tuple(row) for row in rows)
 
 
 def _read_csv(path: Path) -> Dict[str, np.ndarray]:
@@ -445,7 +448,7 @@ def _write_macro_outputs(
                 rep = traj.reports[report_idx]
                 t_acc += rep.tau_used
                 iters += rep.iterations
-                diss += sum(rep.entropy.dissipation.values())
+                diss += sum(rep.entropy["dissipation"].values())
                 report_idx += 1
         rows.append(
             [
@@ -459,7 +462,7 @@ def _write_macro_outputs(
                 iters,
             ]
         )
-    _write_csv(
+    write_csv(
         out / "trajectory.csv",
         ["t", "mass", "energy", "entropy", "diss_total", "min_theta", "max_rho", "fp_iters"],
         rows,
@@ -468,7 +471,7 @@ def _write_macro_outputs(
         if k % stride != 0 and k != len(traj.states) - 1:
             continue
         mac = to_primitive(state)
-        _write_csv(
+        write_csv(
             out / f"snapshot_{k}.csv",
             ["x", "rho", "theta", "E", "phi", "w"],
             np.column_stack(
@@ -479,38 +482,20 @@ def _write_macro_outputs(
 
 def _audit_record(step: int, t: float, rep: StepReport) -> Dict[str, Any]:
     """The audits.json record of one step, in ``macro`` and ``audit`` mode alike."""
-    budget, entropy = rep.budget, rep.entropy
     return {
         "step": step,
         "t": t,
         "tau_used": rep.tau_used,
         "iterations": rep.iterations,
         "residual": rep.residual,
-        "mass_lhs": budget.mass_lhs,
-        "mass_rhs": budget.mass_rhs,
-        "mass_error": budget.mass_error,
-        "mass_pass": budget.mass_pass,
-        "energy_lhs": budget.energy_lhs,
-        "energy_rhs": budget.energy_rhs,
-        "energy_error": budget.energy_error,
-        "energy_pass": budget.energy_pass,
-        "entropy_before": entropy.h_prev,
-        "entropy_after": entropy.h_next,
-        "entropy_slack": entropy.slack,
-        "entropy_violation": entropy.violation,
-        "entropy_pass": entropy.passed,
-        "edge_form_min": entropy.edge_form_min,
-        "dissipation": entropy.dissipation,
+        **rep.budget,
+        **rep.entropy,
     }
 
 
 def _json_default(value: Any):
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.generic):
+    if isinstance(value, np.generic):  # numpy bools and integers
         return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
@@ -585,14 +570,14 @@ def _run_kinetic(cfg: RunConfig, out: Path) -> int:
         ]
         for i in range(len(run.times))
     ]
-    _write_csv(
+    write_csv(
         out / "kinetic_trajectory.csv",
         ["t", "mass", "energy_total", "min_theta_b", "max_rho"],
         rows,
     )
     final = run.final_state
     rho, e_kin, flux = run.rho[-1], run.kinetic_energy[-1], run.mass_flux[-1]
-    _write_csv(
+    write_csv(
         out / "kinetic_final.csv",
         ["x", "rho", "kinetic_energy", "theta_b", "mass_flux"],
         [
@@ -622,16 +607,14 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
 
 def _run_sweep(cfg: RunConfig, out: Path) -> int:
     grid = cfg.build_grid()
+    rho0, theta0 = cfg.initial_fields(grid)
+    init = make_initial_state(rho0, theta0, floor=cfg.scheme.init_floor)
     if cfg.sweep_which is not None:
-        if cfg.sweep_values is None:
-            raise ConfigError("sweep.values", "required when sweep.which is set")
-        rho0, theta0 = cfg.initial_fields(grid)
-        init = make_initial_state(rho0, theta0, floor=cfg.scheme.init_floor)
         result = regularization_study(
             grid, init, cfg.scheme, cfg.sweep_which, cfg.sweep_values
         )
         result.table.write_csv(out / "table.csv")
-        _write_csv(
+        write_csv(
             out / "drifts.csv",
             [cfg.sweep_which, "mass_drift", "energy_drift"],
             [
@@ -640,13 +623,10 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
             ],
         )
         return EXIT_OK
-    if cfg.sweep_varied is None:
-        raise ConfigError("sweep", "needs either which/values or varied")
-    spec = SweepSpec(base=cfg.scheme, varied=cfg.sweep_varied, preset=cfg.preset)
-    results = run_sweep(grid, spec)
     names = sorted(cfg.sweep_varied)
     rows = []
-    for combo, traj in results:
+    for combo in _sweep_runs(cfg):
+        traj = run_transient(grid, init, dataclasses.replace(cfg.scheme, **combo))
         mac0 = to_primitive(traj.states[0])
         mac1 = to_primitive(traj.states[-1])
         rows.append(
@@ -657,7 +637,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
                 lyapunov_functional(grid, traj.states[-1]),
             ]
         )
-    _write_csv(out / "sweep_summary.csv", names + ["mass_drift", "energy_drift", "entropy_final"], rows)
+    write_csv(out / "sweep_summary.csv", names + ["mass_drift", "energy_drift", "entropy_final"], rows)
     return EXIT_OK
 
 

@@ -13,9 +13,8 @@ hidden randomness.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,47 +82,15 @@ class ConvergenceTable:
         return cls(rows=rows)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        _fmt(r.param),
-                        _fmt(r.err_rho),
-                        _fmt(r.err_energy),
-                        _fmt(r.order_rho),
-                        _fmt(r.order_energy),
-                    ]
-                )
-
-    @classmethod
-    def read_csv(cls, path) -> "ConvergenceTable":
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            if header != CSV_HEADER:
-                raise ValueError(f"unexpected table header {header}")
-            rows = [TableRow(*(float(v) for v in line)) for line in reader]
-        return cls(rows=rows)
-
-    def equals(self, other: "ConvergenceTable") -> bool:
-        if len(self.rows) != len(other.rows):
-            return False
-        for a, b in zip(self.rows, other.rows):
-            for fa, fb in zip(
-                (a.param, a.err_rho, a.err_energy, a.order_rho, a.order_energy),
-                (b.param, b.err_rho, b.err_energy, b.order_rho, b.order_energy),
-            ):
-                if math.isnan(fa) and math.isnan(fb):
-                    continue
-                if fa != fb:
-                    return False
-        return True
+        write_csv(path, CSV_HEADER, [astuple(r) for r in self.rows])
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """A table with one header line and %.17g floats, LF line endings."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(line % tuple(row) for row in rows)
 
 
 def _safe_order(e_coarse: float, e_fine: float, denom: float) -> float:
@@ -225,44 +192,48 @@ class ManufacturedSolution:
         return th * (1.0 + 1.5 * self.rho(x, t))
 
 
-def manufactured_from_expressions(rho_expr, theta_expr, x_sym, t_sym) -> ManufacturedSolution:
-    """Derive sources symbolically from the limit equations.
+def default_manufactured(length: float = 1.0) -> ManufacturedSolution:
+    """Smooth positive cosine profiles with zero-slope walls, and their sources.
+
+    rho   = 6/5 + 1/5 cos(pi x / L) e^(-t),
+    theta = 1 + 3/20 cos(2 pi x / L) e^(-2t)
+
+    solve the limit equations with the sources
 
     S_rho = d_t rho - d_xx (rho theta),
-    S_E   = d_t E   - d_xx (theta + 5/2 rho theta^2),  E = theta (1 + 3 rho / 2).
+    S_E   = d_t E   - d_xx (theta + 5/2 rho theta^2),  E = theta (1 + 3 rho / 2),
+
+    expanded by the product rule into closed-form derivatives of the fields.
     """
-    # Imported here, not at module level: only manufactured solutions need
-    # sympy, which is slow to import.
-    import sympy as sp
+    k = math.pi / length
 
-    energy_expr = theta_expr * (1 + sp.Rational(3, 2) * rho_expr)
-    s_rho = sp.diff(rho_expr, t_sym) - sp.diff(rho_expr * theta_expr, x_sym, 2)
-    s_energy = sp.diff(energy_expr, t_sym) - sp.diff(
-        theta_expr + sp.Rational(5, 2) * rho_expr * theta_expr**2, x_sym, 2
-    )
+    def fields(x, t):
+        """rho, rho_x, rho_xx, rho_t, theta, theta_x, theta_xx, theta_t."""
+        a, b = 0.2 * np.exp(-t), 0.15 * np.exp(-2.0 * t)
+        c1, s1 = a * np.cos(k * x), a * np.sin(k * x)
+        c2, s2 = b * np.cos(2.0 * k * x), b * np.sin(2.0 * k * x)
+        return (
+            1.2 + c1, -k * s1, -k**2 * c1, -c1,
+            1.0 + c2, -2.0 * k * s2, -4.0 * k**2 * c2, -2.0 * c2,
+        )
 
-    def vectorize(expr):
-        fn = sp.lambdify((x_sym, t_sym), expr, modules="numpy")
-        return lambda x, t: np.broadcast_to(
-            np.asarray(fn(x, t), dtype=float), np.shape(x)
-        ).copy()
+    def source_mass(x, t):
+        r, r_x, r_xx, r_t, th, th_x, th_xx, _ = fields(x, t)
+        return r_t - (r_xx * th + 2.0 * r_x * th_x + r * th_xx)
+
+    def source_energy(x, t):
+        r, r_x, r_xx, r_t, th, th_x, th_xx, th_t = fields(x, t)
+        e_t = th_t * (1.0 + 1.5 * r) + 1.5 * th * r_t
+        # d_xx (rho theta^2), by the product rule
+        rth2_xx = r_xx * th**2 + 4.0 * r_x * th * th_x + 2.0 * r * (th_x**2 + th * th_xx)
+        return e_t - th_xx - 2.5 * rth2_xx
 
     return ManufacturedSolution(
-        rho=vectorize(rho_expr),
-        theta=vectorize(theta_expr),
-        source_mass=vectorize(s_rho),
-        source_energy=vectorize(s_energy),
+        rho=lambda x, t: fields(x, t)[0],
+        theta=lambda x, t: fields(x, t)[4],
+        source_mass=source_mass,
+        source_energy=source_energy,
     )
-
-
-def default_manufactured(length: float = 1.0) -> ManufacturedSolution:
-    """Smooth positive cosine profiles with zero-slope walls."""
-    import sympy as sp
-
-    x, t = sp.symbols("x t", real=True)
-    rho = sp.Rational(6, 5) + sp.Rational(1, 5) * sp.cos(sp.pi * x / length) * sp.exp(-t)
-    theta = 1 + sp.Rational(3, 20) * sp.cos(2 * sp.pi * x / length) * sp.exp(-2 * t)
-    return manufactured_from_expressions(rho, theta, x, t)
 
 
 @dataclass
@@ -381,35 +352,8 @@ def kinetic_limit_study(
 
 
 # ---------------------------------------------------------------------------
-# sweeps and the default verification matrix
+# the default verification matrix
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SweepSpec:
-    """Cross-product parameter sweep over a base configuration."""
-
-    base: SchemeParams
-    varied: Dict[str, Sequence[float]]
-    preset: str = "gauss-bump"
-    outputs: Optional[str] = None
-
-    def combinations(self) -> List[Dict[str, float]]:
-        names = sorted(self.varied)
-        combos: List[Dict[str, float]] = [{}]
-        for name in names:
-            combos = [dict(c, **{name: float(v)}) for c in combos for v in self.varied[name]]
-        return combos
-
-
-def run_sweep(grid: Grid1D, spec: SweepSpec) -> List[Tuple[Dict[str, float], Trajectory]]:
-    rho0, theta0 = initial_condition(spec.preset, grid)
-    init = make_initial_state(rho0, theta0)
-    results = []
-    for combo in spec.combinations():
-        traj = run_transient(grid, init, replace(spec.base, **combo))
-        results.append((combo, traj))
-    return results
 
 
 def default_run_matrix(

@@ -28,11 +28,6 @@ class Grid1D:
         if self.length <= 0.0:
             raise ValueError(f"domain length must be positive, got {self.length}")
 
-    @property
-    def n_edges(self) -> int:
-        """Number of interior edges."""
-        return self.n_cells - 1
-
 
 def build_grid(n_cells: int, length: float) -> Grid1D:
     """Build a uniform grid; rejects n_cells < 3 or nonpositive length."""

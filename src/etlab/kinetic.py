@@ -98,17 +98,6 @@ class KineticState:
     vgrid: VelocityGrid
     delta: np.ndarray  # (n_x,)
 
-    def copy(self) -> "KineticState":
-        return KineticState(
-            g0=self.g0.copy(),
-            g2=self.g2.copy(),
-            theta_b=self.theta_b.copy(),
-            eps=self.eps,
-            grid=self.grid,
-            vgrid=self.vgrid,
-            delta=self.delta.copy(),
-        )
-
 
 def init_equilibrium(
     grid: Grid1D, vgrid: VelocityGrid, rho0, theta0, eps: float

@@ -58,14 +58,6 @@ class BandedSymmetricMatrix:
                 f"bands shape {self.bands.shape} != ({self.bandwidth + 1}, {self.n})"
             )
 
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.bands[0])
-        for k in range(1, self.bandwidth + 1):
-            for i in range(self.n - k):
-                a[i + k, i] = self.bands[k, i]
-                a[i, i + k] = self.bands[k, i]
-        return a
-
 
 class NotSPDError(ValueError):
     """A pivot of the banded Cholesky factorization was not positive."""

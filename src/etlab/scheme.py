@@ -7,16 +7,11 @@ second-difference regularization weighted by eps, and a zero-order
 stabilization weighted by delta. Because the unknowns are chart variables,
 rho and theta stay positive for any finite iterate.
 
-The nonlinear step is solved by quasi-Newton iterations on the exact
-residual until the error of the chart variables, O(1) logarithms, is
-estimated at most ``fp_tol`` from the size of the last update and the
-observed contraction rate (see ``_converge``). The iterations are chord
-iterations: the approximate Jacobian is factored at an attempt's start and
-reused, and refactored only once the contraction rate reaches 1/2. Each step
-after the first of a run starts from the linear extrapolation of the last
-two accepted states, which is admissible because any finite chart values
-are. An attempt that fails while reusing factors is retried once refactoring
-at every iterate, then from the previous state (see ``fixed_point_step``).
+The nonlinear step is solved by chord iterations on the exact residual,
+each step after the first started from the extrapolation of the last two
+accepted states; ``_converge`` states the stopping rule and
+``fixed_point_step`` the retries and tau backoff.
+
 Two interchangeable inner linearizations are provided:
 
 * ``coupled_implicit`` (default): one symmetric positive definite system in
@@ -38,7 +33,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -117,45 +112,19 @@ class SchemeParams:
 
 
 @dataclass
-class BudgetAudit:
-    """Exact discrete mass/energy identities for one accepted step."""
-
-    mass_lhs: float
-    mass_rhs: float
-    mass_error: float
-    mass_pass: bool
-    energy_lhs: float
-    energy_rhs: float
-    energy_error: float
-    energy_pass: bool
-
-
-@dataclass
-class EntropyAudit:
-    """Entropy monotonicity record: H may rise at most by the delta slack."""
-
-    h_prev: float
-    h_next: float
-    slack: float
-    violation: float
-    passed: bool
-    edge_form_min: float
-    dissipation: Dict[str, float]
-
-
-@dataclass
 class StepReport:
     """One step: how the nonlinear solve converged and the step's audits.
 
     ``residual`` is None for a step that was audited but not solved here
-    (``etlab audit`` re-checks stored states).
+    (``etlab audit`` re-checks stored states). ``budget`` and ``entropy`` are
+    the records of budget_audit and entropy_audit, keyed as in audits.json.
     """
 
     iterations: int
     residual: Optional[float]
     tau_used: float
-    budget: BudgetAudit
-    entropy: EntropyAudit
+    budget: Dict[str, Any]
+    entropy: Dict[str, Any]
     residual_history: List[float] = field(default_factory=list)
 
 
@@ -178,8 +147,14 @@ def _residual(
     p: SchemeParams,
     t_new: float,
 ):
-    """Nodal residuals, the candidate's primitive fields, and its edge data
-    (m11, m12, m22, exp(-w_e), dw, theta_e), which _assemble_blocks reuses."""
+    """Nodal residuals of the discrete weak forms at the candidate, its
+    primitive fields, and its edge data (m11, m12, m22, exp(-w_e), dw,
+    theta_e), which _assemble_blocks reuses.
+
+    The quadrature of the mass residual telescopes to
+    (mass(cand) - mass(prev)) / tau + delta * integrate(phi) exactly; the
+    energy residual analogously. The budget audits rest on this.
+    """
     mac = to_primitive(cand)
     rho, theta, w, phi = mac.rho, mac.theta, cand.w, cand.phi
 
@@ -214,23 +189,6 @@ def _residual(
         )
     edges = (m11, m12, m22, eneg, dw, theta_e)
     return dyn_mass + reg_mass, dyn_energy + reg_energy, mac, edges
-
-
-def assemble_residual(
-    grid: Grid1D,
-    prev: EntropicState,
-    cand: EntropicState,
-    p: SchemeParams,
-    t_new: float = 0.0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodal residuals of the discrete weak forms at the candidate state.
-
-    The quadrature of the mass residual telescopes to
-    (mass(cand) - mass(prev)) / tau + delta * integrate(phi) exactly; the
-    energy residual analogously. The budget audits rest on this.
-    """
-    r_mass, r_energy, _, _ = _residual(grid, to_primitive(prev), cand, p, t_new)
-    return r_mass, r_energy
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +303,6 @@ def _interleave(n: int, a11, a12, a22) -> BandedSymmetricMatrix:
     return BandedSymmetricMatrix(n=2 * n, bandwidth=4, bands=bands)
 
 
-def _block_matrix(n: int, bands3: np.ndarray) -> BandedSymmetricMatrix:
-    return BandedSymmetricMatrix(n=n, bandwidth=2, bands=bands3)
-
-
 # ---------------------------------------------------------------------------
 # fixed-point iterations
 # ---------------------------------------------------------------------------
@@ -377,8 +331,8 @@ def _factor(
             return delta_x[0::2], delta_x[1::2]
 
     else:  # paper_picard: decoupled sweeps, cross fluxes explicit
-        chol_phi = BandedCholesky(_block_matrix(n, a11))
-        chol_w = BandedCholesky(_block_matrix(n, a22))
+        chol_phi = BandedCholesky(BandedSymmetricMatrix(n=n, bandwidth=2, bands=a11))
+        chol_w = BandedCholesky(BandedSymmetricMatrix(n=n, bandwidth=2, bands=a22))
 
         def solve(r1, r2):
             return chol_phi.solve(-h * r1), chol_w.solve(scale_e * r2)
@@ -462,10 +416,10 @@ def fixed_point_step(
     step that led from it to ``prev``. Given both, the first attempt starts
     from the linear extrapolation prev + (tau / tau_prev) (prev - older);
     any chart values are admissible, since rho and theta stay positive;
-    without history every attempt starts from ``prev``. Each attempt is a
-    chord iteration that reuses factors (see ``_converge``); if it fails
-    numerically, it is retried once at the same tau and start, refactoring
-    at every iterate. If that fails too and the start was extrapolated, the
+    without history every attempt starts from ``prev``. Each attempt runs
+    ``_converge``, which states the stopping rule; if it fails numerically,
+    it is retried once at the same tau and start, refactoring at every
+    iterate. If that fails too and the start was extrapolated, the
     same tau is tried once more from ``prev``, again chord first.
     Non-convergence, blow-up of the chart values and a non-SPD linear
     system then halve tau; any other error propagates. StepFailureError
@@ -604,7 +558,7 @@ def budget_audit(
     p: SchemeParams,
     tol: float = 1e-10,
     t_new: Optional[float] = None,
-) -> BudgetAudit:
+) -> Dict[str, Any]:
     """Check the two exact step identities obtained from constant test functions.
 
     mass(next) - mass(prev)   = -tau * delta * integral(phi)
@@ -612,7 +566,8 @@ def budget_audit(
                                           + delta * integral(theta^{-N} w))
 
     Manufactured source terms, when configured, are added to the right-hand
-    sides. A violation means the assembly broke summation by parts.
+    sides. A violation means the assembly broke summation by parts. Returns
+    the ``mass_*`` and ``energy_*`` fields of an audits.json record.
     """
     prev_mac = to_primitive(prev)
     next_mac = to_primitive(nxt)
@@ -638,16 +593,16 @@ def budget_audit(
     energy_lhs = energy_next - energy_prev
     mass_error = abs(mass_lhs - mass_rhs)
     energy_error = abs(energy_lhs - energy_rhs)
-    return BudgetAudit(
-        mass_lhs=mass_lhs,
-        mass_rhs=mass_rhs,
-        mass_error=mass_error,
-        mass_pass=mass_error <= tol * (1.0 + abs(mass_lhs)),
-        energy_lhs=energy_lhs,
-        energy_rhs=energy_rhs,
-        energy_error=energy_error,
-        energy_pass=energy_error <= tol * (1.0 + abs(energy_lhs)),
-    )
+    return {
+        "mass_lhs": mass_lhs,
+        "mass_rhs": mass_rhs,
+        "mass_error": mass_error,
+        "mass_pass": mass_error <= tol * (1.0 + abs(mass_lhs)),
+        "energy_lhs": energy_lhs,
+        "energy_rhs": energy_rhs,
+        "energy_error": energy_error,
+        "energy_pass": energy_error <= tol * (1.0 + abs(energy_lhs)),
+    }
 
 
 def dissipation_terms(
@@ -722,24 +677,26 @@ def entropy_audit(
     nxt: EntropicState,
     p: SchemeParams,
     tol_ent: float = 1e-8,
-) -> EntropyAudit:
+) -> Dict[str, Any]:
     """Assert H(next) <= H(prev) + tau * delta * e^{2(N+1)} |Omega| + tolerance.
 
     The slack is the explicit bound on the sign-indefinite part of the
     zero-order delta term; with eps = 0 every remaining contribution is
     signed pointwise, so violations beyond roundoff indicate a broken step.
+    Returns the audits.json fields ``entropy_before``/``after``/``slack``/
+    ``violation``/``pass``, ``edge_form_min`` and ``dissipation``.
     """
     h_prev = lyapunov_functional(grid, prev)
     h_next = lyapunov_functional(grid, nxt)
     slack = p.tau * p.delta * np.exp(2.0 * (p.n_exp + 1.0)) * grid.length
     violation = h_next - h_prev - slack
     terms, edge_min = dissipation_terms(grid, nxt, p)
-    return EntropyAudit(
-        h_prev=h_prev,
-        h_next=h_next,
-        slack=slack,
-        violation=violation,
-        passed=violation <= tol_ent * (1.0 + abs(h_prev)),
-        edge_form_min=edge_min,
-        dissipation=terms,
-    )
+    return {
+        "entropy_before": h_prev,
+        "entropy_after": h_next,
+        "entropy_slack": slack,
+        "entropy_violation": violation,
+        "entropy_pass": violation <= tol_ent * (1.0 + abs(h_prev)),
+        "edge_form_min": edge_min,
+        "dissipation": terms,
+    }

@@ -6,9 +6,9 @@ potential phi and w = log theta. Density and temperature are derived views
 
     rho = exp(phi + 3 w / 2 - 5/2),    theta = exp(w),
 
-so both stay strictly positive for any finite chart values. The Gibbs
-energy, entropy, potentials, Onsager matrix and Maxwellian moments are the
-standard closed forms for this closure.
+so both stay strictly positive for any finite chart values. The entropy,
+Onsager matrix and Maxwellian moments are the standard closed forms for this
+closure.
 """
 
 from __future__ import annotations
@@ -165,45 +165,17 @@ def to_entropic(rho, theta) -> EntropicState:
     return EntropicState(phi=phi, w=w)
 
 
-def entropy_density(rho, theta):
-    """Pointwise entropy rho * log(rho / theta^{3/2}) - log theta."""
-    rho = _require_positive("rho", rho)
-    theta = _require_positive("theta", theta)
-    log_theta = np.log(theta)
-    return rho * (np.log(rho) - 1.5 * log_theta) - log_theta
-
-
 def entropy_tilde(rho, energy):
     """Entropy as a convex function of (rho, E).
 
-    Equal to entropy_density(rho, E / (1 + 3 rho / 2)); written directly in
-    (rho, E) so its Hessian is the one used by the convexity estimates.
+    Equal to rho log(rho / theta^{3/2}) - log theta at
+    theta = E / (1 + 3 rho / 2); written directly in (rho, E) so its Hessian
+    is the one used by the convexity estimates.
     """
     rho = _require_positive("rho", rho)
     energy = _require_positive("energy", energy)
     gamma = 1.0 + 1.5 * rho
     return rho * np.log(rho) - gamma * np.log(energy / gamma)
-
-
-def gibbs(rho, theta):
-    """Gibbs free energy rho theta log(rho/theta^{3/2}) + 3 rho theta / 2 - theta (log theta - 1)."""
-    rho = _require_positive("rho", rho)
-    theta = _require_positive("theta", theta)
-    log_theta = np.log(theta)
-    return (
-        rho * theta * (np.log(rho) - 1.5 * log_theta)
-        + 1.5 * rho * theta
-        - theta * (log_theta - 1.0)
-    )
-
-
-def potentials(rho, theta) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chemical potential mu, thermo-chemical potential phi = mu/theta, and -1/theta."""
-    rho = _require_positive("rho", rho)
-    theta = _require_positive("theta", theta)
-    phi = np.log(rho) - 1.5 * np.log(theta) + 2.5
-    mu = theta * phi
-    return mu, phi, -1.0 / theta
 
 
 def onsager(rho, theta) -> OnsagerMatrix:
@@ -231,13 +203,6 @@ def hessian_htilde(rho: float, energy: float) -> Tuple[np.ndarray, float]:
     )
     det = gamma / (rho * energy**2)
     return matrix, det
-
-
-def maxwellian_3d(theta: float, v) -> float:
-    """Isotropic Gaussian (2 pi theta)^{-3/2} exp(-|v|^2 / (2 theta))."""
-    theta = float(_require_positive("theta", theta))
-    v = np.asarray(v, dtype=float)
-    return float((2.0 * np.pi * theta) ** -1.5 * np.exp(-np.dot(v, v) / (2.0 * theta)))
 
 
 @dataclass

@@ -142,18 +142,15 @@ def test_criterion_3_exact_budgets(run_matrix):
     for (preset, eps, delta, tau), (params, traj) in results.items():
         for rep in traj.reports:
             n_steps += 1
-            worst_mass = max(
-                worst_mass, rep.budget.mass_error / (1.0 + abs(rep.budget.mass_lhs))
-            )
-            worst_energy = max(
-                worst_energy, rep.budget.energy_error / (1.0 + abs(rep.budget.energy_lhs))
-            )
-            assert rep.budget.mass_error <= 1e-10 * (1.0 + abs(rep.budget.mass_lhs))
-            assert rep.budget.energy_error <= 1e-10 * (1.0 + abs(rep.budget.energy_lhs))
+            b = rep.budget
+            worst_mass = max(worst_mass, b["mass_error"] / (1.0 + abs(b["mass_lhs"])))
+            worst_energy = max(worst_energy, b["energy_error"] / (1.0 + abs(b["energy_lhs"])))
+            assert b["mass_error"] <= 1e-10 * (1.0 + abs(b["mass_lhs"]))
+            assert b["energy_error"] <= 1e-10 * (1.0 + abs(b["energy_lhs"]))
             if eps == 0.0 and delta == 0.0:
-                assert abs(rep.budget.mass_lhs) <= 1e-10
-                assert abs(rep.budget.energy_lhs) <= 1e-10
-                worst_cons = max(worst_cons, abs(rep.budget.mass_lhs), abs(rep.budget.energy_lhs))
+                assert abs(b["mass_lhs"]) <= 1e-10
+                assert abs(b["energy_lhs"]) <= 1e-10
+                worst_cons = max(worst_cons, abs(b["mass_lhs"]), abs(b["energy_lhs"]))
     _report(
         f"PASS criterion 3: budgets on {n_steps} accepted steps, worst relative "
         f"errors mass {worst_mass:.1e} / energy {worst_energy:.1e}, "
@@ -167,14 +164,15 @@ def test_criterion_4_entropy_monotonicity(run_matrix):
     min_edge = np.inf
     for (preset, eps, delta, tau), (params, traj) in results.items():
         for rep in traj.reports:
-            rel = rep.entropy.violation / (1.0 + abs(rep.entropy.h_prev))
+            ent = rep.entropy
+            rel = ent["entropy_violation"] / (1.0 + abs(ent["entropy_before"]))
             worst = max(worst, rel)
             assert rel <= 1e-8
             if eps == 0.0:
                 worst_eps0 = max(worst_eps0, rel)
                 assert rel <= 1e-12
-            min_edge = min(min_edge, rep.entropy.edge_form_min)
-            assert rep.entropy.edge_form_min >= 0.0
+            min_edge = min(min_edge, ent["edge_form_min"])
+            assert ent["edge_form_min"] >= 0.0
     _report(
         f"PASS criterion 4: entropy never rises past the slack (worst rel. "
         f"violation {worst:.1e}; eps=0 worst {worst_eps0:.1e}; "

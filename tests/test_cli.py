@@ -14,10 +14,10 @@ from etlab.cli import (
     ConfigError,
     _read_csv,
     _write_audits,
-    _write_csv,
     main,
     parse_config,
 )
+from etlab.experiments import write_csv
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -59,10 +59,8 @@ def test_parse_rejects_bad_json():
 
 def test_parse_rejects_wrong_length_arrays(tmp_path):
     doc = dict(MINIMAL, init={"rho0": [1.0, 2.0], "theta0": [1.0, 1.0]})
-    cfg = parse_config(json.dumps(doc))
-    grid = cfg.build_grid()
-    with pytest.raises(ConfigError, match="init"):
-        cfg.initial_fields(grid)
+    with pytest.raises(ConfigError, match="init: explicit arrays must have length 64"):
+        parse_config(json.dumps(doc))
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
@@ -86,22 +84,53 @@ def test_bad_override_exits_3(tmp_path):
     assert main(["macro", cfg, "grid.n_cells=oops"]) == 3
 
 
+def _bad(*overrides, mode="macro", path=None, id=None):
+    """A case: the run's mode, its overrides and the field path its error names."""
+    path = path or overrides[0].split("=")[0]
+    return pytest.param(mode, list(overrides), path, id=id or overrides[0])
+
+
 @pytest.mark.parametrize(
-    "override",
+    "mode, overrides, path",
     [
-        "scheme.fp_max_iter=2.5",
-        "scheme.tau=true",
-        "grid.n_cells=true",
-        "scheme.sigma_ramp=0.5",
-        "kinetic.eps=[]",
-        "grid.size=8",
-        "scheme.edge_mean=geometric",
+        _bad("scheme.fp_max_iter=2.5"),
+        _bad("scheme.tau=true"),
+        _bad("grid.n_cells=true"),
+        _bad("scheme.sigma_ramp=0.5"),
+        _bad("kinetic.eps=[]"),
+        _bad("grid.size=8"),
+        _bad("scheme.edge_mean=geometric"),
+        _bad("init.rho0=[1,1,1]", "grid.n_cells=3", path="init", id="macro-rho0-alone"),
+        _bad(
+            "init.rho0=[1,1]",
+            "init.theta0=[1,1]",
+            mode="kinetic",
+            path="init",
+            id="kinetic-arrays-wrong-length",
+        ),
+        _bad(
+            "init.rho0=[1,1,1]",
+            "init.theta0=[1,0,1]",
+            "grid.n_cells=3",
+            mode="compare",
+            path="init",
+            id="compare-arrays-not-positive",
+        ),
+        _bad(
+            "init.theta0=[1,1,1]",
+            'sweep.varied={"delta":[0.01]}',
+            mode="sweep",
+            path="init",
+            id="sweep-varied-theta0-alone",
+        ),
+        _bad("sweep.which=delta", mode="sweep", path="sweep.values", id="sweep-which-alone"),
+        _bad("sweep.values=[0.1,0.01]", mode="sweep", path="sweep", id="sweep-values-alone"),
     ],
 )
-def test_invalid_override_exits_3_without_exception(tmp_path, capsys, override):
+def test_invalid_override_exits_3_without_exception(tmp_path, capsys, mode, overrides, path):
     cfg = _write_config(tmp_path, MINIMAL)
-    assert main(["macro", cfg, override]) == 3
-    assert "config error" in capsys.readouterr().err
+    assert main([mode, cfg, *overrides]) == 3
+    assert f"config error: {path}: " in capsys.readouterr().err
 
 
 def test_override_takes_same_values_as_file():
@@ -257,7 +286,7 @@ def _write_csv_values(tmp_path):
     path = tmp_path / "values.csv"
     header = [f"c{i}" for i in range(len(CSV_VALUES))]
     rows = [CSV_VALUES, CSV_VALUES[::-1]]
-    _write_csv(path, header, rows)
+    write_csv(path, header, rows)
     return path, header, rows
 
 
@@ -561,6 +590,40 @@ def test_sweep_mode_writes_table(tmp_path):
     assert (tmp_path / "sw" / "drifts.csv").exists()
 
 
+def test_sweep_varied_runs_from_the_configured_initial_data(tmp_path):
+    # Every run of a varied sweep starts from the config's init data and
+    # init_floor, like a which/values sweep, not from the preset alone.
+    x = (np.arange(16) + 0.5) / 16
+    preset = {
+        "mode": "sweep",
+        "grid": {"n_cells": 16, "length": 1.0},
+        "scheme": {"tau": 5e-3, "t_final": 0.02, "eps": 0.0},
+        "init": {"preset": "gauss-bump"},
+        "sweep": {"varied": {"tau": [1e-2, 5e-3], "delta": [1e-3, 1e-4]}},
+    }
+    cosines = {
+        "rho0": (1.0 + 0.5 * np.cos(np.pi * x)).tolist(),
+        "theta0": (1.0 + 0.3 * np.cos(2.0 * np.pi * x)).tolist(),
+    }
+    docs = {
+        "preset": preset,
+        "explicit": dict(preset, init=cosines),
+        "rerun": dict(preset, init=cosines),
+        "floored": dict(preset, scheme=dict(preset["scheme"], init_floor=0.5)),
+    }
+    summaries = {}
+    for name, doc in docs.items():
+        cfg = _write_config(tmp_path, doc, f"{name}.json")
+        assert main(["sweep", cfg, f"output.directory={tmp_path / name}"]) == 0
+        summaries[name] = (tmp_path / name / "sweep_summary.csv").read_bytes()
+    assert summaries["rerun"] == summaries["explicit"] != summaries["preset"]
+    assert summaries["floored"] != summaries["preset"]
+    lines = summaries["explicit"].decode("utf-8").splitlines()
+    assert lines[0] == "delta,tau,mass_drift,energy_drift,entropy_final"
+    combos = [tuple(float(v) for v in line.split(",")[:2]) for line in lines[1:]]
+    assert combos == [(1e-3, 1e-2), (1e-3, 5e-3), (1e-4, 1e-2), (1e-4, 5e-3)]
+
+
 def test_mms_mode_writes_tables(tmp_path):
     doc = {
         "mode": "mms",
@@ -591,16 +654,10 @@ def test_python_m_cli_runs_main():
     assert "usage" in proc.stderr
 
 
-def test_import_cli_does_not_import_sympy():
-    proc = _run_python("-c", "import sys, etlab.cli; print('sympy' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
 _IMPORT_BOUNDARY = """
 import sys
 import etlab.cli
-print(sorted(m for m in ("scipy.linalg", "sympy") if m in sys.modules))
+print("scipy.linalg" in sys.modules)
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from etlab.linalg import BandedCholesky, BandedSymmetricMatrix
@@ -625,4 +682,4 @@ def test_import_cli_leaves_scipy_linalg_unimported_and_importable():
     # the same routines.
     proc = _run_python("-c", _IMPORT_BOUNDARY)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0 0 True True", "0 0 True True"]
+    assert proc.stdout.splitlines() == ["False", "0 0 True True", "0 0 True True"]

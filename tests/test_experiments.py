@@ -1,21 +1,18 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from etlab.grid import build_grid, grad_edge
 from etlab.scheme import SchemeParams, make_initial_state
 from etlab.experiments import (
     ConvergenceTable,
-    SweepSpec,
     default_manufactured,
     default_run_matrix,
     fit_loglog_slope,
     initial_condition,
-    manufactured_from_expressions,
     regularization_study,
-    run_sweep,
 )
 
 GRID = build_grid(32, 1.0)
@@ -87,8 +84,9 @@ def test_table_csv_round_trip(tmp_path):
     table.write_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "param,err_rho_L1,err_E_L1,order_rho,order_E"
-    again = ConvergenceTable.read_csv(path)
-    assert table.equals(again)
+    again = np.loadtxt(path, delimiter=",", skiprows=1)
+    # exact values; the NaN orders of the first row compare equal
+    np.testing.assert_array_equal(again, [astuple(r) for r in table.rows])
 
 
 def test_table_csv_uses_lf_endings(tmp_path):
@@ -164,14 +162,35 @@ def test_regularization_study_records_drifts():
 # ---------------------------------------------------------------------------
 
 
-def test_manufactured_constant_fields_have_zero_sources():
-    x, t = sp.symbols("x t", real=True)
-    ms = manufactured_from_expressions(sp.Integer(2), sp.Rational(3, 2), x, t)
-    xs = np.linspace(0.0, 1.0, 17)
-    assert np.allclose(ms.source_mass(xs, 0.3), 0.0)
-    assert np.allclose(ms.source_energy(xs, 0.3), 0.0)
-    assert np.allclose(ms.rho(xs, 0.0), 2.0)
-    assert np.allclose(ms.energy(xs, 0.0), 1.5 * (1.0 + 3.0))
+def test_manufactured_sources_solve_the_pde_by_fourth_order_differences():
+    # S_rho = d_t rho - d_xx (rho theta), S_E = d_t E - d_xx (theta + 5/2 rho theta^2)
+    # by 4th-order central differences of the exact fields in x and t
+    ms = default_manufactured(1.3)
+    xs = np.linspace(0.05, 1.25, 25)
+    dh = 1e-3
+
+    def d_t(f, t):
+        s = [f(xs, t + k * dh) for k in (-2, -1, 1, 2)]
+        return (s[0] - 8 * s[1] + 8 * s[2] - s[3]) / (12 * dh)
+
+    def d_xx(f, t):
+        s = [f(xs + k * dh, t) for k in (-2, -1, 0, 1, 2)]
+        return (-s[0] + 16 * s[1] - 30 * s[2] + 16 * s[3] - s[4]) / (12 * dh**2)
+
+    def flux_mass(x, t):
+        return ms.rho(x, t) * ms.theta(x, t)
+
+    def flux_energy(x, t):
+        return ms.theta(x, t) + 2.5 * ms.rho(x, t) * ms.theta(x, t) ** 2
+
+    for t in (0.0, 0.05, 0.3):
+        for source, density, flux in (
+            (ms.source_mass, ms.rho, flux_mass),
+            (ms.source_energy, ms.energy, flux_energy),
+        ):
+            want = d_t(density, t) - d_xx(flux, t)
+            got = source(xs, t)
+            assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(got))
 
 
 def test_manufactured_sources_match_finite_differences():
@@ -197,35 +216,8 @@ def test_default_manufactured_positive_and_wall_compatible():
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# the verification matrix
 # ---------------------------------------------------------------------------
-
-
-def test_sweep_spec_combinations_cross_product():
-    spec = SweepSpec(
-        base=SchemeParams(),
-        varied={"delta": [1e-3, 1e-4], "tau": [1e-2, 1e-3, 5e-4]},
-    )
-    combos = spec.combinations()
-    assert len(combos) == 6
-    assert {frozenset(c.items()) for c in combos} == {
-        frozenset({("delta", d), ("tau", t)})
-        for d in (1e-3, 1e-4)
-        for t in (1e-2, 1e-3, 5e-4)
-    }
-
-
-def test_run_sweep_is_deterministic():
-    grid = build_grid(16, 1.0)
-    spec = SweepSpec(
-        base=SchemeParams(tau=5e-3, t_final=0.02, eps=0.0, delta=1e-4),
-        varied={"delta": [1e-3, 1e-4]},
-        preset="gauss-bump",
-    )
-    res_a = run_sweep(grid, spec)
-    res_b = run_sweep(grid, spec)
-    for (_, ta), (_, tb) in zip(res_a, res_b):
-        assert np.array_equal(ta.states[-1].phi, tb.states[-1].phi)
 
 
 def test_default_run_matrix_shape():

@@ -9,22 +9,25 @@ from etlab.thermo import (
     BlowupError,
     EntropicState,
     MacroState,
-    entropy_density,
     entropy_tilde,
     flux_consistency,
-    gibbs,
     hessian_htilde,
-    maxwellian_3d,
     maxwellian_moments_check,
     onsager,
-    potentials,
     to_entropic,
     to_primitive,
 )
+from etlab.kinetic import maxwellian_1d
 
 
 def _central_diff(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def entropy_density(rho, theta):
+    """Oracle: the entropy rho * log(rho / theta^{3/2}) - log theta in (rho, theta)."""
+    log_theta = np.log(theta)
+    return rho * (np.log(rho) - 1.5 * log_theta) - log_theta
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +140,7 @@ def test_macro_state_rejects_inconsistent_energy():
 
 
 # ---------------------------------------------------------------------------
-# entropies and potentials
+# entropies
 # ---------------------------------------------------------------------------
 
 
@@ -165,40 +168,16 @@ def test_entropy_tilde_matches_entropy_density_randomly():
     assert np.max(gap) < 1e-12 * (1.0 + np.max(np.abs(entropy_density(rho, theta))))
 
 
-def test_gibbs_reference_value():
-    assert gibbs(1.0, 1.0) == pytest.approx(2.5, rel=1e-14)
-
-
-def test_gibbs_partial_rho_is_mu():
-    val = _central_diff(lambda r: gibbs(r, 1.0), 1.0)
-    assert val == pytest.approx(2.5, rel=1e-8)
-
-
-def test_gibbs_partial_theta_is_entropy():
-    val = _central_diff(lambda t: gibbs(1.0, t), 1.0)
-    assert val == pytest.approx(0.0, abs=1e-8)  # h(1, 1) = 0
-    val = _central_diff(lambda t: gibbs(2.0, t), 1.5)
-    assert val == pytest.approx(entropy_density(2.0, 1.5), rel=1e-6)
-
-
-def test_potentials_reference_point():
-    mu, phi, neg_inv = potentials(1.0, 1.0)
-    assert (mu, phi, neg_inv) == (pytest.approx(2.5), pytest.approx(2.5), pytest.approx(-1.0))
-
-
-def test_potentials_mu_over_theta_is_phi():
-    rng = np.random.default_rng(2)
-    rho = rng.uniform(0.1, 4.0, size=200)
-    theta = rng.uniform(0.1, 4.0, size=200)
-    mu, phi, _ = potentials(rho, theta)
-    assert np.allclose(mu / theta, phi, rtol=1e-13)
-
-
-def test_potentials_match_gibbs_derivatives():
+def test_entropic_chart_is_the_entropy_gradient():
+    # (phi, -1/theta) = (d htilde / d rho, d htilde / d E): the scheme's
+    # unknowns are the entropy variables of the (rho, E) system
     for rho, theta in [(1.0, 1.0), (0.7, 1.8), (2.2, 0.6)]:
-        mu, _, _ = potentials(rho, theta)
-        fd = _central_diff(lambda r: gibbs(r, theta), rho, h=1e-6 * rho)
-        assert mu == pytest.approx(fd, rel=1e-5)
+        energy = theta * (1.0 + 1.5 * rho)
+        chart = to_entropic(rho, theta)
+        d_rho = _central_diff(lambda r: entropy_tilde(r, energy), rho, h=1e-6 * rho)
+        d_e = _central_diff(lambda e: entropy_tilde(rho, e), energy, h=1e-6 * energy)
+        assert d_rho == pytest.approx(chart.phi[0], rel=1e-7)
+        assert d_e == pytest.approx(-math.exp(-chart.w[0]), rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +276,14 @@ def test_hessian_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 
+def _maxwellian_3d(theta, v):
+    """The 3D Maxwellian as the product of its 1D marginals, as the reduced
+    kinetic model factors it."""
+    return float(np.prod(maxwellian_1d(theta, np.asarray(v, dtype=float))))
+
+
 def test_maxwellian_peak_value():
-    assert maxwellian_3d(1.0, [0.0, 0.0, 0.0]) == pytest.approx(
+    assert _maxwellian_3d(1.0, [0.0, 0.0, 0.0]) == pytest.approx(
         (2.0 * math.pi) ** -1.5, rel=1e-13
     )
 
@@ -306,8 +291,8 @@ def test_maxwellian_peak_value():
 def test_maxwellian_radial_symmetry():
     v = np.array([0.3, -1.2, 0.7])
     r = np.linalg.norm(v)
-    assert maxwellian_3d(1.7, v) == pytest.approx(
-        maxwellian_3d(1.7, [r, 0.0, 0.0]), rel=1e-13
+    assert _maxwellian_3d(1.7, v) == pytest.approx(
+        _maxwellian_3d(1.7, [r, 0.0, 0.0]), rel=1e-13
     )
 
 
