@@ -378,6 +378,12 @@ def parse_config(
             "needs either which/values or varied",
         )
         _expect(
+            cfg.sweep_varied is None
+            or (cfg.sweep_which is None and cfg.sweep_values is None),
+            "sweep.varied",
+            "cannot be combined with sweep.which/values",
+        )
+        _expect(
             cfg.sweep_which is None or cfg.sweep_values is not None,
             "sweep.values",
             "required when sweep.which is set",
@@ -593,8 +599,7 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
     rho0, theta0 = cfg.initial_fields(grid)
     table = kinetic_limit_study(
         grid,
-        rho0,
-        theta0,
+        make_initial_state(rho0, theta0, floor=cfg.scheme.init_floor),
         cfg.kinetic_eps_values,
         cfg.scheme.t_final,
         v_max=cfg.v_max,

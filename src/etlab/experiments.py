@@ -322,26 +322,30 @@ def mms_convergence(
 
 def kinetic_limit_study(
     grid: Grid1D,
-    rho0,
-    theta0,
+    init: MacroState,
     eps_values: Sequence[float],
     t_final: float,
     v_max: float = 8.0,
     n_v: int = 64,
     tau_macro: float = 1e-3,
 ) -> ConvergenceTable:
-    """Knudsen sweep: BGK moments against the unregularized macroscopic run."""
+    """Knudsen sweep: BGK moments against the unregularized macroscopic run.
+
+    The kinetic runs start in local equilibrium at ``init``'s rho and theta,
+    the macroscopic run from ``init`` itself, so both see the same data.
+    """
     eps_values = [float(e) for e in eps_values]
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("eps values must be strictly decreasing")
     vgrid = build_velocity_grid(v_max=v_max, n_v=n_v)
     runs = [
-        run_kinetic(grid, vgrid, rho0, theta0, eps, t_final) for eps in eps_values
+        run_kinetic(grid, vgrid, init.rho, init.theta, eps, t_final)
+        for eps in eps_values
     ]
     p_macro = SchemeParams(
         tau=tau_macro, eps=0.0, delta=0.0, t_final=t_final, inner_mode="coupled_implicit"
     )
-    macro = run_transient(grid, make_initial_state(rho0, theta0), p_macro)
+    macro = run_transient(grid, init, p_macro)
     final = to_primitive(macro.states[-1])
     rows = limit_compare(runs, final.rho, final.energy, grid)
     return ConvergenceTable.from_errors(

@@ -16,6 +16,13 @@ reflection, an implicit heat solve for the background temperature with
 Neumann walls, and pointwise implicit relaxation over dt/eps^2 whose target
 temperature is chosen per cell so the sum of background and kinetic energy
 is invariant by construction.
+
+A step makes few passes over the (n_x, n_v) distributions. Transport forms
+all face differences with one contiguous subtract into a face buffer owned
+by the run, then applies the Courant numbers of each velocity sign. Every
+velocity moment is a product with a cached weight vector wq v^k; the
+Maxwellian is even in v, so it is evaluated, and its sums S_k taken, on the
+nonnegative nodes only.
 """
 
 from __future__ import annotations
@@ -113,9 +120,11 @@ def init_equilibrium(
         raise ValueError("equilibrium data must be strictly positive")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    m1 = maxwellian_1d(theta0[:, None], vgrid.nodes[None, :])
-    s0 = m1 @ vgrid.weights
-    s2 = (m1 * vgrid.nodes**2) @ vgrid.weights
+    v = vgrid.nodes
+    m1 = maxwellian_1d(theta0[:, None], v[None, :])
+    _, (w0, w2, _) = _moment_weights(v.tobytes(), vgrid.weights.tobytes())
+    upper = m1[:, v.shape[0] // 2 :]
+    s0, s2 = upper @ w0, upper @ w2
     delta = np.divide(s2, s0, out=theta0.copy(), where=s0 > 0.0) - theta0
     g0 = rho0[:, None] * m1
     g2 = 2.0 * theta0[:, None] * g0
@@ -135,8 +144,8 @@ def moments(state: KineticState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     v = state.vgrid.nodes
     wq = state.vgrid.weights
     rho = state.g0 @ wq
-    kinetic_energy = 0.5 * ((state.g0 * v**2) @ wq + state.g2 @ wq)
-    mass_flux = (state.g0 * v) @ wq / state.eps
+    kinetic_energy = 0.5 * (state.g0 @ (wq * v**2) + state.g2 @ wq)
+    mass_flux = state.g0 @ (wq * v) / state.eps
     return rho, kinetic_energy, mass_flux
 
 
@@ -146,27 +155,32 @@ def energy_total(grid: Grid1D, state: KineticState) -> float:
     return integrate(grid, state.theta_b + kinetic_energy)
 
 
-def _transport(g: np.ndarray, courant: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _transport(
+    g: np.ndarray,
+    c_pos: np.ndarray,
+    c_neg: np.ndarray,
+    faces: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
     """Flux-form upwind transport with specular reflection at both walls.
 
-    courant = dt * v / (eps h), |courant| <= 1, tiled to g's shape. Wall
-    fluxes use the reflected distribution as ghost value, so the
-    velocity-summed mass and energy fluxes through each wall cancel exactly
-    on a symmetric grid. The sorted nodes put the negative and positive
-    velocities in two contiguous column slices; a zero node (odd n_v) has no
-    flux. The flux differences are formed in ``out``, which is returned.
+    ``c_pos``/``c_neg`` hold the Courant numbers dt v / (eps h), |.| <= 1, of
+    the positive/negative velocities and 0 elsewhere, tiled to g's shape.
+    ``faces`` (n_x + 1 rows) receives the face differences D[i] = g[i] - g[i-1],
+    with the reflected distribution as ghost value beyond each wall, so the
+    velocity-summed mass and energy fluxes through a wall cancel exactly on
+    a symmetric grid. Then out = g - c_pos D[:-1] - c_neg D[1:], which is
+    returned; each column subtracts one exact zero, so this equals the
+    upwind update of each velocity sign bit for bit. ``faces`` is left as
+    scratch.
     """
-    n_v = g.shape[1]
-    neg = slice(0, n_v // 2)
-    pos = slice((n_v + 1) // 2, n_v)
-    # flux difference F[i+1] - F[i], F[i] being the upwind value at face i
-    np.subtract(g[1:, pos], g[:-1, pos], out=out[1:, pos])
-    np.subtract(g[0, pos], g[0, ::-1][pos], out=out[0, pos])
-    np.subtract(g[1:, neg], g[:-1, neg], out=out[:-1, neg])
-    np.subtract(g[-1, ::-1][neg], g[-1, neg], out=out[-1, neg])
-    out[:, neg.stop : pos.start] = 0.0
-    np.multiply(courant, out, out=out)
-    return np.subtract(g, out, out=out)
+    np.subtract(g[1:], g[:-1], out=faces[1:-1])
+    np.subtract(g[0], g[0, ::-1], out=faces[0])
+    np.subtract(g[-1, ::-1], g[-1], out=faces[-1])
+    np.multiply(c_pos, faces[:-1], out=out)
+    np.subtract(g, out, out=out)
+    np.multiply(c_neg, faces[1:], out=faces[1:])
+    return np.subtract(out, faces[1:], out=out)
 
 
 @lru_cache(maxsize=32)
@@ -181,40 +195,47 @@ def _heat_factor(n: int, h: float, dt: float) -> BandedCholesky:
 
 @lru_cache(maxsize=4)
 def _step_constants(n: int, h: float, dt: float, eps: float, nodes: bytes):
-    """Courant numbers dt v / (eps h), v^2 and v^4, each tiled to (n, n_v).
+    """c_pos and c_neg (see _transport), each tiled to (n, n_v).
 
     Keyed like _heat_factor, plus eps and the velocity nodes' bytes. Tiled,
     the per-step products with the distributions run on contiguous arrays.
     A run uses one entry; the small cache bounds the memory the tiles hold.
     """
     v = np.frombuffer(nodes)
-    tiled = tuple(np.tile(row, (n, 1)) for row in (dt * v / (eps * h), v**2, v**4))
+    courant = dt * v / (eps * h)
+    tiled = tuple(np.tile(np.where(s, courant, 0.0), (n, 1)) for s in (v > 0.0, v < 0.0))
     for a in tiled:
         a.setflags(write=False)
     return tiled
 
 
-def _gauss_sums(
-    theta: np.ndarray,
-    v: np.ndarray,
-    wq: np.ndarray,
-    v2: np.ndarray,
-    m1: np.ndarray,
-    work: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Write M1(theta) on the grid into m1; return S_k = sum w v^k M1, k = 0, 2.
+@lru_cache(maxsize=4)
+def _moment_weights(nodes: bytes, weights: bytes):
+    """wq v^2, and wq v^k for k = 0, 2, 4 folded onto the nonnegative nodes.
 
-    M1 is even in v and the nodes are exactly antisymmetric, so it is
-    evaluated on the nonnegative half of the grid and mirrored. ``v2`` is
-    v^2 tiled to m1's shape; ``work`` is scratch of the same shape.
+    Folded weights are doubled, except a zero node's, so S_k = sum wq v^k M1
+    of an even M1 is the product of M1 on the nonnegative nodes with them.
     """
+    v = np.frombuffer(nodes)
+    wq = np.frombuffer(weights)
     half = v.shape[0] // 2
-    upper = maxwellian_1d(theta[:, None], v[None, half:])
-    m1[:, half:] = upper
-    m1[:, :half] = upper[:, ::-1][:, :half]
-    s0 = m1 @ wq
-    s2 = np.multiply(m1, v2, out=work) @ wq
-    return s0, s2
+    fold = np.where(v[half:] == 0.0, 1.0, 2.0) * wq[half:]
+    folded = tuple(fold * v[half:] ** k for k in (0, 2, 4))
+    wv2 = wq * v**2
+    for a in (wv2,) + folded:
+        a.setflags(write=False)
+    return wv2, folded
+
+
+def _mirror_even(half: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out with the even extension of ``half``, given on the nonnegative nodes.
+
+    The nodes are exactly antisymmetric, so node j mirrors node n_v - 1 - j.
+    """
+    n_half = out.shape[1] // 2
+    out[:, n_half:] = half
+    out[:, :n_half] = half[:, ::-1][:, :n_half]
+    return out
 
 
 def _relax_temperature(
@@ -223,18 +244,17 @@ def _relax_temperature(
     e_kin: np.ndarray,
     delta: np.ndarray,
     mu: float,
-    v: np.ndarray,
-    wq: np.ndarray,
-    v2: np.ndarray,
-    v4: np.ndarray,
-    m1: np.ndarray,
-    work: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    v_half: np.ndarray,
+    folded: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve theta + mu rho e_M(theta) = theta_b + mu e_kin per cell.
 
     e_M(theta) = (S2/S0 + 2 theta) / 2 is the kinetic energy of the
     discrete, mass-normalized Maxwellian target; the left side is strictly
     increasing in theta, so safeguarded Newton with a bracket converges.
+    M1 is even in v, so each iterate evaluates it on the nonnegative nodes
+    ``v_half`` only, and S_k is its product with the folded weights
+    ``folded`` (see _moment_weights).
 
     Newton starts from the solution of the same equation with the energy
     defect S2/S0 - theta frozen at ``delta``, its value at the previous
@@ -244,25 +264,27 @@ def _relax_temperature(
     meets the tolerance and a step evaluates the Maxwellian once. The
     stopping rule, the bracket and the iteration cap are those of any start.
 
-    Returns theta, S0 of the converged iterate, whose M1 is left in m1, and
-    its defect S2/S0 - theta for the next step; ``work`` is scratch, and v2,
-    v4 are v^2, v^4 tiled to m1's shape.
+    Returns theta, S0 and M1 on ``v_half`` of the converged iterate, and its
+    defect S2/S0 - theta for the next step.
     """
+    w0, w2, w4 = folded
     rhs = theta_b + mu * e_kin
     lo = np.full_like(rhs, 1e-12)
     hi = rhs.copy()
     theta = np.clip((rhs - 0.5 * mu * rho * delta) / (1.0 + 1.5 * mu * rho), lo, hi)
     for _ in range(_RELAX_MAX_ITER):
-        s0, s2 = _gauss_sums(theta, v, wq, v2, m1, work)
+        m1 = maxwellian_1d(theta[:, None], v_half)
+        s0 = m1 @ w0
+        s2 = m1 @ w2
         with np.errstate(divide="ignore", invalid="ignore"):  # S0 = 0 if M1 underflows
             ratio = s2 / s0
         e_m = 0.5 * (ratio + 2.0 * theta)
         f = theta + mu * rho * e_m - rhs
         if np.all(np.abs(f) <= _RELAX_TOL * (1.0 + rhs)):
-            return theta, s0, ratio - theta
+            return theta, s0, m1, ratio - theta
         if not np.isfinite(f).all():
             break  # no Newton update can repair non-finite moments
-        s4 = np.multiply(m1, v4, out=work) @ wq
+        s4 = m1 @ w4
         # analytic d/dtheta of S_k through dM1/dtheta = M1 (v^2 - theta)/(2 theta^2)
         s0p = (s2 - theta * s0) / (2.0 * theta**2)
         s2p = (s4 - theta * s2) / (2.0 * theta**2)
@@ -280,47 +302,69 @@ def _relax_temperature(
     )
 
 
+def _step_block(state: KineticState) -> np.ndarray:
+    """An uninitialized step block for kinetic_step's ``out``: (4, n_x + 1, n_v)."""
+    n_x, n_v = state.g0.shape
+    return np.empty((4, n_x + 1, n_v))
+
+
 def kinetic_step(
     state: KineticState, dt: float, out: Optional[np.ndarray] = None
 ) -> KineticState:
     """One split step: transport, background heat diffusion, implicit relaxation.
 
-    The transport writes the new distributions, which the relaxation then
-    updates in place. They and the two scratch arrays m1 and work are the
-    four layers of one step block of shape (4, n_x, n_v): ``out`` when given,
-    which must not hold the input state's distributions, else a new array.
+    The step works in one block of shape (4, n_x + 1, n_v) (see _step_block):
+    ``out`` when given, which must not hold the input state's distributions,
+    else a new array. Its layers 0 and 1 take the new g0 and g2 in their
+    first n_x rows, layer 2 the Maxwellian M1 of the relaxation, and layer 3
+    the face differences of the transport, then the relaxation's products.
     A step makes no other distribution-sized array; the returned state's g0
     and g2 are views into the block.
+
+    Transport takes one contiguous pass per operation and is the upwind
+    update bit for bit. Every velocity moment is a product with a cached
+    weight vector wq v^k, and the relaxation is g <- g / (1 + lam) + c M1
+    with per-cell c0 = mu rho / S0 for g0 and c2 = 2 theta* c0 for g2; these
+    reorder the full-grid sums and divisions of the plain formulation, so
+    they agree with it to roundoff. Mass and total energy are conserved by
+    construction: the target is normalized by its discrete mass, and the
+    background absorbs exactly the kinetic energy the gas released.
     """
     grid, vgrid, eps = state.grid, state.vgrid, state.eps
     cfl_bound = eps * grid.h / vgrid.v_max
     if dt > cfl_bound * (1.0 + 1e-9):
         raise ValueError(f"dt = {dt:.3e} violates the CFL bound {cfl_bound:.3e}")
     v, wq = vgrid.nodes, vgrid.weights
-    courant, v2, v4 = _step_constants(grid.n_cells, grid.h, dt, eps, v.tobytes())
+    n = grid.n_cells
+    c_pos, c_neg = _step_constants(n, grid.h, dt, eps, v.tobytes())
+    wv2, folded = _moment_weights(v.tobytes(), wq.tobytes())
 
-    g0, g2, m1, work = np.empty((4,) + state.g0.shape) if out is None else out
-    _transport(state.g0, courant, g0)
-    _transport(state.g2, courant, g2)
+    block = _step_block(state) if out is None else out
+    g0, g2, m1, faces = block[0, :n], block[1, :n], block[2, :n], block[3]
+    _transport(state.g0, c_pos, c_neg, faces, g0)
+    _transport(state.g2, c_pos, c_neg, faces, g2)
 
-    theta_b = _heat_factor(grid.n_cells, grid.h, dt).solve(state.theta_b)
+    theta_b = _heat_factor(n, grid.h, dt).solve(state.theta_b)
 
     lam = dt / eps**2
     mu = lam / (1.0 + lam)
     rho = g0 @ wq
-    e_kin = 0.5 * (np.multiply(g0, v2, out=work) @ wq + g2 @ wq)
-    theta_star, s0, delta = _relax_temperature(
-        theta_b, rho, e_kin, state.delta, mu, v, wq, v2, v4, m1, work
+    e_kin = 0.5 * (g0 @ wv2 + g2 @ wq)
+    theta_star, s0, m1_half, delta = _relax_temperature(
+        theta_b, rho, e_kin, state.delta, mu, v[None, v.shape[0] // 2 :], folded
     )
+    _mirror_even(m1_half, m1)
     # Normalizing the target by its discrete mass makes relaxation conserve
     # the density exactly on this quadrature.
-    target0 = np.multiply(rho[:, None], m1, out=m1)
-    target0 /= s0[:, None]
-    g0 += np.multiply(lam, target0, out=work)
-    g0 /= 1.0 + lam
-    g2 += np.multiply(lam * 2.0 * theta_star[:, None], target0, out=work)
-    g2 /= 1.0 + lam
-    e_kin_new = 0.5 * (np.multiply(g0, v2, out=work) @ wq + g2 @ wq)
+    c0 = mu * rho / s0
+    c2 = 2.0 * theta_star * c0
+    work = faces[1:]
+    keep = 1.0 / (1.0 + lam)
+    g0 *= keep
+    g0 += np.multiply(c0[:, None], m1, out=work)
+    g2 *= keep
+    g2 += np.multiply(c2[:, None], m1, out=work)
+    e_kin_new = 0.5 * (g0 @ wv2 + g2 @ wq)
     # The background absorbs exactly what the gas released.
     theta_b = theta_b + (e_kin - e_kin_new)
 
@@ -380,10 +424,10 @@ def run_kinetic(
     times = [0.0]
     rho, e_kin, flux = moments(state)
     rhos, e_kins, theta_bs, fluxes = [rho], [e_kin], [state.theta_b.copy()], [flux]
-    # Two arrays, not one of shape (2, 4, n_x, n_v): in one array each step's
-    # source and destination layers lie exactly a block apart (512 KiB at
-    # n_x = 256, n_v = 64), and a run on that grid measured about 7% slower.
-    blocks = [np.empty((4,) + state.g0.shape) for _ in range(2)]
+    # Two arrays, not one of shape (2, 4, n_x + 1, n_v): in one array each
+    # step's source and destination layers lie exactly a block apart, and a
+    # run at n_x = 256, n_v = 64 measured about 7% slower that way.
+    blocks = [_step_block(state) for _ in range(2)]
     for k in range(1, n_steps + 1):
         state = kinetic_step(state, dt, out=blocks[k % 2])
         if k % record_every == 0 or k == n_steps:

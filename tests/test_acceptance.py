@@ -265,9 +265,9 @@ def test_criterion_8_kinetic_conservation():
 
 def test_criterion_9_diffusion_limit():
     grid = build_grid(256, 1.0)
-    rho0, theta0 = initial_condition("gauss-bump", grid)
+    init = make_initial_state(*initial_condition("gauss-bump", grid))
     table = kinetic_limit_study(
-        grid, rho0, theta0, [0.4, 0.2, 0.1, 0.05], t_final=T_FINAL, tau_macro=5e-4
+        grid, init, [0.4, 0.2, 0.1, 0.05], t_final=T_FINAL, tau_macro=5e-4
     )
     err_rho = [row.err_rho for row in table.rows]
     err_energy = [row.err_energy for row in table.rows]

@@ -125,12 +125,22 @@ def _bad(*overrides, mode="macro", path=None, id=None):
         ),
         _bad("sweep.which=delta", mode="sweep", path="sweep.values", id="sweep-which-alone"),
         _bad("sweep.values=[0.1,0.01]", mode="sweep", path="sweep", id="sweep-values-alone"),
+        _bad(
+            "sweep.which=delta",
+            "sweep.values=[0.01,0.001]",
+            'sweep.varied={"tau":[0.002,0.001]}',
+            mode="sweep",
+            path="sweep.varied",
+            id="sweep-which-and-varied",
+        ),
     ],
 )
 def test_invalid_override_exits_3_without_exception(tmp_path, capsys, mode, overrides, path):
     cfg = _write_config(tmp_path, MINIMAL)
     assert main([mode, cfg, *overrides]) == 3
     assert f"config error: {path}: " in capsys.readouterr().err
+    record = json.loads((tmp_path / "etlab_out" / "error.json").read_text())
+    assert record["error"] == "config" and record["message"].startswith(f"{path}: ")
 
 
 def test_override_takes_same_values_as_file():
@@ -429,25 +439,33 @@ def test_macro_default_settings_converge_on_fine_grids(tmp_path, n_cells):
 # Substeps (records of a halved tau) measured on the cold-data runs below.
 # The coupled runs' two come from step 1, where the first attempt diverges.
 _COLD_SUBSTEPS = {
-    (1e-2, "coupled_implicit"): 0,
-    (1e-2, "paper_picard"): 0,
-    (1e-3, "coupled_implicit"): 2,
-    (1e-3, "paper_picard"): 0,
-    (1e-4, "coupled_implicit"): 2,
-    (1e-4, "paper_picard"): 0,
-    (1e-8, "coupled_implicit"): 2,
-    (1e-8, "paper_picard"): 0,
+    ("theta0", 1e-2, "coupled_implicit"): 0,
+    ("theta0", 1e-2, "paper_picard"): 0,
+    ("theta0", 1e-3, "coupled_implicit"): 2,
+    ("theta0", 1e-3, "paper_picard"): 0,
+    ("theta0", 1e-4, "coupled_implicit"): 2,
+    ("theta0", 1e-4, "paper_picard"): 0,
+    ("theta0", 1e-8, "coupled_implicit"): 2,
+    ("theta0", 1e-8, "paper_picard"): 0,
+    ("rho0", 1e-6, "coupled_implicit"): 0,
+    ("rho0", 1e-6, "paper_picard"): 0,
 }
 
 
 @pytest.mark.parametrize("inner_mode", ["coupled_implicit", "paper_picard"])
-@pytest.mark.parametrize("theta_min", [1e-2, 1e-3, 1e-4, 1e-8])
-def test_macro_default_settings_converge_on_cold_data(tmp_path, theta_min, inner_mode):
-    # theta drops to theta_min away from a hot bump: near the degeneracy of
-    # the system, where ellipticity is lost as theta vanishes.
+@pytest.mark.parametrize(
+    "field, minimum",
+    [pytest.param("theta0", t, id=str(t)) for t in (1e-2, 1e-3, 1e-4, 1e-8)]
+    + [pytest.param("rho0", 1e-6, id="rho-1e-06")],
+)
+def test_macro_default_settings_converge_on_cold_data(tmp_path, field, minimum, inner_mode):
+    # theta (or rho) drops to its minimum away from a bump, the other field
+    # is 1: near the degeneracy of the system, where ellipticity is lost as
+    # theta vanishes, or at near-vacuum density.
     x = (np.arange(64) + 0.5) / 64
-    theta0 = theta_min + np.exp(-200.0 * (x - 0.5) ** 2)
-    doc = dict(MINIMAL, init={"rho0": [1.0] * 64, "theta0": theta0.tolist()})
+    init = {"rho0": [1.0] * 64, "theta0": [1.0] * 64}
+    init[field] = (minimum + np.exp(-200.0 * (x - 0.5) ** 2)).tolist()
+    doc = dict(MINIMAL, init=init)
     cfg = _write_config(tmp_path, doc)
     out = tmp_path / "out"
     overrides = ["scheme.t_final=0.02", f"scheme.inner_mode={inner_mode}"]
@@ -455,7 +473,7 @@ def test_macro_default_settings_converge_on_cold_data(tmp_path, theta_min, inner
     _assert_run_passed(out)
     records = json.loads((out / "audits.json").read_text())["records"]
     substeps = sum(r["tau_used"] < 1e-3 for r in records)
-    assert substeps <= _COLD_SUBSTEPS[theta_min, inner_mode]
+    assert substeps <= _COLD_SUBSTEPS[field, minimum, inner_mode]
 
 
 @pytest.mark.parametrize("source", ["override", "env", "file"])
@@ -622,6 +640,34 @@ def test_sweep_varied_runs_from_the_configured_initial_data(tmp_path):
     assert lines[0] == "delta,tau,mass_drift,energy_drift,entropy_final"
     combos = [tuple(float(v) for v in line.split(",")[:2]) for line in lines[1:]]
     assert combos == [(1e-3, 1e-2), (1e-3, 5e-3), (1e-4, 1e-2), (1e-4, 5e-3)]
+
+
+def test_compare_starts_both_runs_from_the_floored_initial_data(tmp_path):
+    # The kinetic runs and the macroscopic reference start from the preset
+    # clipped to scheme.init_floor, the same data as the clipped arrays.
+    x = (np.arange(16) + 0.5) / 16
+    preset = {
+        "mode": "compare",
+        "grid": {"n_cells": 16, "length": 1.0},
+        "scheme": {"t_final": 0.01},
+        "kinetic": {"eps": [0.4, 0.2]},
+        "init": {"preset": "gauss-bump"},
+    }
+    clipped = {
+        "rho0": np.maximum(0.2 + np.exp(-50.0 * (x - 0.5) ** 2), 0.5).tolist(),
+        "theta0": np.ones(16).tolist(),
+    }
+    docs = {
+        "default": preset,
+        "floored": dict(preset, scheme=dict(preset["scheme"], init_floor=0.5)),
+        "clipped": dict(preset, init=clipped),
+    }
+    tables = {}
+    for name, doc in docs.items():
+        cfg = _write_config(tmp_path, doc, f"{name}.json")
+        assert main(["compare", cfg, f"output.directory={tmp_path / name}"]) == 0
+        tables[name] = (tmp_path / name / "table.csv").read_bytes()
+    assert tables["floored"] == tables["clipped"] != tables["default"]
 
 
 def test_mms_mode_writes_tables(tmp_path):

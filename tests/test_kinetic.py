@@ -10,8 +10,10 @@ from etlab.kinetic import (
     _RELAX_TOL,
     KineticState,
     VelocityGrid,
-    _gauss_sums,
     _heat_factor,
+    _mirror_even,
+    _step_constants,
+    _transport,
     build_velocity_grid,
     closure_identity_errors,
     energy_total,
@@ -154,9 +156,9 @@ def test_resolved_step_evaluates_the_maxwellian_once(monkeypatch):
 
     def counting(*args):
         calls.append(1)
-        return _gauss_sums(*args)
+        return maxwellian_1d(*args)
 
-    monkeypatch.setattr(kinetic, "_gauss_sums", counting)
+    monkeypatch.setattr(kinetic, "maxwellian_1d", counting)
     rho0, theta0 = _hot_bump_fields(GRID, 1.0)
     state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
     dt = 0.9 * 0.1 * GRID.h / VGRID.v_max
@@ -281,9 +283,15 @@ def test_maxwellian_1d_normalization_on_grid():
     assert float(np.sum(VGRID.weights * m)) == pytest.approx(1.0, abs=1e-12)
 
 
-# Reference for the byte-identity tests: the mask-based transport and the
-# full-grid relaxation that kinetic_step was rewritten from. The rewrite only
-# drops repeated work, so it must agree with this bit for bit.
+# References for the step tests. _ref_transport is the mask-based upwind
+# transport that _transport was rewritten from; the rewrite must agree with it
+# bit for bit. _ref_kinetic_step is the step in kinetic_step's arithmetic
+# (moments as products with weight vectors, S_k with the weights folded onto
+# the nonnegative nodes, g <- g / (1 + lam) + c M1) in plain full-grid form,
+# without buffers or mirroring, and must agree bit for bit.
+# _full_grid_kinetic_step is the formulation before that rewrite (products
+# with v^2 and v^4, full-grid sums, divisions in the update), which the step
+# must follow to roundoff.
 
 
 def _ref_transport(g, v, courant):
@@ -302,26 +310,32 @@ def _ref_transport(g, v, courant):
     return g - courant * (flux[1:] - flux[:-1])
 
 
+def _ref_folded_weights(v, wq):
+    half = v.shape[0] // 2
+    fold = np.where(v[half:] == 0.0, 1.0, 2.0) * wq[half:]
+    return [fold * v[half:] ** k for k in (0, 2, 4)]
+
+
 def _ref_gauss_sums(theta, v, wq):
+    """M1 on the full grid and S_k = sum w v^k M1, k = 0, 2, 4, by folded weights."""
     m1 = maxwellian_1d(theta[:, None], v[None, :])
-    s0 = m1 @ wq
-    s2 = (m1 * v**2) @ wq
-    s4 = (m1 * v**4) @ wq
+    upper = np.ascontiguousarray(m1[:, v.shape[0] // 2 :])
+    s0, s2, s4 = (upper @ w for w in _ref_folded_weights(v, wq))
     return m1, s0, s2, s4
 
 
-def _ref_relax_temperature(theta_b, rho, e_kin, delta, mu, v, wq):
+def _ref_relax_temperature(theta_b, rho, e_kin, delta, mu, v, wq, gauss_sums):
     rhs = theta_b + mu * e_kin
     lo = np.full_like(rhs, 1e-12)
     hi = rhs.copy()
     # the solution with the energy defect S2/S0 - theta frozen at delta
     theta = np.clip((rhs - 0.5 * mu * rho * delta) / (1.0 + 1.5 * mu * rho), lo, hi)
     for _ in range(_RELAX_MAX_ITER):
-        m1, s0, s2, s4 = _ref_gauss_sums(theta, v, wq)
+        m1, s0, s2, s4 = gauss_sums(theta, v, wq)
         e_m = 0.5 * (s2 / s0 + 2.0 * theta)
         f = theta + mu * rho * e_m - rhs
         if np.all(np.abs(f) <= _RELAX_TOL * (1.0 + rhs)):
-            return theta, s2 / s0 - theta
+            return theta, m1, s0, s2 / s0 - theta
         s0p = (s2 - theta * s0) / (2.0 * theta**2)
         s2p = (s4 - theta * s2) / (2.0 * theta**2)
         de_m = 0.5 * ((s2p * s0 - s2 * s0p) / s0**2 + 2.0)
@@ -344,11 +358,43 @@ def _ref_kinetic_step(state, dt):
     lam = dt / eps**2
     mu = lam / (1.0 + lam)
     rho = g0 @ wq
-    e_kin = 0.5 * ((g0 * v**2) @ wq + g2 @ wq)
-    theta_star, delta = _ref_relax_temperature(
-        theta_b, rho, e_kin, state.delta, mu, v, wq
+    e_kin = 0.5 * (g0 @ (wq * v**2) + g2 @ wq)
+    theta_star, m1, s0, delta = _ref_relax_temperature(
+        theta_b, rho, e_kin, state.delta, mu, v, wq, _ref_gauss_sums
     )
-    m1, s0, _, _ = _ref_gauss_sums(theta_star, v, wq)
+    c0 = mu * rho / s0
+    c2 = 2.0 * theta_star * c0
+    g0 = g0 * (1.0 / (1.0 + lam)) + c0[:, None] * m1
+    g2 = g2 * (1.0 / (1.0 + lam)) + c2[:, None] * m1
+    e_kin_new = 0.5 * (g0 @ (wq * v**2) + g2 @ wq)
+    theta_b = theta_b + (e_kin - e_kin_new)
+    return KineticState(
+        g0=g0, g2=g2, theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid, delta=delta
+    )
+
+
+def _full_grid_gauss_sums(theta, v, wq):
+    m1 = maxwellian_1d(theta[:, None], v[None, :])
+    s0 = m1 @ wq
+    s2 = (m1 * v**2) @ wq
+    s4 = (m1 * v**4) @ wq
+    return m1, s0, s2, s4
+
+
+def _full_grid_kinetic_step(state, dt):
+    grid, vgrid, eps = state.grid, state.vgrid, state.eps
+    v, wq = vgrid.nodes, vgrid.weights
+    courant = dt * v / (eps * grid.h)
+    g0 = _ref_transport(state.g0, v, courant)
+    g2 = _ref_transport(state.g2, v, courant)
+    theta_b = _heat_factor(grid.n_cells, grid.h, dt).solve(state.theta_b)
+    lam = dt / eps**2
+    mu = lam / (1.0 + lam)
+    rho = g0 @ wq
+    e_kin = 0.5 * ((g0 * v**2) @ wq + g2 @ wq)
+    theta_star, m1, s0, delta = _ref_relax_temperature(
+        theta_b, rho, e_kin, state.delta, mu, v, wq, _full_grid_gauss_sums
+    )
     target0 = rho[:, None] * m1 / s0[:, None]
     g0 = (g0 + lam * target0) / (1.0 + lam)
     g2 = (g2 + lam * 2.0 * theta_star[:, None] * target0) / (1.0 + lam)
@@ -357,6 +403,19 @@ def _ref_kinetic_step(state, dt):
     return KineticState(
         g0=g0, g2=g2, theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid, delta=delta
     )
+
+
+@pytest.mark.parametrize("n_v", [64, 5, 4])
+def test_transport_matches_mask_reference_bit_for_bit(n_v):
+    vgrid = build_velocity_grid(8.0, n_v)
+    v = vgrid.nodes
+    dt = 0.9 * 0.1 * GRID.h / vgrid.v_max
+    c_pos, c_neg = _step_constants(GRID.n_cells, GRID.h, dt, 0.1, v.tobytes())
+    rng = np.random.default_rng(n_v)
+    g = rng.random((GRID.n_cells, n_v))
+    faces = np.full((GRID.n_cells + 1, n_v), np.nan)  # stale contents must not leak
+    out = _transport(g, c_pos, c_neg, faces, np.empty_like(g))
+    assert np.array_equal(out, _ref_transport(g, v, dt * v / (0.1 * GRID.h)))
 
 
 @pytest.mark.parametrize("n_v", [64, 5])
@@ -376,14 +435,28 @@ def test_step_matches_reference_bit_for_bit(n_v):
 
 
 @pytest.mark.parametrize("n_v", [64, 5])
+def test_step_follows_full_grid_arithmetic_to_roundoff(n_v):
+    vgrid = build_velocity_grid(8.0, n_v)
+    rho0, theta0 = _hot_bump_fields(GRID, 1.0)
+    state = init_equilibrium(GRID, vgrid, rho0, theta0, eps=0.1)
+    full = _copy(state)
+    dt = 0.9 * 0.1 * GRID.h / vgrid.v_max
+    for _ in range(50):
+        state = kinetic_step(state, dt)
+        full = _full_grid_kinetic_step(full, dt)
+    for name in ("g0", "g2", "theta_b"):
+        new, old = getattr(state, name), getattr(full, name)
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old)), name
+
+
+@pytest.mark.parametrize("n_v", [64, 5])
 def test_mirrored_maxwellian_equals_full_grid(n_v):
     vgrid = build_velocity_grid(8.0, n_v)
     theta = np.linspace(0.05, 5.0, 17)
     v = vgrid.nodes
-    m1 = np.empty((theta.shape[0], n_v))
-    v2 = np.tile(v**2, (theta.shape[0], 1))
-    _gauss_sums(theta, v, vgrid.weights, v2, m1, np.empty_like(m1))
-    assert np.array_equal(m1, maxwellian_1d(theta[:, None], vgrid.nodes[None, :]))
+    upper = maxwellian_1d(theta[:, None], v[None, n_v // 2 :])
+    m1 = _mirror_even(upper, np.empty((theta.shape[0], n_v)))
+    assert np.array_equal(m1, maxwellian_1d(theta[:, None], v[None, :]))
 
 
 def test_step_leaves_input_state_unchanged():
@@ -403,7 +476,7 @@ def test_step_into_given_block_matches_fresh_step_bit_for_bit():
     rho0, theta0 = _bump_fields(GRID)
     state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
     dt = 0.9 * 0.1 * GRID.h / VGRID.v_max
-    block = np.full((4,) + state.g0.shape, np.nan)  # stale contents must not leak
+    block = np.full((4, GRID.n_cells + 1, VGRID.n_v), np.nan)  # stale contents must not leak
     fresh = kinetic_step(state, dt)
     given = kinetic_step(state, dt, out=block)
     assert np.shares_memory(given.g0, block) and np.shares_memory(given.g2, block)
