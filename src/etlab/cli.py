@@ -101,9 +101,11 @@ class RunConfig:
         return initial_condition(self.preset, grid)
 
 
-# The smallest kinetic eps whose square is a normal double; the relaxation
-# rate dt / eps**2 needs eps**2, which underflows to zero below about 1.6e-162.
+# The kinetic eps whose squares are normal finite doubles; the relaxation
+# rate dt / eps**2 needs eps**2, which underflows to zero below about 1.6e-162
+# and overflows above the largest.
 _MIN_KINETIC_EPS = math.sqrt(sys.float_info.min)
+_MAX_KINETIC_EPS = math.sqrt(sys.float_info.max)
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
@@ -234,12 +236,14 @@ def parse_config(
         )
         cfg.n_cells = grid_sec["n_cells"]
     if "length" in grid_sec:
+        length = grid_sec["length"]
+        # Every solver squares the cell width h <= length / 3.
         _expect(
-            _is_number(grid_sec["length"]) and grid_sec["length"] > 0,
+            _is_number(length) and length > 0 and math.isfinite((length / 3) * (length / 3)),
             "grid.length",
-            "must be a positive number",
+            "must be a positive number whose (length / 3)**2 is finite",
         )
-        cfg.length = float(grid_sec["length"])
+        cfg.length = float(length)
 
     scheme_sec = _get_section(doc, "scheme")
     scheme_kwargs: Dict[str, Any] = {}
@@ -261,9 +265,11 @@ def parse_config(
         eps = kin["eps"]
         if isinstance(eps, list):
             _expect(
-                _is_number_list(eps) and eps and all(v >= _MIN_KINETIC_EPS for v in eps),
+                _is_number_list(eps)
+                and eps
+                and all(_MIN_KINETIC_EPS <= v <= _MAX_KINETIC_EPS for v in eps),
                 "kinetic.eps",
-                f"values must be numbers >= {_MIN_KINETIC_EPS:.3g}",
+                f"values must be numbers in [{_MIN_KINETIC_EPS:.3g}, {_MAX_KINETIC_EPS:.3g}]",
             )
             _expect(
                 all(b < a for a, b in zip(eps, eps[1:])),
@@ -274,9 +280,9 @@ def parse_config(
             cfg.kinetic_eps = cfg.kinetic_eps_values[0]
         else:
             _expect(
-                _is_number(eps) and eps >= _MIN_KINETIC_EPS,
+                _is_number(eps) and _MIN_KINETIC_EPS <= eps <= _MAX_KINETIC_EPS,
                 "kinetic.eps",
-                f"must be a number >= {_MIN_KINETIC_EPS:.3g}",
+                f"must be a number in [{_MIN_KINETIC_EPS:.3g}, {_MAX_KINETIC_EPS:.3g}]",
             )
             cfg.kinetic_eps = float(eps)
     if "v_max" in kin:

@@ -11,6 +11,8 @@ import etlab
 from etlab.cli import (
     EXIT_AUDIT,
     EXIT_OK,
+    _MAX_KINETIC_EPS,
+    _MIN_KINETIC_EPS,
     ConfigError,
     _read_csv,
     _write_audits,
@@ -133,6 +135,13 @@ def _bad(*overrides, mode="macro", path=None, id=None):
             path="sweep.varied",
             id="sweep-which-and-varied",
         ),
+        # eps**2 and h**2 overflow a double
+        _bad("kinetic.eps=1e160", mode="kinetic"),
+        _bad("kinetic.eps=[1e300,0.1]", mode="compare"),
+        _bad("grid.length=1e160", id="macro-length-1e160"),
+        _bad("grid.length=1e300", mode="mms", id="mms-length-1e300"),
+        _bad("grid.length=1e160", mode="kinetic", id="kinetic-length-1e160"),
+        _bad("grid.length=1e300", mode="kinetic", id="kinetic-length-1e300"),
     ],
 )
 def test_invalid_override_exits_3_without_exception(tmp_path, capsys, mode, overrides, path):
@@ -570,6 +579,15 @@ def test_kinetic_eps_with_underflowing_square_exits_3(tmp_path, capsys, mode, va
     record = json.loads((tmp_path / "out" / "error.json").read_text())
     assert record["error"] == "config"
     assert record["message"].startswith("kinetic.eps: ")
+
+
+def test_kinetic_eps_at_its_bounds_runs(tmp_path):
+    doc = {"grid": {"n_cells": 8, "length": 1.0}, "scheme": {"t_final": 2e-3}}
+    cfg = _write_config(tmp_path, doc)
+    for eps in (_MIN_KINETIC_EPS, _MAX_KINETIC_EPS):
+        assert parse_config(json.dumps(doc), [f"kinetic.eps={eps!r}"]).kinetic_eps == eps
+    out = f"output.directory={tmp_path / 'out'}"
+    assert main(["kinetic", cfg, f"kinetic.eps={_MAX_KINETIC_EPS!r}", out]) == 0
 
 
 @pytest.mark.parametrize("mode, value", [("kinetic", "1e-150"), ("compare", "[0.1,1e-150]")])

@@ -12,6 +12,7 @@ from etlab.kinetic import (
     VelocityGrid,
     _heat_factor,
     _mirror_even,
+    _step_block,
     _step_constants,
     _transport,
     build_velocity_grid,
@@ -483,6 +484,33 @@ def test_step_into_given_block_matches_fresh_step_bit_for_bit():
     assert np.array_equal(given.g0, fresh.g0)
     assert np.array_equal(given.g2, fresh.g2)
     assert np.array_equal(given.theta_b, fresh.theta_b)
+
+
+def test_run_owned_buffers_start_on_cache_lines():
+    rho0, theta0 = _bump_fields(GRID)
+    state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
+    dt = 0.9 * 0.1 * GRID.h / VGRID.v_max
+    tiles = _step_constants(GRID.n_cells, GRID.h, dt, 0.1, VGRID.nodes.tobytes())
+    run = run_kinetic(GRID, VGRID, rho0, theta0, 0.1, 0.002)
+    final = run.final_state
+    for a in (_step_block(state), *tiles, final.g0, final.g2):
+        assert a.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("n_v", [64, 5])
+def test_step_into_misaligned_block_matches_aligned_bit_for_bit(n_v):
+    vgrid = build_velocity_grid(8.0, n_v)
+    rho0, theta0 = _bump_fields(GRID)
+    state = init_equilibrium(GRID, vgrid, rho0, theta0, eps=0.1)
+    dt = 0.9 * 0.1 * GRID.h / vgrid.v_max
+    aligned = _step_block(state)
+    raw = np.empty(aligned.size + 8)
+    start = (-raw.ctypes.data % 64) // 8 + 1  # one double past a cache line
+    shifted = raw[start : start + aligned.size].reshape(aligned.shape)
+    assert shifted.ctypes.data % 64 == 8
+    a, b = kinetic_step(state, dt, out=aligned), kinetic_step(state, dt, out=shifted)
+    for name in ("g0", "g2", "theta_b", "delta"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 @pytest.mark.parametrize("n_v", [64, 5])
