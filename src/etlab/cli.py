@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .scheme import (
     run_transient,
     step_count,
 )
-from .thermo import BlowupError, EntropicState, to_primitive
+from .thermo import BlowupError, EntropicState, MacroState, to_primitive
 
 MODES = ("macro", "kinetic", "compare", "sweep", "mms", "audit")
 
@@ -77,8 +77,9 @@ class RunConfig:
     n_cells: int = 64
     length: float = 1.0
     scheme: SchemeParams = field(default_factory=SchemeParams)
-    kinetic_eps: float = 0.1
-    kinetic_eps_values: List[float] = field(default_factory=lambda: [0.4, 0.2, 0.1, 0.05])
+    # The Knudsen numbers to run: one in kinetic mode, a decreasing sweep in
+    # compare mode; parse_config fills in the mode's default.
+    kinetic_eps: Optional[List[float]] = None
     v_max: float = 8.0
     n_v: int = 64
     preset: str = "gauss-bump"
@@ -91,21 +92,26 @@ class RunConfig:
     sweep_varied: Optional[Dict[str, List[float]]] = None
     mms_resolutions: List[int] = field(default_factory=lambda: [16, 32, 64])
 
-    def build_grid(self) -> Grid1D:
-        return build_grid(self.n_cells, self.length)
-
-    def initial_fields(self, grid: Grid1D):
-        """The explicit init arrays, which parse_config checked, else the preset's."""
+    def initial_state(self) -> Tuple[Grid1D, MacroState]:
+        """The grid, and the state every run starts from: the explicit init
+        arrays, which parse_config checked, else the preset's, clipped up to
+        ``scheme.init_floor``."""
+        grid = build_grid(self.n_cells, self.length)
         if self.rho0 is not None:
-            return np.array(self.rho0, dtype=float), np.array(self.theta0, dtype=float)
-        return initial_condition(self.preset, grid)
+            fields = self.rho0, self.theta0
+        else:
+            fields = initial_condition(self.preset, grid)
+        return grid, make_initial_state(*fields, floor=self.scheme.init_floor)
 
+
+_DEFAULT_KINETIC_EPS = {"kinetic": (0.1,), "compare": (0.4, 0.2, 0.1, 0.05)}
 
 # The kinetic eps whose squares are normal finite doubles; the relaxation
 # rate dt / eps**2 needs eps**2, which underflows to zero below about 1.6e-162
 # and overflows above the largest.
 _MIN_KINETIC_EPS = math.sqrt(sys.float_info.min)
 _MAX_KINETIC_EPS = math.sqrt(sys.float_info.max)
+_EPS_RANGE = f"[{_MIN_KINETIC_EPS:.3g}, {_MAX_KINETIC_EPS:.3g}]"
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
@@ -131,37 +137,146 @@ def _is_number_list(value: Any) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
-_SCHEME_FIELDS = {
-    "tau": float,
-    "eps": float,
-    "delta": float,
-    "n_exp": float,
-    "t_final": float,
-    "fp_tol": float,
-    "fp_max_iter": int,
-    "tau_backoff_limit": int,
-    "inner_mode": str,
-    "init_floor": float,
+def _is_kinetic_eps(value: Any) -> bool:
+    return _is_number(value) and _MIN_KINETIC_EPS <= value <= _MAX_KINETIC_EPS
+
+
+def _is_length(value: Any) -> bool:
+    # Every solver squares the cell width h <= length / 3.
+    return _is_number(value) and value > 0 and math.isfinite((value / 3) * (value / 3))
+
+
+def _listed(value: Any) -> List[Any]:
+    return value if isinstance(value, list) else [value]
+
+
+def _decreasing(values: List[float]) -> bool:
+    return all(b < a for a, b in zip(values, values[1:]))
+
+
+def _floats(values: List[Any]) -> List[float]:
+    return [float(v) for v in values]
+
+
+# A check: a predicate on the value, and the message of the ConfigError
+# raised at the field's path when it is false.
+_Check = Tuple[Callable[[Any], bool], str]
+
+_NUMBER: _Check = (_is_number, "must be a number")
+_INTEGER: _Check = (_is_int, "must be an integer")
+_NUMBERS: _Check = (_is_number_list, "must be an array of numbers")
+_NOT_EMPTY: _Check = (bool, "must not be empty")
+
+
+def _int_at_least(low: int) -> _Check:
+    return (lambda v: _is_int(v) and v >= low, f"must be an integer >= {low}")
+
+
+class _Field:
+    """One config field: the RunConfig attribute it sets (under ``scheme``,
+    the SchemeParams argument), the conversion of an accepted value (None
+    keeps it as it is), and its checks in order. ``entries`` checks each
+    (name, value) of an object field at the path ``<field>.<name>``."""
+
+    def __init__(self, attr: str, convert: Optional[Callable], *checks: _Check, entries=()):
+        self.attr = attr
+        self.convert = convert
+        self.checks = checks
+        self.entries = entries
+
+
+_FIELDS: Dict[str, _Field] = {
+    "grid.n_cells": _Field("n_cells", None, _int_at_least(3)),
+    "grid.length": _Field(
+        "length", float, (_is_length, "must be a positive number whose (length / 3)**2 is finite")
+    ),
+    "scheme.tau": _Field("tau", float, _NUMBER),
+    "scheme.eps": _Field("eps", float, _NUMBER),
+    "scheme.delta": _Field("delta", float, _NUMBER),
+    "scheme.n_exp": _Field("n_exp", float, _NUMBER),
+    "scheme.t_final": _Field("t_final", float, _NUMBER),
+    "scheme.fp_tol": _Field("fp_tol", float, _NUMBER),
+    "scheme.fp_max_iter": _Field("fp_max_iter", None, _INTEGER),
+    "scheme.tau_backoff_limit": _Field("tau_backoff_limit", None, _INTEGER),
+    # SchemeParams checks the name, and the range of every scheme field.
+    "scheme.inner_mode": _Field("inner_mode", None),
+    "scheme.init_floor": _Field("init_floor", float, _NUMBER),
+    # One number, or a list of them for compare mode's Knudsen sweep.
+    "kinetic.eps": _Field(
+        "kinetic_eps",
+        lambda v: _floats(_listed(v)),
+        (lambda v: isinstance(v, list) or _is_kinetic_eps(v), f"must be a number in {_EPS_RANGE}"),
+        (
+            lambda v: v != [] and all(map(_is_kinetic_eps, _listed(v))),
+            f"values must be numbers in {_EPS_RANGE}",
+        ),
+        (lambda v: _decreasing(_listed(v)), "must be strictly decreasing"),
+    ),
+    "kinetic.v_max": _Field(
+        "v_max", float, (lambda v: _is_number(v) and v > 0, "must be positive")
+    ),
+    "kinetic.n_v": _Field("n_v", None, _int_at_least(4)),
+    "init.preset": _Field(
+        "preset", None, (lambda v: v in PRESET_NAMES, f"must be one of {PRESET_NAMES}")
+    ),
+    "init.rho0": _Field("rho0", _floats, _NUMBERS),
+    "init.theta0": _Field("theta0", _floats, _NUMBERS),
+    "output.directory": _Field(
+        "output_dir", None, (lambda v: isinstance(v, str), "must be a string")
+    ),
+    "output.snapshot_stride": _Field(
+        "snapshot_stride", None, (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
+    ),
+    "sweep.which": _Field(
+        "sweep_which", None, (lambda v: v in ("eps", "delta", "tau"), "must be eps, delta, or tau")
+    ),
+    "sweep.values": _Field(
+        "sweep_values",
+        _floats,
+        (lambda v: _is_number_list(v) and len(v) >= 2, "must be an array of at least two numbers"),
+        (_decreasing, "must be strictly decreasing"),
+    ),
+    # Each entry names a scheme field and lists the values it takes.
+    "sweep.varied": _Field(
+        "sweep_varied",
+        lambda v: {name: _floats(values) for name, values in v.items()},
+        (lambda v: isinstance(v, dict), "must be an object"),
+        _NOT_EMPTY,
+        entries=[
+            (lambda name, _: _is_numeric_scheme_field(name), "must name a numeric scheme field"),
+            (lambda _, values: _is_number_list(values), "must be an array of numbers"),
+            (lambda _, values: bool(values), "must not be empty"),
+        ],
+    ),
+    "mms.resolutions": _Field(
+        "mms_resolutions",
+        list,
+        (
+            lambda v: isinstance(v, list) and all(_is_int(n) and n >= 3 for n in v),
+            "must be an array of integers >= 3",
+        ),
+        _NOT_EMPTY,
+    ),
 }
 
-
-_SECTIONS = {
-    "grid": ("n_cells", "length"),
-    "scheme": tuple(_SCHEME_FIELDS),
-    "kinetic": ("eps", "v_max", "n_v"),
-    "init": ("preset", "rho0", "theta0"),
-    "output": ("directory", "snapshot_stride"),
-    "sweep": ("which", "values", "varied"),
-    "mms": ("resolutions",),
-}
+_SECTION_NAMES = {path.split(".")[0] for path in _FIELDS}
 
 
-def _get_section(doc: Dict[str, Any], name: str) -> Dict[str, Any]:
-    section = doc.get(name, {})
-    _expect(isinstance(section, dict), name, "must be an object")
-    for key in section:
-        _expect(key in _SECTIONS[name], f"{name}.{key}", "unknown field")
-    return section
+def _is_numeric_scheme_field(name: str) -> bool:
+    spec = _FIELDS.get(f"scheme.{name}")
+    return spec is not None and spec.convert is float
+
+
+def _accept(path: str, value: Any) -> Any:
+    """``value`` as the field at ``path`` stores it; ConfigError at the first
+    check it fails."""
+    spec = _FIELDS[path]
+    for ok, message in spec.checks:
+        _expect(ok(value), path, message)
+    for name, item in value.items() if spec.entries else ():
+        for ok, message in spec.entries:
+            _expect(ok(name, item), f"{path}.{name}", message)
+    return value if spec.convert is None else spec.convert(value)
 
 
 def _set_path(doc: Dict[str, Any], key: str, value: Any) -> None:
@@ -210,164 +325,49 @@ def _output_directory(doc: Dict[str, Any]) -> str:
     """``output.directory``, checked first so later errors can leave error.json."""
     section = doc.get("output", {})
     _expect(isinstance(section, dict), "output", "must be an object")
-    directory = section.get("directory", RunConfig.output_dir)
-    _expect(isinstance(directory, str), "output.directory", "must be a string")
-    return directory
+    return _accept("output.directory", section.get("directory", RunConfig.output_dir))
 
 
 def parse_config(
     text: str, overrides: Sequence[str] = (), mode: Optional[str] = None
 ) -> RunConfig:
     """Validate the document, edited as ``_document`` says, into a RunConfig."""
-    doc = _document(text, overrides, mode)
-    for name in doc:
-        _expect(name == "mode" or name in _SECTIONS, name, "unknown section")
-    cfg = RunConfig()
-    mode = doc.get("mode", cfg.mode)
+    return _validate(_document(text, overrides, mode))
+
+
+def _validate(doc: Dict[str, Any]) -> RunConfig:
+    """The RunConfig of an edited document. Its fields are checked in the
+    document's order against ``_FIELDS``, then the ranges SchemeParams
+    checks, then the checks that join fields."""
+    mode = doc.get("mode", RunConfig.mode)
     _expect(mode in MODES, "mode", f"must be one of {MODES}, got {mode!r}")
-    cfg.mode = mode
-
-    grid_sec = _get_section(doc, "grid")
-    if "n_cells" in grid_sec:
-        _expect(
-            _is_int(grid_sec["n_cells"]) and grid_sec["n_cells"] >= 3,
-            "grid.n_cells",
-            "must be an integer >= 3",
-        )
-        cfg.n_cells = grid_sec["n_cells"]
-    if "length" in grid_sec:
-        length = grid_sec["length"]
-        # Every solver squares the cell width h <= length / 3.
-        _expect(
-            _is_number(length) and length > 0 and math.isfinite((length / 3) * (length / 3)),
-            "grid.length",
-            "must be a positive number whose (length / 3)**2 is finite",
-        )
-        cfg.length = float(length)
-
-    scheme_sec = _get_section(doc, "scheme")
-    scheme_kwargs: Dict[str, Any] = {}
-    for key, value in scheme_sec.items():
-        want = _SCHEME_FIELDS[key]
-        if want is float:
-            _expect(_is_number(value), f"scheme.{key}", "must be a number")
-            value = float(value)
-        elif want is int:
-            _expect(_is_int(value), f"scheme.{key}", "must be an integer")
-        scheme_kwargs[key] = value
+    config: Dict[str, Any] = {"mode": mode}
+    scheme: Dict[str, Any] = {}
+    for name, section in doc.items():
+        if name == "mode":
+            continue
+        _expect(name in _SECTION_NAMES, name, "unknown section")
+        _expect(isinstance(section, dict), name, "must be an object")
+        for key, value in section.items():
+            path = f"{name}.{key}"
+            _expect(path in _FIELDS, path, "unknown field")
+            target = scheme if name == "scheme" else config
+            target[_FIELDS[path].attr] = _accept(path, value)
     try:
-        cfg.scheme = SchemeParams(**scheme_kwargs)
+        config["scheme"] = SchemeParams(**scheme)
     except ValueError as exc:
         raise ConfigError("scheme", str(exc)) from exc
-
-    kin = _get_section(doc, "kinetic")
-    if "eps" in kin:
-        eps = kin["eps"]
-        if isinstance(eps, list):
-            _expect(
-                _is_number_list(eps)
-                and eps
-                and all(_MIN_KINETIC_EPS <= v <= _MAX_KINETIC_EPS for v in eps),
-                "kinetic.eps",
-                f"values must be numbers in [{_MIN_KINETIC_EPS:.3g}, {_MAX_KINETIC_EPS:.3g}]",
-            )
-            _expect(
-                all(b < a for a, b in zip(eps, eps[1:])),
-                "kinetic.eps",
-                "must be strictly decreasing",
-            )
-            cfg.kinetic_eps_values = [float(v) for v in eps]
-            cfg.kinetic_eps = cfg.kinetic_eps_values[0]
-        else:
-            _expect(
-                _is_number(eps) and _MIN_KINETIC_EPS <= eps <= _MAX_KINETIC_EPS,
-                "kinetic.eps",
-                f"must be a number in [{_MIN_KINETIC_EPS:.3g}, {_MAX_KINETIC_EPS:.3g}]",
-            )
-            cfg.kinetic_eps = float(eps)
-    if "v_max" in kin:
-        _expect(
-            _is_number(kin["v_max"]) and kin["v_max"] > 0,
-            "kinetic.v_max",
-            "must be positive",
-        )
-        cfg.v_max = float(kin["v_max"])
-    if "n_v" in kin:
-        _expect(
-            _is_int(kin["n_v"]) and kin["n_v"] >= 4,
-            "kinetic.n_v",
-            "must be an integer >= 4",
-        )
-        cfg.n_v = kin["n_v"]
-
-    init = _get_section(doc, "init")
-    if "preset" in init:
-        _expect(
-            init["preset"] in PRESET_NAMES,
-            "init.preset",
-            f"must be one of {PRESET_NAMES}",
-        )
-        cfg.preset = init["preset"]
-    for key in ("rho0", "theta0"):
-        if key in init:
-            _expect(_is_number_list(init[key]), f"init.{key}", "must be an array of numbers")
-            setattr(cfg, key, [float(v) for v in init[key]])
-
-    out = _get_section(doc, "output")
-    cfg.output_dir = _output_directory(doc)
-    if "snapshot_stride" in out:
-        _expect(
-            _is_int(out["snapshot_stride"]) and out["snapshot_stride"] >= 1,
-            "output.snapshot_stride",
-            "must be a positive integer",
-        )
-        cfg.snapshot_stride = out["snapshot_stride"]
-
-    sweep = _get_section(doc, "sweep")
-    if "which" in sweep:
-        _expect(
-            sweep["which"] in ("eps", "delta", "tau"),
-            "sweep.which",
-            "must be eps, delta, or tau",
-        )
-        cfg.sweep_which = sweep["which"]
-    if "values" in sweep:
-        values = sweep["values"]
-        _expect(
-            _is_number_list(values) and len(values) >= 2,
-            "sweep.values",
-            "must be an array of at least two numbers",
-        )
-        _expect(
-            all(b < a for a, b in zip(values, values[1:])),
-            "sweep.values",
-            "must be strictly decreasing",
-        )
-        cfg.sweep_values = [float(v) for v in values]
-    if "varied" in sweep:
-        varied = sweep["varied"]
-        _expect(isinstance(varied, dict), "sweep.varied", "must be an object")
-        for k, vs in varied.items():
-            _expect(
-                _SCHEME_FIELDS.get(k) is float,
-                f"sweep.varied.{k}",
-                "must name a numeric scheme field",
-            )
-            _expect(_is_number_list(vs), f"sweep.varied.{k}", "must be an array of numbers")
-        cfg.sweep_varied = {k: [float(v) for v in vs] for k, vs in varied.items()}
-
-    mms = _get_section(doc, "mms")
-    if "resolutions" in mms:
-        _expect(
-            isinstance(mms["resolutions"], list)
-            and all(_is_int(v) and v >= 3 for v in mms["resolutions"]),
-            "mms.resolutions",
-            "must be an array of integers >= 3",
-        )
-        cfg.mms_resolutions = list(mms["resolutions"])
+    if "kinetic_eps" not in config and mode in _DEFAULT_KINETIC_EPS:
+        config["kinetic_eps"] = list(_DEFAULT_KINETIC_EPS[mode])
+    cfg = RunConfig(**config)
 
     if cfg.mode in ("kinetic", "compare"):
-        eps = cfg.kinetic_eps if cfg.mode == "kinetic" else min(cfg.kinetic_eps_values)
+        _expect(
+            cfg.mode == "compare" or len(cfg.kinetic_eps) == 1,
+            "kinetic.eps",
+            f"kinetic mode runs one eps, got {len(cfg.kinetic_eps)}; compare mode runs a list",
+        )
+        eps = min(cfg.kinetic_eps)
         h = cfg.length / cfg.n_cells
         steps = kinetic_step_count(cfg.scheme.t_final, eps, h, cfg.v_max)
         _expect(
@@ -552,9 +552,7 @@ def _write_error_record(out: Optional[Path], kind: str, message: str) -> None:
 
 
 def _run_macro(cfg: RunConfig, out: Path) -> int:
-    grid = cfg.build_grid()
-    rho0, theta0 = cfg.initial_fields(grid)
-    init = make_initial_state(rho0, theta0, floor=cfg.scheme.init_floor)
+    grid, init = cfg.initial_state()
     traj = run_transient(grid, init, cfg.scheme)
     _write_macro_outputs(out, grid, traj, cfg.snapshot_stride)
     records = []
@@ -566,12 +564,10 @@ def _run_macro(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_kinetic(cfg: RunConfig, out: Path) -> int:
-    grid = cfg.build_grid()
-    rho0, theta0 = cfg.initial_fields(grid)
+    grid, init = cfg.initial_state()
     vgrid = build_velocity_grid(v_max=cfg.v_max, n_v=cfg.n_v)
-    run = run_kinetic(
-        grid, vgrid, rho0, theta0, cfg.kinetic_eps, cfg.scheme.t_final
-    )
+    (eps,) = cfg.kinetic_eps
+    run = run_kinetic(grid, vgrid, init.rho, init.theta, eps, cfg.scheme.t_final)
     rows = [
         [
             run.times[i],
@@ -601,12 +597,11 @@ def _run_kinetic(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_compare(cfg: RunConfig, out: Path) -> int:
-    grid = cfg.build_grid()
-    rho0, theta0 = cfg.initial_fields(grid)
+    grid, init = cfg.initial_state()
     table = kinetic_limit_study(
         grid,
-        make_initial_state(rho0, theta0, floor=cfg.scheme.init_floor),
-        cfg.kinetic_eps_values,
+        init,
+        cfg.kinetic_eps,
         cfg.scheme.t_final,
         v_max=cfg.v_max,
         n_v=cfg.n_v,
@@ -617,9 +612,7 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_sweep(cfg: RunConfig, out: Path) -> int:
-    grid = cfg.build_grid()
-    rho0, theta0 = cfg.initial_fields(grid)
-    init = make_initial_state(rho0, theta0, floor=cfg.scheme.init_floor)
+    grid, init = cfg.initial_state()
     if cfg.sweep_which is not None:
         result = regularization_study(
             grid, init, cfg.scheme, cfg.sweep_which, cfg.sweep_values
@@ -736,8 +729,9 @@ def main(argv: Sequence[str]) -> int:
             text = Path(config_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError("<config>", f"cannot read {config_path}: {exc}") from exc
-        out = Path(_output_directory(_document(text, argv[2:], mode)))
-        cfg = parse_config(text, argv[2:], mode=mode)
+        doc = _document(text, argv[2:], mode)
+        out = Path(_output_directory(doc))
+        cfg = _validate(doc)
         out.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[mode](cfg, out)
     except ConfigError as exc:

@@ -8,36 +8,32 @@ negative adjoints with respect to the midpoint quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Grid1D:
     """Uniform partition of [0, length] into n_cells cells of width h."""
 
     n_cells: int
     length: float
-    h: float
-    cell_centers: np.ndarray
+    h: float = dataclasses.field(init=False)
+    cell_centers: np.ndarray = dataclasses.field(init=False)
 
     def __post_init__(self):
         if self.n_cells < 3:
             raise ValueError(f"need at least 3 cells, got {self.n_cells}")
         if self.length <= 0.0:
             raise ValueError(f"domain length must be positive, got {self.length}")
+        object.__setattr__(self, "h", self.length / self.n_cells)
+        object.__setattr__(self, "cell_centers", (np.arange(self.n_cells) + 0.5) * self.h)
 
 
 def build_grid(n_cells: int, length: float) -> Grid1D:
-    """Build a uniform grid; rejects n_cells < 3 or nonpositive length."""
-    if n_cells < 3:
-        raise ValueError(f"need at least 3 cells, got {n_cells}")
-    if length <= 0.0:
-        raise ValueError(f"domain length must be positive, got {length}")
-    h = length / n_cells
-    centers = (np.arange(n_cells) + 0.5) * h
-    return Grid1D(n_cells=int(n_cells), length=float(length), h=h, cell_centers=centers)
+    """Build a uniform grid; Grid1D rejects n_cells < 3 or nonpositive length."""
+    return Grid1D(n_cells=int(n_cells), length=float(length))
 
 
 def _check_cells(grid: Grid1D, field: np.ndarray, name: str = "field") -> np.ndarray:

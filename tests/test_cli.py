@@ -11,6 +11,7 @@ import etlab
 from etlab.cli import (
     EXIT_AUDIT,
     EXIT_OK,
+    _FIELDS,
     _MAX_KINETIC_EPS,
     _MIN_KINETIC_EPS,
     ConfigError,
@@ -152,11 +153,102 @@ def test_invalid_override_exits_3_without_exception(tmp_path, capsys, mode, over
     assert record["error"] == "config" and record["message"].startswith(f"{path}: ")
 
 
+_EPS_RANGE = "[1.49e-154, 1.34e+154]"
+
+# One case per check of the config table, and of the section walk: the
+# override that fails it and the exact message it leaves.
+_FIELD_CHECKS = [
+    ("bogus.key=1", "bogus: unknown section"),
+    ("grid=5", "grid: must be an object"),
+    ("grid.size=8", "grid.size: unknown field"),
+    ("grid.n_cells=2", "grid.n_cells: must be an integer >= 3"),
+    ("grid.length=0", "grid.length: must be a positive number whose (length / 3)**2 is finite"),
+    *[
+        (f"scheme.{name}=true", f"scheme.{name}: must be a number")
+        for name in ("tau", "eps", "delta", "n_exp", "t_final", "fp_tol", "init_floor")
+    ],
+    ("scheme.fp_max_iter=2.5", "scheme.fp_max_iter: must be an integer"),
+    ("scheme.tau_backoff_limit=null", "scheme.tau_backoff_limit: must be an integer"),
+    ("kinetic.eps=0", f"kinetic.eps: must be a number in {_EPS_RANGE}"),
+    ("kinetic.eps=[0.1,0]", f"kinetic.eps: values must be numbers in {_EPS_RANGE}"),
+    ("kinetic.eps=[0.1,0.2]", "kinetic.eps: must be strictly decreasing"),
+    ("kinetic.v_max=0", "kinetic.v_max: must be positive"),
+    ("kinetic.n_v=3", "kinetic.n_v: must be an integer >= 4"),
+    ("init.preset=nope", "init.preset: must be one of ('equilibrium', 'gauss-bump', 'temp-step')"),
+    ('init.rho0=[1,"x"]', "init.rho0: must be an array of numbers"),
+    ("init.theta0=1", "init.theta0: must be an array of numbers"),
+    ("output.directory=5", "output.directory: must be a string"),
+    ("output.snapshot_stride=0", "output.snapshot_stride: must be a positive integer"),
+    ("sweep.which=x", "sweep.which: must be eps, delta, or tau"),
+    ("sweep.values=[1.0]", "sweep.values: must be an array of at least two numbers"),
+    ("sweep.values=[1e-3,1e-2]", "sweep.values: must be strictly decreasing"),
+    ("sweep.varied=[]", "sweep.varied: must be an object"),
+    ("sweep.varied={}", "sweep.varied: must not be empty"),
+    ('sweep.varied={"fp_max_iter":[1]}', "sweep.varied.fp_max_iter: must name a numeric scheme field"),
+    ('sweep.varied={"tau":"x"}', "sweep.varied.tau: must be an array of numbers"),
+    ('sweep.varied={"tau":[]}', "sweep.varied.tau: must not be empty"),
+    ("mms.resolutions=[8,2]", "mms.resolutions: must be an array of integers >= 3"),
+    ("mms.resolutions=[]", "mms.resolutions: must not be empty"),
+]
+
+
+@pytest.mark.parametrize(
+    "override, message", [pytest.param(o, m, id=o) for o, m in _FIELD_CHECKS]
+)
+def test_each_field_check_leaves_its_message(tmp_path, capsys, override, message):
+    cfg = _write_config(tmp_path, MINIMAL)
+    assert main(["macro", cfg, override]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    error_file = tmp_path / "etlab_out" / "error.json"
+    if message.startswith("output.directory: "):
+        assert not error_file.exists()  # there is no directory to write it to
+    else:
+        assert json.loads(error_file.read_text()) == {"error": "config", "message": message}
+
+
+def test_field_check_cases_cover_the_table():
+    # three section-walk cases, then one per check of each field
+    checks = sum(len(spec.checks) + len(spec.entries) for spec in _FIELDS.values())
+    assert len(_FIELD_CHECKS) == 3 + checks
+    assert {o.split("=")[0] for o, _ in _FIELD_CHECKS[3:]} == {
+        path for path, spec in _FIELDS.items() if spec.checks
+    }
+
+
+def test_kinetic_eps_is_read_as_given(tmp_path, capsys):
+    # compare takes a number as a one-value sweep; kinetic runs one eps only
+    doc = {"grid": {"n_cells": 8, "length": 1.0}, "scheme": {"t_final": 2e-3}}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["compare", cfg, "kinetic.eps=0.2", "output.directory=cmp"]) == 0
+    rows = (tmp_path / "cmp" / "table.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.2]
+    assert main(["kinetic", cfg, "kinetic.eps=[0.4,0.2]", "output.directory=kin"]) == 3
+    record = json.loads((tmp_path / "kin" / "error.json").read_text())
+    assert record["message"].startswith("kinetic.eps: kinetic mode runs one eps")
+    assert not (tmp_path / "kin" / "kinetic_final.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, override, path",
+    [
+        ("mms", "mms.resolutions=[]", "mms.resolutions"),
+        ("sweep", "sweep.varied={}", "sweep.varied"),
+        ("sweep", 'sweep.varied={"tau":[]}', "sweep.varied.tau"),
+    ],
+)
+def test_empty_lists_exit_3_in_the_modes_that_read_them(tmp_path, capsys, mode, override, path):
+    cfg = _write_config(tmp_path, dict(MINIMAL, scheme={"t_final": 2e-3}))
+    assert main([mode, cfg, override]) == 3
+    assert f"config error: {path}: " in capsys.readouterr().err
+    record = json.loads((tmp_path / "etlab_out" / "error.json").read_text())
+    assert record["message"] == f"{path}: must not be empty"
+
+
 def test_override_takes_same_values_as_file():
     from_override = parse_config(json.dumps(MINIMAL), ["kinetic.eps=[0.2,0.1]"])
     from_file = parse_config(json.dumps(dict(MINIMAL, kinetic={"eps": [0.2, 0.1]})))
     assert from_override == from_file
-    assert from_override.kinetic_eps_values == [0.2, 0.1]
+    assert from_override.kinetic_eps == [0.2, 0.1]
 
 
 def test_override_beats_env_var_beats_file(tmp_path, monkeypatch):
@@ -585,7 +677,7 @@ def test_kinetic_eps_at_its_bounds_runs(tmp_path):
     doc = {"grid": {"n_cells": 8, "length": 1.0}, "scheme": {"t_final": 2e-3}}
     cfg = _write_config(tmp_path, doc)
     for eps in (_MIN_KINETIC_EPS, _MAX_KINETIC_EPS):
-        assert parse_config(json.dumps(doc), [f"kinetic.eps={eps!r}"]).kinetic_eps == eps
+        assert parse_config(json.dumps(doc), [f"kinetic.eps={eps!r}"]).kinetic_eps == [eps]
     out = f"output.directory={tmp_path / 'out'}"
     assert main(["kinetic", cfg, f"kinetic.eps={_MAX_KINETIC_EPS!r}", out]) == 0
 
@@ -686,6 +778,33 @@ def test_compare_starts_both_runs_from_the_floored_initial_data(tmp_path):
         assert main(["compare", cfg, f"output.directory={tmp_path / name}"]) == 0
         tables[name] = (tmp_path / name / "table.csv").read_bytes()
     assert tables["floored"] == tables["clipped"] != tables["default"]
+
+
+def test_kinetic_starts_from_the_floored_initial_data(tmp_path):
+    # Like the other modes, kinetic clips the preset up to scheme.init_floor.
+    x = (np.arange(16) + 0.5) / 16
+    preset = {
+        "mode": "kinetic",
+        "grid": {"n_cells": 16, "length": 1.0},
+        "scheme": {"t_final": 0.005},
+        "kinetic": {"eps": 0.2, "n_v": 17},
+        "init": {"preset": "gauss-bump"},
+    }
+    clipped = {
+        "rho0": np.maximum(0.2 + np.exp(-50.0 * (x - 0.5) ** 2), 0.5).tolist(),
+        "theta0": np.ones(16).tolist(),
+    }
+    docs = {
+        "default": preset,
+        "floored": dict(preset, scheme=dict(preset["scheme"], init_floor=0.5)),
+        "clipped": dict(preset, init=clipped),
+    }
+    finals = {}
+    for name, doc in docs.items():
+        cfg = _write_config(tmp_path, doc, f"{name}.json")
+        assert main(["kinetic", cfg, f"output.directory={tmp_path / name}"]) == 0
+        finals[name] = (tmp_path / name / "kinetic_final.csv").read_bytes()
+    assert finals["floored"] == finals["clipped"] != finals["default"]
 
 
 def test_mms_mode_writes_tables(tmp_path):

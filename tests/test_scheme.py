@@ -436,8 +436,7 @@ def test_transient_extrapolated_starts_save_iterations(monkeypatch):
     # temp-step, n = 64, 200 steps: the warm-started run needs at most 90%
     # of the residual evaluations of the same steps started from prev.
     cfg = _benchmark_config(monkeypatch, "macro-n64-replay", 1)
-    grid = cfg.build_grid()
-    init = make_initial_state(*cfg.initial_fields(grid))
+    grid, init = cfg.initial_state()
     p = cfg.scheme
     warm = sum(rep.iterations for rep in run_transient(grid, init, p).reports)
     state = to_entropic(init.rho, init.theta)
@@ -454,8 +453,7 @@ def test_transient_factors_once_per_step(monkeypatch):
     # its start iterate, so the run factors once per step, with about the
     # 909 residual evaluations of refactoring at every iterate.
     cfg = _benchmark_config(monkeypatch, "macro-n64-replay", 1)
-    grid = cfg.build_grid()
-    init = make_initial_state(*cfg.initial_fields(grid))
+    grid, init = cfg.initial_state()
     residuals = _Counted(monkeypatch, scheme, "_residual")
     factors = _Counted(monkeypatch, scheme, "BandedCholesky")
     traj = run_transient(grid, init, cfg.scheme)
