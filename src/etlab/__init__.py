@@ -20,7 +20,13 @@ from .kinetic import (
     moments,
     run_kinetic,
 )
-from .linalg import BandedCholesky, BandedSymmetricMatrix, NotSPDError
+from .linalg import (
+    BandedCholesky,
+    BandedLU,
+    BandedSymmetricMatrix,
+    NotSPDError,
+    SingularMatrixError,
+)
 from .scheme import (
     SchemeParams,
     StepFailureError,

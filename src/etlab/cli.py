@@ -42,6 +42,7 @@ from .kinetic import (
     run_kinetic,
 )
 from .scheme import (
+    INNER_MODES,
     SchemeParams,
     StepFailureError,
     StepReport,
@@ -166,6 +167,9 @@ _NUMBER: _Check = (_is_number, "must be a number")
 _INTEGER: _Check = (_is_int, "must be an integer")
 _NUMBERS: _Check = (_is_number_list, "must be an array of numbers")
 _NOT_EMPTY: _Check = (bool, "must not be empty")
+# SchemeParams' ranges, after the type check, so each error names its field
+_POSITIVE: _Check = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE: _Check = (lambda v: v >= 0, "must be nonnegative")
 
 
 def _int_at_least(low: int) -> _Check:
@@ -190,16 +194,20 @@ _FIELDS: Dict[str, _Field] = {
     "grid.length": _Field(
         "length", float, (_is_length, "must be a positive number whose (length / 3)**2 is finite")
     ),
-    "scheme.tau": _Field("tau", float, _NUMBER),
-    "scheme.eps": _Field("eps", float, _NUMBER),
-    "scheme.delta": _Field("delta", float, _NUMBER),
-    "scheme.n_exp": _Field("n_exp", float, _NUMBER),
-    "scheme.t_final": _Field("t_final", float, _NUMBER),
-    "scheme.fp_tol": _Field("fp_tol", float, _NUMBER),
-    "scheme.fp_max_iter": _Field("fp_max_iter", None, _INTEGER),
-    "scheme.tau_backoff_limit": _Field("tau_backoff_limit", None, _INTEGER),
-    # SchemeParams checks the name, and the range of every scheme field.
-    "scheme.inner_mode": _Field("inner_mode", None),
+    "scheme.tau": _Field("tau", float, _NUMBER, _POSITIVE),
+    "scheme.eps": _Field("eps", float, _NUMBER, _NONNEGATIVE),
+    "scheme.delta": _Field("delta", float, _NUMBER, _NONNEGATIVE),
+    "scheme.n_exp": _Field("n_exp", float, _NUMBER, (lambda v: 0 < v < 5, "must lie in (0, 5)")),
+    "scheme.t_final": _Field("t_final", float, _NUMBER, _POSITIVE),
+    "scheme.fp_tol": _Field("fp_tol", float, _NUMBER, _POSITIVE),
+    "scheme.fp_max_iter": _Field(
+        "fp_max_iter", None, _INTEGER, (lambda v: v >= 1, "must be at least 1")
+    ),
+    "scheme.tau_backoff_limit": _Field("tau_backoff_limit", None, _INTEGER, _NONNEGATIVE),
+    # SchemeParams checks that paper_picard has eps > 0 and delta > 0.
+    "scheme.inner_mode": _Field(
+        "inner_mode", None, (lambda v: v in INNER_MODES, f"must be one of {INNER_MODES}")
+    ),
     "scheme.init_floor": _Field("init_floor", float, _NUMBER),
     # One number, or a list of them for compare mode's Knudsen sweep.
     "kinetic.eps": _Field(
@@ -337,8 +345,8 @@ def parse_config(
 
 def _validate(doc: Dict[str, Any]) -> RunConfig:
     """The RunConfig of an edited document. Its fields are checked in the
-    document's order against ``_FIELDS``, then the ranges SchemeParams
-    checks, then the checks that join fields."""
+    document's order against ``_FIELDS``, then the checks that join fields,
+    SchemeParams' first."""
     mode = doc.get("mode", RunConfig.mode)
     _expect(mode in MODES, "mode", f"must be one of {MODES}, got {mode!r}")
     config: Dict[str, Any] = {"mode": mode}

@@ -269,6 +269,8 @@ def mms_convergence(
     sweep runs on the finest grid, where the spatial error is negligible.
     """
     resolutions = sorted(int(n) for n in resolutions)
+    if not resolutions:
+        raise ValueError("resolutions must not be empty")
     if any(ms.rho(np.linspace(0, length, 65), 0.0) <= 0.0) or any(
         ms.theta(np.linspace(0, length, 65), 0.0) <= 0.0
     ):

@@ -1,11 +1,14 @@
-"""Banded symmetric positive definite solves, backed by LAPACK.
+"""Banded linear solves, backed by LAPACK.
 
-Only the lower bands are stored, which keeps symmetry by construction. The
-storage ``bands[k, j] = A[j+k, j]`` is LAPACK's lower band layout, so the
+Symmetric positive definite matrices (``BandedCholesky``) store only their
+lower bands, which keeps symmetry by construction. The storage
+``bands[k, j] = A[j+k, j]`` is LAPACK's lower band layout, so the
 factorization (``pbtrf``) and the triangular solves (``pbtrs``) run on the
-assembled array directly.
+assembled array directly. General banded matrices (``BandedLU``) are
+factored with partial pivoting (``gbtrf``/``gbtrs``) in LAPACK's general
+band layout, which the caller assembles.
 
-The two routines come from scipy's compiled LAPACK wrapper module
+The routines come from scipy's compiled LAPACK wrapper module
 ``scipy.linalg._flapack``, the module ``scipy.linalg.lapack`` re-exports
 them from. It is loaded by file location, so ``scipy/linalg/__init__.py``
 (and the array-API layer it pulls in, most of a process's start-up time)
@@ -41,6 +44,8 @@ def _load_flapack():
 _flapack = _load_flapack()
 dpbtrf = _flapack.dpbtrf
 dpbtrs = _flapack.dpbtrs
+dgbtrf = _flapack.dgbtrf
+dgbtrs = _flapack.dgbtrs
 
 
 @dataclass
@@ -88,4 +93,36 @@ class BandedCholesky:
         x, info = dpbtrs(self._factor, np.asarray(rhs, dtype=float), lower=1)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
+        return x
+
+
+class SingularMatrixError(ValueError):
+    """A banded LU factor has a zero pivot, or its matrix a non-finite entry."""
+
+
+class BandedLU:
+    """LU factorization with partial pivoting of a banded matrix with ``kl``
+    bands below and ``ku`` above the diagonal; factor once, solve many.
+
+    ``ab`` holds A[i, j] at ab[kl + ku + i - j, j], and zeros elsewhere:
+    its rows 0..kl-1 are LAPACK's workspace for the fill-in of pivoting.
+    Pass a Fortran-ordered array and it is factored in place. Raises
+    SingularMatrixError when the matrix has a non-finite entry or is
+    singular.
+    """
+
+    def __init__(self, ab: np.ndarray, kl: int, ku: int):
+        if not np.isfinite(ab).all():
+            raise SingularMatrixError("matrix singular: non-finite entries")
+        self._factor, self._pivots, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise SingularMatrixError(f"matrix singular: pivot {info} is zero")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dgbtrf")
+        self.kl, self.ku = kl, ku
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, info = dgbtrs(self._factor, self.kl, self.ku, rhs, self._pivots)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dgbtrs")
         return x

@@ -14,13 +14,15 @@ accepted states; ``_converge`` states the stopping rule and
 
 Two interchangeable inner linearizations are provided:
 
-* ``coupled_implicit`` (default): one symmetric positive definite system in
-  the interleaved (phi, w) unknowns per iteration, with frozen coefficients.
+* ``coupled_implicit`` (default): the exact Jacobian of the residual in the
+  interleaved (phi, w) unknowns, factored by banded LU (LAPACK dgbtrf) at
+  the start of a step and reused while the iteration contracts fast.
 * ``paper_picard``: two decoupled SPD solves per iteration (the phi and w
-  fields separately), cross-coupling fluxes explicit.
+  fields separately), frozen symmetric coefficients, cross-coupling fluxes
+  explicit.
 
-Both linearizations vanish at the same fixed point, so they produce the
-same step solution; only robustness and iteration counts differ.
+Both iterations have the same fixed point, so they produce the same step
+solution; only robustness and iteration counts differ.
 
 Every accepted step carries audits: the exact discrete mass/energy budget
 identities (telescopes of the weak form with a constant test function) and
@@ -38,7 +40,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .grid import Grid1D, div_edge, grad_edge, integrate, second_diff
-from .linalg import BandedCholesky, BandedSymmetricMatrix, NotSPDError
+from .linalg import (
+    BandedCholesky,
+    BandedLU,
+    BandedSymmetricMatrix,
+    NotSPDError,
+    SingularMatrixError,
+)
 from .thermo import (
     BlowupError,
     EntropicState,
@@ -57,6 +65,13 @@ INNER_MODES = ("paper_picard", "coupled_implicit")
 # Largest budget-identity error tau * h * |sum r| (mass and energy) that an
 # accepted iterate may carry; well below budget_audit's tolerance of 1e-10.
 _BUDGET_GUARD = 1e-12
+
+# Largest max|(dphi, dw)| of a correction on the last rung before tau is
+# halved (Newton from the previous state). Where a field must grow by orders
+# of magnitude in one step, as next to near-vacuum density, the Newton
+# correction of the chart overshoots to exp(80) and more; capped, it crawls
+# back instead of blowing up.
+_LAST_RUNG_UPDATE = 4.0
 
 
 class StepFailureError(RuntimeError):
@@ -148,8 +163,8 @@ def _residual(
     t_new: float,
 ):
     """Nodal residuals of the discrete weak forms at the candidate, its
-    primitive fields, and its edge data (m11, m12, m22, exp(-w_e), dw,
-    theta_e), which _assemble_blocks reuses.
+    primitive fields, and its edge data (m11, m12, m22, exp(-w_e), dphi, dw,
+    theta_e), which _jacobian and _assemble_blocks reuse.
 
     The quadrature of the mass residual telescopes to
     (mass(cand) - mass(prev)) / tau + delta * integrate(phi) exactly; the
@@ -177,9 +192,10 @@ def _residual(
     if p.eps > 0.0:
         reg_mass += p.eps * second_diff(grid, second_diff(grid, phi))
         lw = second_diff(grid, w)
+        # products, not dw**3: pow takes a slow path on negative bases
         reg_energy += p.eps * (
             second_diff(grid, theta * lw)
-            - div_edge(grid, theta_e * dw**3)
+            - div_edge(grid, theta_e * (dw * dw * dw))
             + (1.0 + theta) * w
         )
     if p.delta > 0.0:
@@ -187,7 +203,7 @@ def _residual(
         reg_energy += p.delta * (
             -div_edge(grid, theta_e**3 * dw) + np.exp(-p.n_exp * w) * w
         )
-    edges = (m11, m12, m22, eneg, dw, theta_e)
+    edges = (m11, m12, m22, eneg, dphi, dw, theta_e)
     return dyn_mass + reg_mass, dyn_energy + reg_energy, mac, edges
 
 
@@ -232,19 +248,18 @@ def _unit_bands(n: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
 def _assemble_blocks(
     grid: Grid1D, frozen: EntropicState, frozen_mac: MacroState, edges, p: SchemeParams
 ):
-    """Symmetric approximate-Jacobian blocks at the frozen state, whose edge
-    data ``edges`` _residual has returned.
+    """``paper_picard``'s symmetric approximate-Jacobian blocks (a11, a22) at
+    the frozen state, whose edge data ``edges`` _residual has returned.
 
-    The energy rows are rescaled by exp(-w) so the time-derivative block
-    becomes the symmetric matrix [[rho, 3 rho/2], [3 rho/2, 1 + 15 rho/4]],
-    which is positive definite for rho > 0. Flux blocks inherit positive
-    semidefiniteness from the edge Onsager matrix. The approximations only
-    shape the iteration; fixed points solve the exact residual. The coupling
-    block ``a12`` is None for ``paper_picard``, which never reads it.
+    The energy rows are rescaled by exp(-w), which makes the time-derivative
+    entries h/tau rho and h/tau (1 + 15 rho / 4) of the two blocks positive.
+    Flux blocks inherit positive semidefiniteness from the edge Onsager
+    matrix. The approximations only shape the iteration; fixed points solve
+    the exact residual.
     """
     n, h = grid.n_cells, grid.h
     rho, w = frozen_mac.rho, frozen.w
-    m11, m12, m22, eneg, dw, theta_e = edges
+    m11, m12, m22, eneg, dphi, dw, theta_e = edges
     second, stiffness = _unit_bands(n, h)
     h_tau = h / p.tau
     # (h / tau) (1 + 15 rho / 4) bounds every time-derivative entry. Once tau
@@ -261,12 +276,6 @@ def _assemble_blocks(
     if p.delta > 0.0:
         a11[:2] += p.delta * stiffness
         a11[0] += p.delta * h
-
-    a12 = None  # paper_picard leaves the coupling explicit
-    if p.inner_mode == "coupled_implicit":
-        a12 = np.zeros((2, n))
-        a12[0] = (1.5 * h / p.tau) * rho
-        a12 += _stiffness_bands(n, h, m12 * eneg)
 
     a22 = np.zeros((3, n))
     a22[0] = h_tau * (1.0 + 3.75 * rho)
@@ -285,22 +294,122 @@ def _assemble_blocks(
             * np.exp(-(p.n_exp + 1.0) * w)
             * np.maximum(1.0, 1.0 - p.n_exp * w)
         )
-    return a11, a12, a22
+    return a11, a22
 
 
-def _interleave(n: int, a11, a12, a22) -> BandedSymmetricMatrix:
-    """Couple the blocks into one banded system over (phi_0, w_0, phi_1, ...)."""
-    bands = np.zeros((5, 2 * n))
-    bands[0, 0::2] = a11[0]
-    bands[0, 1::2] = a22[0]
-    bands[1, 0::2] = a12[0]
-    bands[1, 1:-1:2] = a12[1, : n - 1]
-    bands[2, 0:-2:2] = a11[1, : n - 1]
-    bands[2, 1:-1:2] = a22[1, : n - 1]
-    bands[3, 0:-2:2] = a12[1, : n - 1]
-    bands[4, 0:-4:2] = a11[2, : n - 2]
-    bands[4, 1:-3:2] = a22[2, : n - 2]
-    return BandedSymmetricMatrix(n=2 * n, bandwidth=4, bands=bands)
+# The coupled unknowns are interleaved as (phi_0, w_0, phi_1, w_1, ...). A
+# residual reaches two cells away only through a second difference of one
+# field (phi to phi, w to w), so the exact Jacobian has four bands either
+# side of its diagonal.
+_BANDS = 4
+
+
+def _jacobian(
+    grid: Grid1D, x: EntropicState, mac: MacroState, edges, p: SchemeParams
+) -> np.ndarray:
+    """The exact Jacobian of ``_residual`` at ``x`` over the interleaved
+    unknowns, rows (r1_0, r2_0, r1_1, ...), in BandedLU's storage with
+    kl = ku = _BANDS: a Fortran-ordered array that BandedLU factors in place.
+
+    The gradient terms of both residuals are -div of the edge fluxes
+        F_m = (m11 + delta) dphi + m12 g,
+        F_e = m12 dphi + m22 g + eps theta_e dw^3 + delta theta_e^3 dw,
+    with g = e^(-w_e) dw. A flux depends on its edge's differences (-1/h
+    and 1/h per cell) and on the edge means rho_e, theta_e, e = e^(-w_e), of
+    which cell c carries rho_c / 2 and 3 rho_c / 4 (by phi and w),
+    theta_c / 2 and -e / 2 (by w). The divergence has zero quadrature at
+    every state, so each column's flux entries sum to zero, which gives the
+    diagonal. The other terms are the time derivatives
+    (d rho = rho dphi + 3 rho / 2 dw, dE = 3 theta rho / 2 dphi +
+    (E + 9 theta rho / 4) dw), eps L L phi, eps L(theta L w) with
+    L = second_diff, and the zero-order terms.
+    """
+    n, h = grid.n_cells, grid.h
+    rho, theta, w = mac.rho, mac.theta, x.w
+    m11, m12, m22, eneg, dphi, dw, theta_e = edges
+    rho_e = edge_mean(rho)
+    g = eneg * dw
+    tg = theta_e * g
+    # Over 2h, each flux's derivatives by rho_e (p*) and theta_e (q*) and
+    # e times that by e (c*); over h^2, its factors of dphi and dw (k*).
+    s = 0.5 / h
+    pm = s * theta_e * (dphi + 2.5 * tg)
+    qm = s * rho_e * (dphi + 5.0 * tg)
+    cm = s * m12 * g
+    theta_e2 = theta_e * theta_e
+    pe = s * theta_e2 * (2.5 * dphi + 8.75 * tg)
+    qe = s * (rho_e * theta_e * (5.0 * dphi + 26.25 * tg) + 2.0 * tg)
+    ce = s * m22 * g
+    hh = 1.0 / h**2
+    kmp = hh * (m11 + p.delta)
+    kmw = hh * m12 * eneg
+    kep = hh * m12
+    kew = hh * m22 * eneg
+    if p.eps > 0.0:
+        dw2 = dw * dw
+        qe += (s * p.eps) * dw2 * dw
+        kew += (3.0 * hh * p.eps) * theta_e * dw2
+    if p.delta > 0.0:
+        qe += (3.0 * s * p.delta) * theta_e2 * dw
+        kew += (hh * p.delta) * theta_e2 * theta_e
+
+    ab = np.zeros((2 * n, 3 * _BANDS + 1)).T
+
+    def band(k, row, col):
+        """View of the entries d r_row(i) / d x_col(i + k), over valid i."""
+        return ab[
+            2 * _BANDS + row - col - 2 * k,
+            2 * max(k, 0) + col : 2 * (n + min(k, 0)) : 2,
+        ]
+
+    # -div F: row i holds -(dF_i/dx)/h and +(dF_(i-1)/dx)/h.
+    rho_a, rho_b, theta_a, theta_b = rho[:-1], rho[1:], theta[:-1], theta[1:]
+    vm_a, vm_b = 1.5 * pm * rho_a + qm * theta_a, 1.5 * pm * rho_b + qm * theta_b
+    ve_a, ve_b = 1.5 * pe * rho_a + qe * theta_a, 1.5 * pe * rho_b + qe * theta_b
+    for row, col, upper, lower in (
+        (0, 0, -(pm * rho_b + kmp), pm * rho_a - kmp),
+        (0, 1, (cm - kmw) - vm_b, vm_a - (cm + kmw)),
+        (1, 0, -(pe * rho_b + kep), pe * rho_a - kep),
+        (1, 1, (ce - kew) - ve_b, ve_a - (ce + kew)),
+    ):
+        band(1, row, col)[:] = upper
+        band(-1, row, col)[:] = lower
+        diag = band(0, row, col)
+        np.negative(upper, out=diag[1:])
+        diag[:-1] -= lower
+
+    rho_tau = rho / p.tau
+    band(0, 0, 0)[:] += rho_tau + p.delta
+    band(0, 0, 1)[:] += 1.5 * rho_tau
+    band(0, 1, 0)[:] += 1.5 * theta * rho_tau
+    d_ww = band(0, 1, 1)
+    d_ww += (mac.energy + 2.25 * theta * rho) / p.tau
+    if p.eps > 0.0:
+        # eps L L is the symmetric eps / h * second
+        second = (p.eps / h) * _unit_bands(n, h)[0]
+        band(0, 0, 0)[:] += second[0]
+        for k in (1, 2):
+            band(k, 0, 0)[:] += second[k, : n - k]
+            band(-k, 0, 0)[:] += second[k, : n - k]
+        # d/dw of L(theta L w) is L diag(theta) L + L diag(theta L w)
+        ld = np.full(n, -2.0 * hh)
+        ld[0] = ld[-1] = -hh
+        ld_theta = ld * theta
+        g_lw = theta * second_diff(grid, w)
+        off = hh * (ld_theta[:-1] + ld_theta[1:])
+        band(1, 1, 1)[:] += p.eps * (off + hh * g_lw[1:])
+        band(-1, 1, 1)[:] += p.eps * (off + hh * g_lw[:-1])
+        band(2, 1, 1)[:] += (p.eps * hh * hh) * theta[1:-1]
+        band(-2, 1, 1)[:] += (p.eps * hh * hh) * theta[1:-1]
+        d_ww += p.eps * (
+            ld * (ld_theta + g_lw)
+            + hh * (second_diff(grid, theta) - ld_theta)
+            + 1.0
+            + theta * (1.0 + w)
+        )
+    if p.delta > 0.0:
+        d_ww += p.delta * np.exp(-p.n_exp * w) * (1.0 - p.n_exp * w)
+    return ab
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +420,28 @@ def _interleave(n: int, a11, a12, a22) -> BandedSymmetricMatrix:
 def _factor(
     grid: Grid1D, x: EntropicState, mac: MacroState, edges, p: SchemeParams
 ) -> Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Factor the approximate Jacobian at ``x``; return the map from the
-    residuals (r1, r2) of any iterate to the correction (dphi, dw).
+    """Factor the linearization at ``x``; return the map from the residuals
+    (r1, r2) of any iterate to the correction (dphi, dw).
 
-    The energy rows' scaling exp(-w) is taken at ``x`` too, so a reused
-    factor always solves with the right-hand side of its own matrix.
+    ``coupled_implicit`` factors the exact Jacobian (``_jacobian``), so the
+    correction at ``x`` itself is Newton's. ``paper_picard`` factors its two
+    SPD blocks; their energy rows' scaling exp(-w) is taken at ``x`` too, so
+    a reused factor always solves with the right-hand side of its own matrix.
     """
     n, h = grid.n_cells, grid.h
-    a11, a12, a22 = _assemble_blocks(grid, x, mac, edges, p)
-    scale_e = -h * np.exp(-x.w)
     if p.inner_mode == "coupled_implicit":
-        chol = BandedCholesky(_interleave(n, a11, a12, a22))
+        lu = BandedLU(_jacobian(grid, x, mac, edges, p), _BANDS, _BANDS)
+        rhs = np.empty(2 * n)
 
         def solve(r1, r2):
-            rhs = np.empty(2 * n)
-            rhs[0::2] = -h * r1
-            rhs[1::2] = scale_e * r2
-            delta_x = chol.solve(rhs)
+            np.negative(r1, out=rhs[0::2])
+            np.negative(r2, out=rhs[1::2])
+            delta_x = lu.solve(rhs)
             return delta_x[0::2], delta_x[1::2]
 
     else:  # paper_picard: decoupled sweeps, cross fluxes explicit
+        a11, a22 = _assemble_blocks(grid, x, mac, edges, p)
+        scale_e = -h * np.exp(-x.w)
         chol_phi = BandedCholesky(BandedSymmetricMatrix(n=n, bandwidth=2, bands=a11))
         chol_w = BandedCholesky(BandedSymmetricMatrix(n=n, bandwidth=2, bands=a22))
 
@@ -350,6 +461,7 @@ def _converge(
     p: SchemeParams,
     t_new: float,
     refresh_always: bool = False,
+    max_update: float = math.inf,
 ) -> Tuple[EntropicState, List[float]]:
     """Iterate from ``start`` until the estimated error of an iterate is at
     most fp_tol.
@@ -366,11 +478,14 @@ def _converge(
     _NotConverged so the caller backs off. Returns the accepted iterate and
     max|r| of every iterate, its own last.
 
-    Chord iteration: the approximate Jacobian and the energy rows' scaling
-    are factored at ``start`` (see ``_factor``) and every later iterate
-    reuses them. They are refactored at iterate k only when theta_k >= 1/2,
-    the rate from which the error estimate no longer discounts u_k, and at
-    every iterate with ``refresh_always``.
+    Chord iteration: the linearization is factored at ``start`` (see
+    ``_factor``) and every later iterate reuses it. For ``coupled_implicit``
+    it is the exact Jacobian, so the first correction is Newton's and the
+    chord converges superlinearly from a close start. It is refactored at
+    iterate k only when theta_k >= 1/2, the rate from which the error
+    estimate no longer discounts u_k, and at every iterate with
+    ``refresh_always``. A correction larger than ``max_update`` is scaled
+    down to it.
     """
     h = grid.h
     prev_mac = to_primitive(prev)
@@ -392,10 +507,13 @@ def _converge(
         if solve is None or rate >= 0.5 or refresh_always:
             solve = _factor(grid, x, mac, edges, p)
         dphi, dw = solve(r1, r2)
+        last, update = update, max(float(np.abs(dphi).max()), float(np.abs(dw).max()))
+        if update > max_update:
+            dphi, dw = dphi * (max_update / update), dw * (max_update / update)
+            update = max_update
         phi, w = x.phi + dphi, x.w + dw
         if not (np.isfinite(phi).all() and np.isfinite(w).all()):
             raise _NotConverged(res)
-        last, update = update, max(float(np.abs(dphi).max()), float(np.abs(dw).max()))
         rate = update / last if 0.0 < last < math.inf else math.nan
         error = update * rate / (1.0 - rate) if rate < 0.5 else update
         x = EntropicState(phi=phi, w=w)
@@ -420,11 +538,13 @@ def fixed_point_step(
     ``_converge``, which states the stopping rule; if it fails numerically,
     it is retried once at the same tau and start, refactoring at every
     iterate. If that fails too and the start was extrapolated, the
-    same tau is tried once more from ``prev``, again chord first.
-    Non-convergence, blow-up of the chart values and a non-SPD linear
-    system then halve tau; any other error propagates. StepFailureError
-    ends the step after p.tau_backoff_limit halvings, or earlier when one
-    more halving would underflow tau to zero. Returns the state after the
+    same tau is tried once more from ``prev``, again chord first. The
+    refactoring attempt from ``prev``, the last before tau is halved, caps
+    each correction at _LAST_RUNG_UPDATE. Non-convergence, blow-up of the
+    chart values and a non-SPD or singular linear system then halve tau;
+    any other error propagates. StepFailureError ends the step after
+    p.tau_backoff_limit halvings, or earlier when one more halving would
+    underflow tau to zero. Returns the state after the
     time increment that actually succeeded (tau_used <= p.tau) together
     with its audit report.
     """
@@ -443,13 +563,14 @@ def fixed_point_step(
     refresh_always = False
     while halvings <= p.tau_backoff_limit:
         p_try = replace(p, tau=tau_try)
+        cap = _LAST_RUNG_UPDATE if refresh_always and start is prev else math.inf
         try:
             x, history = _converge(
-                grid, prev, start, p_try, t_start + tau_try, refresh_always
+                grid, prev, start, p_try, t_start + tau_try, refresh_always, cap
             )
         except _NotConverged as exc:
             last_residual = exc.residual
-        except (BlowupError, NotSPDError):
+        except (BlowupError, NotSPDError, SingularMatrixError):
             pass
         else:
             report = StepReport(
@@ -653,7 +774,7 @@ def dissipation_terms(
             * p.eps
             * (
                 h * float((lw**2).sum())
-                + h * float((dw**4).sum())
+                + h * float(np.square(dw * dw).sum())  # not dw**4: slow pow
                 + h * float((w**2).sum())
             )
         )

@@ -169,6 +169,18 @@ _FIELD_CHECKS = [
     ],
     ("scheme.fp_max_iter=2.5", "scheme.fp_max_iter: must be an integer"),
     ("scheme.tau_backoff_limit=null", "scheme.tau_backoff_limit: must be an integer"),
+    ("scheme.tau=0", "scheme.tau: must be positive"),
+    ("scheme.eps=-1", "scheme.eps: must be nonnegative"),
+    ("scheme.delta=-1e-4", "scheme.delta: must be nonnegative"),
+    ("scheme.n_exp=5", "scheme.n_exp: must lie in (0, 5)"),
+    ("scheme.t_final=-0.1", "scheme.t_final: must be positive"),
+    ("scheme.fp_tol=0", "scheme.fp_tol: must be positive"),
+    ("scheme.fp_max_iter=0", "scheme.fp_max_iter: must be at least 1"),
+    ("scheme.tau_backoff_limit=-1", "scheme.tau_backoff_limit: must be nonnegative"),
+    (
+        "scheme.inner_mode=newton",
+        "scheme.inner_mode: must be one of ('paper_picard', 'coupled_implicit')",
+    ),
     ("kinetic.eps=0", f"kinetic.eps: must be a number in {_EPS_RANGE}"),
     ("kinetic.eps=[0.1,0]", f"kinetic.eps: values must be numbers in {_EPS_RANGE}"),
     ("kinetic.eps=[0.1,0.2]", "kinetic.eps: must be strictly decreasing"),
@@ -213,6 +225,16 @@ def test_field_check_cases_cover_the_table():
     assert {o.split("=")[0] for o, _ in _FIELD_CHECKS[3:]} == {
         path for path, spec in _FIELDS.items() if spec.checks
     }
+
+
+def test_paper_picard_without_regularization_is_reported_at_scheme(tmp_path, capsys):
+    # the one scheme check that joins fields names the section
+    cfg = _write_config(tmp_path, MINIMAL)
+    assert main(["macro", cfg, "scheme.inner_mode=paper_picard", "scheme.eps=0"]) == 3
+    message = "scheme: paper_picard requires eps > 0 and delta > 0"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    record = json.loads((tmp_path / "etlab_out" / "error.json").read_text())
+    assert record == {"error": "config", "message": message}
 
 
 def test_kinetic_eps_is_read_as_given(tmp_path, capsys):
@@ -538,15 +560,14 @@ def test_macro_default_settings_converge_on_fine_grids(tmp_path, n_cells):
 
 
 # Substeps (records of a halved tau) measured on the cold-data runs below.
-# The coupled runs' two come from step 1, where the first attempt diverges.
 _COLD_SUBSTEPS = {
     ("theta0", 1e-2, "coupled_implicit"): 0,
     ("theta0", 1e-2, "paper_picard"): 0,
-    ("theta0", 1e-3, "coupled_implicit"): 2,
+    ("theta0", 1e-3, "coupled_implicit"): 0,
     ("theta0", 1e-3, "paper_picard"): 0,
-    ("theta0", 1e-4, "coupled_implicit"): 2,
+    ("theta0", 1e-4, "coupled_implicit"): 0,
     ("theta0", 1e-4, "paper_picard"): 0,
-    ("theta0", 1e-8, "coupled_implicit"): 2,
+    ("theta0", 1e-8, "coupled_implicit"): 0,
     ("theta0", 1e-8, "paper_picard"): 0,
     ("rho0", 1e-6, "coupled_implicit"): 0,
     ("rho0", 1e-6, "paper_picard"): 0,

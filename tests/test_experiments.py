@@ -12,6 +12,7 @@ from etlab.experiments import (
     default_run_matrix,
     fit_loglog_slope,
     initial_condition,
+    mms_convergence,
     regularization_study,
 )
 
@@ -137,6 +138,13 @@ def test_regularization_study_requires_decreasing_values():
         regularization_study(GRID, init, p, "delta", [1e-4, 1e-3])
     with pytest.raises(ValueError):
         regularization_study(GRID, init, p, "sigma", [1e-3, 1e-4])
+
+
+@pytest.mark.parametrize("resolutions", [[], ()])
+def test_mms_convergence_rejects_empty_resolutions(resolutions):
+    p = SchemeParams(tau=1e-3, t_final=1e-3)
+    with pytest.raises(ValueError, match="resolutions must not be empty"):
+        mms_convergence(resolutions, default_manufactured(), p)
 
 
 def test_regularization_study_tau_first_order():

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from etlab.linalg import BandedCholesky, BandedSymmetricMatrix, NotSPDError
+from etlab.linalg import (
+    BandedCholesky,
+    BandedLU,
+    BandedSymmetricMatrix,
+    NotSPDError,
+    SingularMatrixError,
+)
 
 
 def _dense(m):
@@ -101,3 +107,50 @@ def test_not_spd_raises_like_scipy(bw):
         cholesky_banded(m.bands, lower=True)
     with pytest.raises(NotSPDError, match="6-th leading minor"):
         BandedCholesky(m)
+
+
+def _random_general_banded(n, kl, ku, rng):
+    """A diagonally dominant banded matrix, dense and in BandedLU's storage."""
+    dense = rng.normal(size=(n, n))
+    rows, cols = np.indices((n, n))
+    dense[(cols - rows > ku) | (rows - cols > kl)] = 0.0
+    dense[np.diag_indices(n)] = 2.0 * (kl + ku + 1) * np.max(np.abs(dense)) + 1.0
+    dense[0, 0] = 1e-3  # a small first pivot, which partial pivoting swaps out
+    ab = np.zeros((2 * kl + ku + 1, n))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            ab[kl + ku + i - j, j] = dense[i, j]
+    return dense, ab
+
+
+@pytest.mark.parametrize("kl, ku", [(1, 1), (2, 3), (4, 4)])
+def test_banded_lu_matches_dense_solve(kl, ku):
+    rng = np.random.default_rng(30 + kl + ku)
+    for n in (kl + ku + 1, 17, 128):
+        dense, ab = _random_general_banded(n, kl, ku, rng)
+        rhs = rng.normal(size=n)
+        x = BandedLU(ab.copy(), kl, ku).solve(rhs)
+        x_dense = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(x - x_dense)) < 1e-12 * (1.0 + np.max(np.abs(x_dense)))
+
+
+def test_banded_lu_factors_a_fortran_array_in_place():
+    rng = np.random.default_rng(40)
+    _, ab = _random_general_banded(20, 2, 2, rng)
+    ab = np.asfortranarray(ab)
+    lu = BandedLU(ab, 2, 2)
+    assert np.shares_memory(lu._factor, ab)
+
+
+def test_banded_lu_singular_raises():
+    ab = np.zeros((4, 4))  # kl = ku = 1: workspace, upper, diagonal, lower
+    ab[2] = [1.0, 1.0, 0.0, 1.0]
+    with pytest.raises(SingularMatrixError, match="pivot 3 is zero"):
+        BandedLU(ab, 1, 1)
+
+
+def test_banded_lu_non_finite_entries_raise():
+    ab = np.ones((4, 4))
+    ab[2, 1] = np.inf
+    with pytest.raises(SingularMatrixError, match="non-finite"):
+        BandedLU(ab, 1, 1)

@@ -12,13 +12,14 @@ from etlab import scheme
 from etlab.cli import parse_config
 from etlab.experiments import initial_condition
 from etlab.grid import build_grid, integrate
-from etlab.linalg import BandedCholesky, BandedSymmetricMatrix
+from etlab.linalg import BandedCholesky, BandedLU, BandedSymmetricMatrix
 from etlab.scheme import (
     SchemeParams,
     StepFailureError,
+    _BANDS,
     _BUDGET_GUARD,
     _assemble_blocks,
-    _interleave,
+    _jacobian,
     _residual,
     dissipation_terms,
     entropy_audit,
@@ -28,7 +29,13 @@ from etlab.scheme import (
     run_transient,
     step_count,
 )
-from etlab.thermo import EntropicState, MacroState, to_entropic, to_primitive
+from etlab.thermo import (
+    BlowupError,
+    EntropicState,
+    MacroState,
+    to_entropic,
+    to_primitive,
+)
 
 GRID = build_grid(16, 1.0)
 
@@ -39,6 +46,50 @@ def _dense(m):
     for k in range(1, m.bandwidth + 1):
         a += np.diag(m.bands[k, : m.n - k], -k) + np.diag(m.bands[k, : m.n - k], k)
     return a
+
+
+def _dense_jacobian(ab, n_cells):
+    """Dense oracle of _jacobian's general band storage."""
+    size = 2 * n_cells
+    a = np.zeros((size, size))
+    for i in range(size):
+        for j in range(max(0, i - _BANDS), min(size, i + _BANDS + 1)):
+            a[i, j] = ab[2 * _BANDS + i - j, j]
+    return a
+
+
+def _exact_jacobian(grid, prev, x, p):
+    """_jacobian at x, dense, in the interleaved unknowns."""
+    _, _, mac, edges = _residual(grid, to_primitive(prev), x, p, p.tau)
+    return _dense_jacobian(_jacobian(grid, x, mac, edges, p), grid.n_cells)
+
+
+def _colored_fd_jacobian(grid, prev, x, p, eta=1e-6):
+    """Central-difference Jacobian of _residual, one pair of residuals per
+    color and field: cells five apart share a color, since a residual
+    reaches at most two cells either side."""
+    n = grid.n_cells
+    prev_mac = to_primitive(prev)
+
+    def residual(phi, w):
+        r1, r2 = _residual(grid, prev_mac, EntropicState(phi, w), p, p.tau)[:2]
+        out = np.empty(2 * n)
+        out[0::2], out[1::2] = r1, r2
+        return out
+
+    jac = np.zeros((2 * n, 2 * n))
+    for color in range(5):
+        cells = np.arange(color, n, 5)
+        bump = np.zeros(n)
+        bump[cells] = eta
+        for field in range(2):
+            plus = (x.phi + bump, x.w) if field == 0 else (x.phi, x.w + bump)
+            minus = (x.phi - bump, x.w) if field == 0 else (x.phi, x.w - bump)
+            column = (residual(*plus) - residual(*minus)) / (2.0 * eta)
+            for j in cells:
+                rows = slice(2 * max(0, j - 2), 2 * min(n, j + 3))
+                jac[rows, 2 * j + field] = column[rows]
+    return jac
 
 
 def _constant_state(phi, w, n=16):
@@ -129,18 +180,62 @@ def test_entropic_state_requires_finite_entries():
 
 
 def test_assembled_blocks_are_spd():
-    # factorization oracle: banded Cholesky succeeds and dense eigenvalues > 0
+    # factorization oracle: paper_picard's blocks have a banded Cholesky
+    # factor and positive dense eigenvalues; the coupled mode's exact
+    # Jacobian is not symmetric, and its banded LU solves like a dense solve
     rng = np.random.default_rng(1)
     p = SchemeParams(tau=0.05, eps=1e-5, delta=1e-3)
     for _ in range(5):
         frozen = EntropicState(rng.uniform(1, 3, 16), rng.uniform(-0.5, 0.5, 16))
         _, _, mac, edges = _residual(GRID, to_primitive(frozen), frozen, p, 0.0)
-        a11, a12, a22 = _assemble_blocks(GRID, frozen, mac, edges, p)
-        coupled = _interleave(16, a11, a12, a22)
-        BandedCholesky(coupled)
-        assert np.min(np.linalg.eigvalsh(_dense(coupled))) > 0.0
-        for block in (a11, a22):
-            BandedCholesky(BandedSymmetricMatrix(n=16, bandwidth=2, bands=block))
+        for block in _assemble_blocks(GRID, frozen, mac, edges, p):
+            m = BandedSymmetricMatrix(n=16, bandwidth=2, bands=block)
+            BandedCholesky(m)
+            assert np.min(np.linalg.eigvalsh(_dense(m))) > 0.0
+        ab = _jacobian(GRID, frozen, mac, edges, p)
+        dense = _dense_jacobian(ab, 16)
+        assert np.max(np.abs(dense - dense.T)) > 0.0
+        rhs = rng.normal(size=32)
+        x = BandedLU(ab, _BANDS, _BANDS).solve(rhs)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-10, atol=0)
+
+
+def _cold_state(grid, field, minimum, rng):
+    """The cold data of test_cli's cold-data runs, perturbed by 10%."""
+    x = grid.cell_centers
+    fields = {"rho": np.ones(grid.n_cells), "theta": np.ones(grid.n_cells)}
+    fields[field] = minimum + np.exp(-200.0 * (x - 0.5) ** 2)
+    wobble = [1.0 + 0.1 * rng.uniform(-1.0, 1.0, grid.n_cells) for _ in range(2)]
+    return to_entropic(fields["rho"] * wobble[0], fields["theta"] * wobble[1])
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SchemeParams(),
+        SchemeParams(tau=1.0, eps=1e-2, delta=1e-1, n_exp=4.0),
+        SchemeParams(eps=0.0, delta=0.0),
+    ],
+    ids=["defaults", "strong-eps-delta", "no-regularization"],
+)
+@pytest.mark.parametrize(
+    "field, minimum",
+    [("theta", 1.0), ("theta", 1e-8), ("rho", 1e-6)],
+    ids=["warm", "theta-1e-08", "rho-1e-06"],
+)
+def test_jacobian_matches_colored_finite_differences(field, minimum, params):
+    # Every entry, relative to the largest entry of its row, to 1e-6: the
+    # flux, time, eps and delta terms of both residuals, off-band zeros too.
+    # The strong eps and delta weights make their terms visible at this
+    # tolerance; n_exp = 4 puts 1 - N w on both sides of zero.
+    rng = np.random.default_rng(7)
+    grid = build_grid(24, 1.0)
+    prev = _cold_state(grid, field, minimum, rng)
+    x = _cold_state(grid, field, minimum, rng)
+    exact = _exact_jacobian(grid, prev, x, params)
+    fd = _colored_fd_jacobian(grid, prev, x, params)
+    row_scale = np.max(np.abs(fd), axis=1, keepdims=True)
+    assert np.max(np.abs(exact - fd) / row_scale) <= 1e-6
 
 
 def test_delta_entry_is_the_derivative_of_the_scaled_delta_term():
@@ -152,8 +247,8 @@ def test_delta_entry_is_the_derivative_of_the_scaled_delta_term():
     frozen = EntropicState(np.ones(16), w)
     _, _, mac, edges = _residual(GRID, to_primitive(frozen), frozen, p, 0.0)
     edges = edges[:-1] + (np.zeros(15),)  # theta_e = 0: no delta stiffness
-    a22_on = _assemble_blocks(GRID, frozen, mac, edges, p)[2]
-    a22_off = _assemble_blocks(GRID, frozen, mac, edges, replace(p, delta=0.0))[2]
+    a22_on = _assemble_blocks(GRID, frozen, mac, edges, p)[1]
+    a22_off = _assemble_blocks(GRID, frozen, mac, edges, replace(p, delta=0.0))[1]
     entry = a22_on[0] - a22_off[0]
 
     def scaled_term(shift):
@@ -259,12 +354,14 @@ def test_step_paper_picard_requires_regularization():
 
 
 def test_step_backoff_recovers_with_smaller_tau():
+    # the coupled iteration needs 9 residual evaluations on these data at
+    # tau = 0.02; allowed 8, every rung fails and tau is halved once
     grid = build_grid(64, 1.0)
     x = grid.cell_centers
     rho0 = 0.05 + 8.0 * np.exp(-400.0 * (x - 0.3) ** 2)
     theta0 = 0.05 + 2.0 * np.exp(-400.0 * (x - 0.7) ** 2)
     s = to_entropic(rho0, theta0)
-    p = SchemeParams(tau=0.02, eps=0.0, delta=0.0, fp_max_iter=60, tau_backoff_limit=8)
+    p = SchemeParams(tau=0.02, eps=0.0, delta=0.0, fp_max_iter=8, tau_backoff_limit=8)
     out, rep = fixed_point_step(grid, s, p)
     assert rep.tau_used < p.tau
     assert rep.budget["mass_error"] <= _BUDGET_GUARD
@@ -362,6 +459,27 @@ def test_step_falls_back_to_prev_when_extrapolation_fails(w_shift, tau_prev):
     assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
 
 
+def test_last_rung_caps_the_newton_corrections():
+    # Near-vacuum density (rho = 1e-6 away from a bump), first step: the
+    # Newton correction from prev overshoots the chart by about 80 and the
+    # iteration blows up. Capped at _LAST_RUNG_UPDATE, as on the last rung
+    # before tau is halved, it converges at the full tau.
+    grid = build_grid(64, 1.0)
+    rho0 = 1e-6 + np.exp(-200.0 * (grid.cell_centers - 0.5) ** 2)
+    prev = to_entropic(rho0, np.ones(64))
+    p = SchemeParams(tau=1e-3)
+    with pytest.raises(BlowupError):
+        scheme._converge(grid, prev, prev, p, p.tau, refresh_always=True)
+    x, history = scheme._converge(
+        grid, prev, prev, p, p.tau, True, scheme._LAST_RUNG_UPDATE
+    )
+    assert history[-1] <= 1e-6
+    out, rep = fixed_point_step(grid, prev, p)
+    assert rep.tau_used == p.tau
+    assert _max_gap(out, x) <= p.fp_tol
+    assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
+
+
 class _Counted:
     """Counts the calls of a module function while the test runs."""
 
@@ -377,25 +495,22 @@ class _Counted:
 
 
 def test_step_chord_corrections_reuse_the_start_factor(monkeypatch):
-    # bump, n = 32, tau = 1e-2: the iteration contracts fast enough that one
-    # factor, built at the start iterate together with its energy-row scaling
-    # exp(-w), serves every correction.
+    # bump, n = 32, tau = 1e-3: the iteration contracts fast enough that one
+    # factor, the exact Jacobian at the start iterate, serves every
+    # correction: the first is Newton's, the later ones solve with it too.
     grid = build_grid(32, 1.0)
     prev = _bump_state(grid)
-    p = SchemeParams(tau=1e-2)
+    p = SchemeParams(tau=1e-3)
     residuals = _Counted(monkeypatch, scheme, "_residual")
-    factors = _Counted(monkeypatch, scheme, "BandedCholesky")
+    factors = _Counted(monkeypatch, scheme, "BandedLU")
     _, rep = fixed_point_step(grid, prev, p)
     assert len(factors.calls) == 1 < rep.iterations == len(residuals.calls)
     iterates = [args[2] for args in residuals.calls]
-    start = iterates[0]
-    _, _, mac, edges = _residual(grid, to_primitive(prev), start, p, p.tau)
-    dense = _dense(_interleave(32, *_assemble_blocks(grid, start, mac, edges, p)))
-    for x, nxt in zip(iterates[1:4], iterates[2:5]):
+    dense = _exact_jacobian(grid, prev, iterates[0], p)
+    for x, nxt in zip(iterates[0:3], iterates[1:4]):
         r1, r2 = _residual(grid, to_primitive(prev), x, p, p.tau)[:2]
         rhs = np.empty(64)
-        rhs[0::2] = -grid.h * r1
-        rhs[1::2] = -grid.h * np.exp(-start.w) * r2
+        rhs[0::2], rhs[1::2] = -r1, -r2
         expected = np.linalg.solve(dense, rhs)
         step = np.empty(64)
         step[0::2], step[1::2] = nxt.phi - x.phi, nxt.w - x.w
@@ -409,7 +524,7 @@ def test_step_chord_refactors_when_contraction_is_slow(monkeypatch):
     grid = build_grid(32, 1.0)
     p = SchemeParams(tau=0.1)
     residuals = _Counted(monkeypatch, scheme, "_residual")
-    factors = _Counted(monkeypatch, scheme, "BandedCholesky")
+    factors = _Counted(monkeypatch, scheme, "BandedLU")
     _, rep = fixed_point_step(grid, _bump_state(grid), p)
     assert rep.tau_used == p.tau
     assert rep.iterations == len(residuals.calls)  # no retry
@@ -449,17 +564,17 @@ def test_transient_extrapolated_starts_save_iterations(monkeypatch):
 
 
 def test_transient_factors_once_per_step(monkeypatch):
-    # macro-n64-replay, seed 1: every step's iteration reuses the factor of
-    # its start iterate, so the run factors once per step, with about the
-    # 909 residual evaluations of refactoring at every iterate.
+    # macro-n64-replay, seed 1: every step's iteration reuses the exact
+    # Jacobian of its start iterate, so the run factors once per step, with
+    # 639 residual evaluations (907 with the frozen symmetric Jacobian).
     cfg = _benchmark_config(monkeypatch, "macro-n64-replay", 1)
     grid, init = cfg.initial_state()
     residuals = _Counted(monkeypatch, scheme, "_residual")
-    factors = _Counted(monkeypatch, scheme, "BandedCholesky")
+    factors = _Counted(monkeypatch, scheme, "BandedLU")
     traj = run_transient(grid, init, cfg.scheme)
     assert len(traj.reports) == step_count(cfg.scheme.t_final, cfg.scheme.tau) == 200
     assert len(factors.calls) == 200
-    assert abs(len(residuals.calls) - 909) <= 0.01 * 909
+    assert abs(len(residuals.calls) - 639) <= 0.01 * 639
 
 
 def test_transient_equilibrium_constant_trajectory():
