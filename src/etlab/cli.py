@@ -42,7 +42,7 @@ from .kinetic import (
     run_kinetic,
 )
 from .scheme import (
-    INNER_MODES,
+    PARAM_RANGES,
     SchemeParams,
     StepFailureError,
     StepReport,
@@ -167,9 +167,6 @@ _NUMBER: _Check = (_is_number, "must be a number")
 _INTEGER: _Check = (_is_int, "must be an integer")
 _NUMBERS: _Check = (_is_number_list, "must be an array of numbers")
 _NOT_EMPTY: _Check = (bool, "must not be empty")
-# SchemeParams' ranges, after the type check, so each error names its field
-_POSITIVE: _Check = (lambda v: v > 0, "must be positive")
-_NONNEGATIVE: _Check = (lambda v: v >= 0, "must be nonnegative")
 
 
 def _int_at_least(low: int) -> _Check:
@@ -189,25 +186,27 @@ class _Field:
         self.entries = entries
 
 
+def _scheme_field(name: str, convert: Optional[Callable], *checks: _Check) -> _Field:
+    """A SchemeParams field: its type checks, then its range from
+    PARAM_RANGES, so that each error names the field."""
+    return _Field(name, convert, *checks, PARAM_RANGES[name])
+
+
 _FIELDS: Dict[str, _Field] = {
     "grid.n_cells": _Field("n_cells", None, _int_at_least(3)),
     "grid.length": _Field(
         "length", float, (_is_length, "must be a positive number whose (length / 3)**2 is finite")
     ),
-    "scheme.tau": _Field("tau", float, _NUMBER, _POSITIVE),
-    "scheme.eps": _Field("eps", float, _NUMBER, _NONNEGATIVE),
-    "scheme.delta": _Field("delta", float, _NUMBER, _NONNEGATIVE),
-    "scheme.n_exp": _Field("n_exp", float, _NUMBER, (lambda v: 0 < v < 5, "must lie in (0, 5)")),
-    "scheme.t_final": _Field("t_final", float, _NUMBER, _POSITIVE),
-    "scheme.fp_tol": _Field("fp_tol", float, _NUMBER, _POSITIVE),
-    "scheme.fp_max_iter": _Field(
-        "fp_max_iter", None, _INTEGER, (lambda v: v >= 1, "must be at least 1")
-    ),
-    "scheme.tau_backoff_limit": _Field("tau_backoff_limit", None, _INTEGER, _NONNEGATIVE),
+    "scheme.tau": _scheme_field("tau", float, _NUMBER),
+    "scheme.eps": _scheme_field("eps", float, _NUMBER),
+    "scheme.delta": _scheme_field("delta", float, _NUMBER),
+    "scheme.n_exp": _scheme_field("n_exp", float, _NUMBER),
+    "scheme.t_final": _scheme_field("t_final", float, _NUMBER),
+    "scheme.fp_tol": _scheme_field("fp_tol", float, _NUMBER),
+    "scheme.fp_max_iter": _scheme_field("fp_max_iter", None, _INTEGER),
+    "scheme.tau_backoff_limit": _scheme_field("tau_backoff_limit", None, _INTEGER),
     # SchemeParams checks that paper_picard has eps > 0 and delta > 0.
-    "scheme.inner_mode": _Field(
-        "inner_mode", None, (lambda v: v in INNER_MODES, f"must be one of {INNER_MODES}")
-    ),
+    "scheme.inner_mode": _scheme_field("inner_mode", None),
     "scheme.init_floor": _Field("init_floor", float, _NUMBER),
     # One number, or a list of them for compare mode's Knudsen sweep.
     "kinetic.eps": _Field(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import Grid1D, build_grid, integrate
 from .kinetic import build_velocity_grid, limit_compare, run_kinetic
-from .scheme import SchemeParams, Trajectory, make_initial_state, run_transient
+from .scheme import SchemeParams, make_initial_state, run_transient
 from .thermo import MacroState, to_primitive
 
 CSV_HEADER = ["param", "err_rho_L1", "err_E_L1", "order_rho", "order_E"]
@@ -118,7 +118,6 @@ class StudyResult:
     table: ConvergenceTable
     mass_drift: Dict[float, float]
     energy_drift: Dict[float, float]
-    trajectories: Dict[float, Trajectory]
 
 
 def regularization_study(
@@ -140,30 +139,26 @@ def regularization_study(
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ValueError("values must be strictly decreasing")
 
-    runs: Dict[float, Trajectory] = {}
+    finals: Dict[float, MacroState] = {}
     mass_drift: Dict[float, float] = {}
     energy_drift: Dict[float, float] = {}
     for v in values:
         traj = run_transient(grid, init, replace(p, **{which: v}))
-        runs[v] = traj
         first = to_primitive(traj.states[0])
-        last = to_primitive(traj.states[-1])
+        last = finals[v] = to_primitive(traj.states[-1])
         mass_drift[v] = abs(integrate(grid, last.rho) - integrate(grid, first.rho))
         energy_drift[v] = abs(
             integrate(grid, last.energy) - integrate(grid, first.energy)
         )
 
-    ref = to_primitive(runs[values[-1]].states[-1])
+    ref = finals[values[-1]]
     errs_rho, errs_energy = [], []
     for v in values[:-1]:
-        mac = to_primitive(runs[v].states[-1])
-        er, ee = _l1_errors(grid, mac, ref.rho, ref.energy)
+        er, ee = _l1_errors(grid, finals[v], ref.rho, ref.energy)
         errs_rho.append(er)
         errs_energy.append(ee)
     table = ConvergenceTable.from_errors(values[:-1], errs_rho, errs_energy)
-    return StudyResult(
-        table=table, mass_drift=mass_drift, energy_drift=energy_drift, trajectories=runs
-    )
+    return StudyResult(table=table, mass_drift=mass_drift, energy_drift=energy_drift)
 
 
 def fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:

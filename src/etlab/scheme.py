@@ -9,8 +9,9 @@ rho and theta stay positive for any finite iterate.
 
 The nonlinear step is solved by chord iterations on the exact residual,
 each step after the first started from the extrapolation of the last two
-accepted states; ``_converge`` states the stopping rule and
-``fixed_point_step`` the retries and tau backoff.
+accepted states. If that fails, capped Newton iterations from the previous
+state are tried before tau is halved; ``_converge`` states the stopping
+rule and ``fixed_point_step`` the fallback and tau backoff.
 
 Two interchangeable inner linearizations are provided:
 
@@ -66,12 +67,31 @@ INNER_MODES = ("paper_picard", "coupled_implicit")
 # accepted iterate may carry; well below budget_audit's tolerance of 1e-10.
 _BUDGET_GUARD = 1e-12
 
-# Largest max|(dphi, dw)| of a correction on the last rung before tau is
-# halved (Newton from the previous state). Where a field must grow by orders
-# of magnitude in one step, as next to near-vacuum density, the Newton
-# correction of the chart overshoots to exp(80) and more; capped, it crawls
-# back instead of blowing up.
+# Largest max|(dphi, dw)| of a correction in Newton mode, the last attempt
+# before tau is halved. Where a field must grow by orders of magnitude in one
+# step, as next to near-vacuum density, the Newton correction of the chart
+# overshoots to exp(80) and more; capped, it crawls back instead of blowing
+# up.
 _LAST_RUNG_UPDATE = 4.0
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+
+# The range of each SchemeParams field that has one: a predicate on the value
+# and the message of the error that names the field when it is false. The
+# config reader checks its scheme fields against the same entries.
+PARAM_RANGES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "tau": _POSITIVE,
+    "eps": _NONNEGATIVE,
+    "delta": _NONNEGATIVE,
+    "n_exp": (lambda v: 0 < v < 5, "must lie in (0, 5)"),
+    "t_final": _POSITIVE,
+    "fp_tol": _POSITIVE,
+    "fp_max_iter": (lambda v: v >= 1, "must be at least 1"),
+    "tau_backoff_limit": _NONNEGATIVE,
+    "inner_mode": (lambda v: v in INNER_MODES, f"must be one of {INNER_MODES}"),
+}
 
 
 class StepFailureError(RuntimeError):
@@ -106,22 +126,9 @@ class SchemeParams:
     source_energy: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-        if self.eps < 0.0 or self.delta < 0.0:
-            raise ValueError("eps and delta must be nonnegative")
-        if not 0.0 < self.n_exp < 5.0:
-            raise ValueError("n_exp must lie in (0, 5)")
-        if self.t_final <= 0.0:
-            raise ValueError("t_final must be positive")
-        if self.fp_tol <= 0.0:
-            raise ValueError("fp_tol must be positive")
-        if self.fp_max_iter < 1:
-            raise ValueError("fp_max_iter must be at least 1")
-        if self.tau_backoff_limit < 0:
-            raise ValueError("tau_backoff_limit must be nonnegative")
-        if self.inner_mode not in INNER_MODES:
-            raise ValueError(f"inner_mode must be one of {INNER_MODES}")
+        for name, (ok, message) in PARAM_RANGES.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name}: {message}")
         if self.inner_mode == "paper_picard" and (self.eps <= 0.0 or self.delta <= 0.0):
             raise ValueError("paper_picard requires eps > 0 and delta > 0")
 
@@ -460,8 +467,7 @@ def _converge(
     start: EntropicState,
     p: SchemeParams,
     t_new: float,
-    refresh_always: bool = False,
-    max_update: float = math.inf,
+    newton: bool = False,
 ) -> Tuple[EntropicState, List[float]]:
     """Iterate from ``start`` until the estimated error of an iterate is at
     most fp_tol.
@@ -483,9 +489,9 @@ def _converge(
     it is the exact Jacobian, so the first correction is Newton's and the
     chord converges superlinearly from a close start. It is refactored at
     iterate k only when theta_k >= 1/2, the rate from which the error
-    estimate no longer discounts u_k, and at every iterate with
-    ``refresh_always``. A correction larger than ``max_update`` is scaled
-    down to it.
+    estimate no longer discounts u_k. With ``newton`` it is refactored at
+    every iterate instead, and a correction larger than _LAST_RUNG_UPDATE
+    is scaled down to it.
     """
     h = grid.h
     prev_mac = to_primitive(prev)
@@ -504,13 +510,13 @@ def _converge(
             if p.tau * h * max(abs(r1.sum()), abs(r2.sum())) <= _BUDGET_GUARD:
                 return x, history
 
-        if solve is None or rate >= 0.5 or refresh_always:
+        if solve is None or rate >= 0.5 or newton:
             solve = _factor(grid, x, mac, edges, p)
         dphi, dw = solve(r1, r2)
         last, update = update, max(float(np.abs(dphi).max()), float(np.abs(dw).max()))
-        if update > max_update:
-            dphi, dw = dphi * (max_update / update), dw * (max_update / update)
-            update = max_update
+        if newton and update > _LAST_RUNG_UPDATE:
+            scale = _LAST_RUNG_UPDATE / update
+            dphi, dw, update = dphi * scale, dw * scale, _LAST_RUNG_UPDATE
         phi, w = x.phi + dphi, x.w + dw
         if not (np.isfinite(phi).all() and np.isfinite(w).all()):
             raise _NotConverged(res)
@@ -534,15 +540,13 @@ def fixed_point_step(
     step that led from it to ``prev``. Given both, the first attempt starts
     from the linear extrapolation prev + (tau / tau_prev) (prev - older);
     any chart values are admissible, since rho and theta stay positive;
-    without history every attempt starts from ``prev``. Each attempt runs
-    ``_converge``, which states the stopping rule; if it fails numerically,
-    it is retried once at the same tau and start, refactoring at every
-    iterate. If that fails too and the start was extrapolated, the
-    same tau is tried once more from ``prev``, again chord first. The
-    refactoring attempt from ``prev``, the last before tau is halved, caps
-    each correction at _LAST_RUNG_UPDATE. Non-convergence, blow-up of the
-    chart values and a non-SPD or singular linear system then halve tau;
-    any other error propagates. StepFailureError ends the step after
+    without history, and after a halving, the first attempt starts from
+    ``prev``. Each tau gets two attempts of ``_converge``, which states the
+    stopping rule: the chord iteration from that start, and if it fails
+    numerically, Newton iteration from ``prev`` with each correction capped
+    at _LAST_RUNG_UPDATE. Non-convergence, blow-up of the chart values and
+    a non-SPD or singular linear system of both attempts halve tau; any
+    other error propagates. StepFailureError ends the step after
     p.tau_backoff_limit halvings, or earlier when one more halving would
     underflow tau to zero. Returns the state after the
     time increment that actually succeeded (tau_used <= p.tau) together
@@ -560,34 +564,28 @@ def fixed_point_step(
             start = EntropicState(phi=phi, w=w)
     last_residual = np.inf
     halvings = 0
-    refresh_always = False
     while halvings <= p.tau_backoff_limit:
         p_try = replace(p, tau=tau_try)
-        cap = _LAST_RUNG_UPDATE if refresh_always and start is prev else math.inf
-        try:
-            x, history = _converge(
-                grid, prev, start, p_try, t_start + tau_try, refresh_always, cap
-            )
-        except _NotConverged as exc:
-            last_residual = exc.residual
-        except (BlowupError, NotSPDError, SingularMatrixError):
-            pass
-        else:
-            report = StepReport(
-                iterations=len(history),
-                residual=history[-1],
-                tau_used=tau_try,
-                budget=budget_audit(grid, prev, x, p_try, t_new=t_start + tau_try),
-                entropy=entropy_audit(grid, prev, x, p_try),
-                residual_history=history,
-            )
-            return x, report
-        refresh_always = not refresh_always
-        if refresh_always:
-            continue  # retry the same tau and start without reusing factors
-        if start is not prev:
-            start = prev  # retry the same tau from prev before halving
-            continue
+        for x0, newton in ((start, False), (prev, True)):
+            try:
+                x, history = _converge(
+                    grid, prev, x0, p_try, t_start + tau_try, newton=newton
+                )
+            except _NotConverged as exc:
+                last_residual = exc.residual
+            except (BlowupError, NotSPDError, SingularMatrixError):
+                pass
+            else:
+                report = StepReport(
+                    iterations=len(history),
+                    residual=history[-1],
+                    tau_used=tau_try,
+                    budget=budget_audit(grid, prev, x, p_try, t_new=t_start + tau_try),
+                    entropy=entropy_audit(grid, prev, x, p_try),
+                    residual_history=history,
+                )
+                return x, report
+        start = prev
         if tau_try * 0.5 == 0.0:
             break  # one more halving would underflow tau to zero
         tau_try *= 0.5

@@ -22,7 +22,7 @@ from .grid import Grid1D, grad_edge
 
 # Chart values beyond this cap signal solver blow-up; fail loudly instead of
 # letting exp() return Inf.
-DEFAULT_EXP_CAP = 300.0
+EXP_CAP = 300.0
 
 # exp() overflows float64 slightly above this exponent.
 _EXP_OVERFLOW = 700.0
@@ -116,24 +116,23 @@ def _require_positive(name: str, value) -> np.ndarray:
     return value
 
 
-def to_primitive(state: EntropicState, cap: float = DEFAULT_EXP_CAP) -> MacroState:
+def to_primitive(state: EntropicState) -> MacroState:
     """Evaluate (rho, theta, E) from the entropic chart.
 
     Raises BlowupError naming the offending cell when the chart values
-    exceed the cap or the density exponent would overflow or underflow.
-    The result at the default cap is memoized on the (immutable) state, so
-    the checks run once per state; any other cap bypasses the memo.
+    exceed EXP_CAP or the density exponent would overflow or underflow.
+    The result is memoized on the (immutable) state, so the checks run once
+    per state.
     """
-    memoize = cap == DEFAULT_EXP_CAP
-    if memoize and state._primitive is not None:
+    if state._primitive is not None:
         return state._primitive
     phi, w = state.phi, state.w
-    bad = (np.abs(phi) > cap) | (np.abs(w) > cap)
+    bad = (np.abs(phi) > EXP_CAP) | (np.abs(w) > EXP_CAP)
     if bad.any():
         cell = int(np.argmax(bad))
         raise BlowupError(
             f"entropic state out of range at cell {cell}: "
-            f"phi={phi[cell]:.6g}, w={w[cell]:.6g} (cap {cap:g})"
+            f"phi={phi[cell]:.6g}, w={w[cell]:.6g} (cap {EXP_CAP:g})"
         )
     expo = phi + 1.5 * w - 2.5
     # the energy product theta * (1 + 1.5 rho) peaks near exp(expo + w)
@@ -151,8 +150,7 @@ def to_primitive(state: EntropicState, cap: float = DEFAULT_EXP_CAP) -> MacroSta
     rho = np.exp(expo)
     theta = np.exp(w)
     mac = MacroState(rho=rho, theta=theta, energy=theta * (1.0 + 1.5 * rho))
-    if memoize:
-        object.__setattr__(state, "_primitive", mac)
+    object.__setattr__(state, "_primitive", mac)
     return mac
 
 

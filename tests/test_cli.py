@@ -561,33 +561,40 @@ def test_macro_default_settings_converge_on_fine_grids(tmp_path, n_cells):
 
 # Substeps (records of a halved tau) measured on the cold-data runs below.
 _COLD_SUBSTEPS = {
-    ("theta0", 1e-2, "coupled_implicit"): 0,
-    ("theta0", 1e-2, "paper_picard"): 0,
-    ("theta0", 1e-3, "coupled_implicit"): 0,
-    ("theta0", 1e-3, "paper_picard"): 0,
-    ("theta0", 1e-4, "coupled_implicit"): 0,
-    ("theta0", 1e-4, "paper_picard"): 0,
-    ("theta0", 1e-8, "coupled_implicit"): 0,
-    ("theta0", 1e-8, "paper_picard"): 0,
-    ("rho0", 1e-6, "coupled_implicit"): 0,
-    ("rho0", 1e-6, "paper_picard"): 0,
+    ("theta0", 1e-2, 64, "coupled_implicit"): 0,
+    ("theta0", 1e-2, 64, "paper_picard"): 0,
+    ("theta0", 1e-3, 64, "coupled_implicit"): 0,
+    ("theta0", 1e-3, 64, "paper_picard"): 0,
+    ("theta0", 1e-4, 64, "coupled_implicit"): 0,
+    ("theta0", 1e-4, 64, "paper_picard"): 0,
+    ("theta0", 1e-8, 64, "coupled_implicit"): 0,
+    ("theta0", 1e-8, 64, "paper_picard"): 0,
+    ("theta0", 1e-8, 1024, "coupled_implicit"): 0,
+    ("theta0", 1e-8, 1024, "paper_picard"): 0,
+    ("rho0", 1e-6, 64, "coupled_implicit"): 0,
+    ("rho0", 1e-6, 64, "paper_picard"): 0,
 }
 
 
 @pytest.mark.parametrize("inner_mode", ["coupled_implicit", "paper_picard"])
 @pytest.mark.parametrize(
-    "field, minimum",
-    [pytest.param("theta0", t, id=str(t)) for t in (1e-2, 1e-3, 1e-4, 1e-8)]
-    + [pytest.param("rho0", 1e-6, id="rho-1e-06")],
+    "field, minimum, n_cells",
+    [pytest.param("theta0", t, 64, id=str(t)) for t in (1e-2, 1e-3, 1e-4, 1e-8)]
+    + [
+        pytest.param("theta0", 1e-8, 1024, id="1e-08-n1024"),
+        pytest.param("rho0", 1e-6, 64, id="rho-1e-06"),
+    ],
 )
-def test_macro_default_settings_converge_on_cold_data(tmp_path, field, minimum, inner_mode):
+def test_macro_default_settings_converge_on_cold_data(
+    tmp_path, field, minimum, n_cells, inner_mode
+):
     # theta (or rho) drops to its minimum away from a bump, the other field
     # is 1: near the degeneracy of the system, where ellipticity is lost as
     # theta vanishes, or at near-vacuum density.
-    x = (np.arange(64) + 0.5) / 64
-    init = {"rho0": [1.0] * 64, "theta0": [1.0] * 64}
+    x = (np.arange(n_cells) + 0.5) / n_cells
+    init = {"rho0": [1.0] * n_cells, "theta0": [1.0] * n_cells}
     init[field] = (minimum + np.exp(-200.0 * (x - 0.5) ** 2)).tolist()
-    doc = dict(MINIMAL, init=init)
+    doc = dict(MINIMAL, grid={"n_cells": n_cells, "length": 1.0}, init=init)
     cfg = _write_config(tmp_path, doc)
     out = tmp_path / "out"
     overrides = ["scheme.t_final=0.02", f"scheme.inner_mode={inner_mode}"]
@@ -595,7 +602,7 @@ def test_macro_default_settings_converge_on_cold_data(tmp_path, field, minimum, 
     _assert_run_passed(out)
     records = json.loads((out / "audits.json").read_text())["records"]
     substeps = sum(r["tau_used"] < 1e-3 for r in records)
-    assert substeps <= _COLD_SUBSTEPS[field, minimum, inner_mode]
+    assert substeps <= _COLD_SUBSTEPS[field, minimum, n_cells, inner_mode]
 
 
 @pytest.mark.parametrize("source", ["override", "env", "file"])

@@ -459,25 +459,63 @@ def test_step_falls_back_to_prev_when_extrapolation_fails(w_shift, tau_prev):
     assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
 
 
-def test_last_rung_caps_the_newton_corrections():
-    # Near-vacuum density (rho = 1e-6 away from a bump), first step: the
-    # Newton correction from prev overshoots the chart by about 80 and the
-    # iteration blows up. Capped at _LAST_RUNG_UPDATE, as on the last rung
-    # before tau is halved, it converges at the full tau.
+def test_last_rung_caps_the_newton_corrections(monkeypatch):
+    # Near-vacuum density (rho = 1e-6 away from a bump), first step: Newton
+    # from prev, its corrections capped at _LAST_RUNG_UPDATE as in the last
+    # attempt before tau is halved, converges at the full tau. Uncapped, the
+    # first correction overshoots the chart by about 80 and the iteration
+    # blows up.
     grid = build_grid(64, 1.0)
     rho0 = 1e-6 + np.exp(-200.0 * (grid.cell_centers - 0.5) ** 2)
     prev = to_entropic(rho0, np.ones(64))
     p = SchemeParams(tau=1e-3)
-    with pytest.raises(BlowupError):
-        scheme._converge(grid, prev, prev, p, p.tau, refresh_always=True)
-    x, history = scheme._converge(
-        grid, prev, prev, p, p.tau, True, scheme._LAST_RUNG_UPDATE
-    )
+    x, history = scheme._converge(grid, prev, prev, p, p.tau, newton=True)
     assert history[-1] <= 1e-6
     out, rep = fixed_point_step(grid, prev, p)
     assert rep.tau_used == p.tau
     assert _max_gap(out, x) <= p.fp_tol
     assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
+    monkeypatch.setattr(scheme, "_LAST_RUNG_UPDATE", math.inf)
+    with pytest.raises(BlowupError):
+        scheme._converge(grid, prev, prev, p, p.tau, newton=True)
+
+
+def _cold_run(theta_min):
+    """The cold-data transient of test_cli's cold-data runs at n = 64."""
+    grid = build_grid(64, 1.0)
+    init = make_initial_state(*_cold_fields(grid, theta_min))
+    p = SchemeParams(tau=1e-3, t_final=0.02)
+    return run_transient(grid, init, p)
+
+
+def test_cold_step_falls_back_to_newton_from_prev(monkeypatch):
+    # theta_min = 1e-8: after step 1 moves the chart far, step 2's chord
+    # iteration from the extrapolated start fails, and the next attempt, at
+    # the same tau, is Newton from prev, which converges.
+    attempts = []
+    converge = scheme._converge
+
+    def traced(grid, prev, start, p, t_new, *args, **kwargs):
+        attempts.append([prev, start, p.tau, kwargs.get("newton", False), False])
+        out = converge(grid, prev, start, p, t_new, *args, **kwargs)
+        attempts[-1][-1] = True
+        return out
+
+    monkeypatch.setattr(scheme, "_converge", traced)
+    traj = _cold_run(1e-8)
+    step2 = [a for a in attempts if a[0] is traj.states[1]]
+    prev, start, tau, newton, converged = step2[0]
+    assert start is not prev and not newton and not converged
+    prev, start, retry_tau, newton, converged = step2[1]
+    assert start is prev and retry_tau == tau and newton and converged
+
+
+def test_cold_run_residual_evaluations(monkeypatch):
+    # theta_min = 1e-8: 224 residual evaluations and no substeps
+    residuals = _Counted(monkeypatch, scheme, "_residual")
+    traj = _cold_run(1e-8)
+    assert all(rep.tau_used == 1e-3 for rep in traj.reports)
+    assert len(residuals.calls) <= 224
 
 
 class _Counted:

@@ -72,14 +72,11 @@ def test_to_primitive_underflow_names_cell():
         to_primitive(state)
 
 
-def test_to_primitive_cap_is_configurable():
-    state = EntropicState(phi=np.array([20.0]), w=np.array([0.0]))
-    with pytest.raises(BlowupError):
-        to_primitive(state, cap=10.0)
-    # the memoized default-cap view does not answer for another cap
-    to_primitive(state)
-    with pytest.raises(BlowupError):
-        to_primitive(state, cap=10.0)
+def test_to_primitive_rejects_chart_values_beyond_the_cap():
+    # exp(301 - 2.5) is finite, but |phi| > 300 signals a blown-up iterate
+    state = EntropicState(phi=np.array([0.0, 301.0]), w=np.array([0.0, 0.0]))
+    with pytest.raises(BlowupError, match=r"cell 1: phi=301, w=0 \(cap 300\)"):
+        to_primitive(state)
 
 
 def test_state_arrays_are_read_only_copies():
