@@ -17,21 +17,19 @@ Neumann walls, and pointwise implicit relaxation over dt/eps^2 whose target
 temperature is chosen per cell so the sum of background and kinetic energy
 is invariant by construction.
 
-A step makes few passes over the (n_x, n_v) distributions. Transport forms
-all face differences with one contiguous subtract into a face buffer owned
-by the run, then applies the Courant numbers of each velocity sign. Every
-velocity moment is a product with a cached weight vector wq v^k; the
-Maxwellian is even in v, so it is evaluated, and its sums S_k taken, on the
-nonnegative nodes only. The step blocks and Courant tiles a run owns start
-on 64-byte boundaries, so numpy's vector stores into them do not split
-across cache lines.
+g0 and g2 are stored on a velocity ring (see _fold), along which specular
+reflection at both walls is periodicity, so transport is one-way upwind with
+one contiguous pass per operation. The Maxwellian is even in v: the
+relaxation evaluates it on the (n_x, n_h) half grid of nonnegative nodes
+and adds the target to both halves of the ring. Every velocity moment is a
+product with a weight vector built once per run.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -43,10 +41,18 @@ from .scheme import StepFailureError
 _RELAX_TOL = 1e-14
 _RELAX_MAX_ITER = 60
 
-# Most explicit steps a kinetic run may take; ``etlab`` rejects a config that
-# needs more (exit 3). About 440 times the 2276 steps of an n = 256,
-# eps = 0.1, t_final = 0.1 run, and a run of minutes at n = 256.
+# Most explicit steps a kinetic run may take; run_kinetic and ``etlab``
+# (exit 3) reject a run that needs more. About 440 times the 2276 steps of
+# an n = 256, eps = 0.1, t_final = 0.1 run (about 0.23 ms each), and a run
+# of about four minutes at n = 256.
 MAX_KINETIC_STEPS = 10**6
+
+# The eps whose squares are normal finite doubles: the relaxation rate
+# dt / eps**2 needs eps**2, which underflows to zero below about 1.6e-162
+# and overflows above the largest.
+MIN_EPS = math.sqrt(sys.float_info.min)
+MAX_EPS = math.sqrt(sys.float_info.max)
+EPS_RANGE = f"[{MIN_EPS:.3g}, {MAX_EPS:.3g}]"
 
 
 @dataclass(frozen=True)
@@ -59,9 +65,8 @@ class VelocityGrid:
     weights: np.ndarray
 
     def __post_init__(self):
-        # Transport's slices and wall reflection and the mirrored Maxwellian
-        # in _gauss_sums read the negative nodes as the exact mirror of the
-        # positive ones.
+        # The velocity ring pairs each node with its mirror, which must be
+        # its exact negative with the same weight.
         if self.nodes.shape != (self.n_v,) or self.weights.shape != (self.n_v,):
             raise ValueError("velocity nodes and weights must have n_v entries each")
         if not np.all(np.diff(self.nodes) > 0.0):
@@ -91,21 +96,68 @@ def maxwellian_1d(theta, v):
     return (2.0 * np.pi * theta) ** -0.5 * np.exp(-(v**2) / (2.0 * theta))
 
 
+def _gaussian(theta: np.ndarray, v2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(v^2 (-1 / (2 theta))) per cell (rows) and node (columns), into ``out``.
+
+    The Maxwellian without its prefactor (2 pi theta)^{-1/2}, which cancels
+    in the mass-normalized relaxation target; ``v2`` holds the nodes' v^2.
+    """
+    np.multiply(v2, (-1.0 / (2.0 * theta))[:, None], out=out)
+    return np.exp(out, out=out)
+
+
 @dataclass
 class KineticState:
     """Reduced distributions, background temperature, and scaled Knudsen number.
 
-    ``delta`` is the per-cell energy defect S2/S0 - theta of the discrete
-    Maxwellian at the last relaxation temperature (see _relax_temperature).
+    g0 and g2 live on the velocity ring (see _fold). ``delta`` is the
+    per-cell energy defect S2/S0 - theta of the discrete Maxwellian at the
+    last relaxation temperature (see _relax_temperature).
     """
 
-    g0: np.ndarray  # (n_x, n_v), nonnegative
-    g2: np.ndarray  # (n_x, n_v), nonnegative
+    g0: np.ndarray  # (2 n_x, n_h), nonnegative
+    g2: np.ndarray  # (2 n_x, n_h), nonnegative
     theta_b: np.ndarray  # (n_x,), positive
     eps: float
     grid: Grid1D
     vgrid: VelocityGrid
     delta: np.ndarray  # (n_x,)
+
+
+def _fold(g: np.ndarray) -> np.ndarray:
+    """The velocity ring of an (n_x, n_v) distribution: shape (2 n_x, n_h).
+
+    Row k < n_x is cell k at the nonnegative nodes, row n_x + k is cell
+    n_x - 1 - k at their negatives, in the same node order. A zero node
+    (odd n_v) is in both halves.
+    """
+    half = g.shape[1] // 2
+    return np.concatenate((g[:, half:], g[::-1, ::-1][:, half:]))
+
+
+def _cell_sums(per_row: np.ndarray) -> np.ndarray:
+    """Per-cell totals of a per-ring-row quantity: its two halves added."""
+    n_x = per_row.shape[0] // 2
+    return per_row[:n_x] + per_row[n_x:][::-1]
+
+
+def _moment_weights(vgrid: VelocityGrid):
+    """Weights on the nonnegative nodes: w, w v^2, w v for ring rows, and 2 w v^k.
+
+    w is wq with a zero node's weight halved, as that node sits on both
+    halves of the ring, so a moment of a ring is the _cell_sums of its
+    product with w v^k. S_k = sum wq v^k G of an even G given on the
+    nonnegative nodes is its product with 2 w v^k, k = 0, 2, 4.
+    """
+    half = vgrid.n_v // 2
+    v = vgrid.nodes[half:]
+    w = np.where(v == 0.0, 0.5, 1.0) * vgrid.weights[half:]
+    folded = tuple(2.0 * w * v**k for k in (0, 2, 4))
+    return w, w * v**2, w * v, folded
+
+
+def _kinetic_energy(g0: np.ndarray, g2: np.ndarray, w: np.ndarray, wv2: np.ndarray):
+    return 0.5 * _cell_sums(g0 @ wv2 + g2 @ w)
 
 
 def init_equilibrium(
@@ -124,31 +176,25 @@ def init_equilibrium(
         raise ValueError("eps must be positive")
     v = vgrid.nodes
     m1 = maxwellian_1d(theta0[:, None], v[None, :])
-    _, (w0, w2, _) = _moment_weights(v.tobytes(), vgrid.weights.tobytes())
+    w0, w2, _ = _moment_weights(vgrid)[3]
     upper = m1[:, v.shape[0] // 2 :]
     s0, s2 = upper @ w0, upper @ w2
     delta = np.divide(s2, s0, out=theta0.copy(), where=s0 > 0.0) - theta0
     g0 = rho0[:, None] * m1
     g2 = 2.0 * theta0[:, None] * g0
     return KineticState(
-        g0=g0,
-        g2=g2,
-        theta_b=theta0.copy(),
-        eps=float(eps),
-        grid=grid,
-        vgrid=vgrid,
-        delta=delta,
+        _fold(g0), _fold(g2), theta0.copy(), float(eps), grid, vgrid, delta
     )
 
 
 def moments(state: KineticState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell density, kinetic energy density, and scaled mass flux."""
-    v = state.vgrid.nodes
-    wq = state.vgrid.weights
-    rho = state.g0 @ wq
-    kinetic_energy = 0.5 * (state.g0 @ (wq * v**2) + state.g2 @ wq)
-    mass_flux = state.g0 @ (wq * v) / state.eps
-    return rho, kinetic_energy, mass_flux
+    w, wv2, wv, _ = _moment_weights(state.vgrid)
+    rho = _cell_sums(state.g0 @ w)
+    flux_rows = state.g0 @ wv
+    n_x = flux_rows.shape[0] // 2
+    mass_flux = (flux_rows[:n_x] - flux_rows[n_x:][::-1]) / state.eps
+    return rho, _kinetic_energy(state.g0, state.g2, w, wv2), mass_flux
 
 
 def energy_total(grid: Grid1D, state: KineticState) -> float:
@@ -158,34 +204,23 @@ def energy_total(grid: Grid1D, state: KineticState) -> float:
 
 
 def _transport(
-    g: np.ndarray,
-    c_pos: np.ndarray,
-    c_neg: np.ndarray,
-    faces: np.ndarray,
-    out: np.ndarray,
+    q: np.ndarray, courant: np.ndarray, diff: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Flux-form upwind transport with specular reflection at both walls.
+    """One-way upwind transport round the velocity ring into ``out``.
 
-    ``c_pos``/``c_neg`` hold the Courant numbers dt v / (eps h), |.| <= 1, of
-    the positive/negative velocities and 0 elsewhere, tiled to g's shape.
-    ``faces`` (n_x + 1 rows) receives the face differences D[i] = g[i] - g[i-1],
-    with the reflected distribution as ghost value beyond each wall, so the
-    velocity-summed mass and energy fluxes through a wall cancel exactly on
-    a symmetric grid. Then out = g - c_pos D[:-1] - c_neg D[1:], which is
-    returned; each column subtracts one exact zero, so this equals the
-    upwind update of each velocity sign bit for bit. ``faces`` is left as
-    scratch.
+    ``diff`` receives D[k] = q[k] - q[k - 1 mod 2 n_x], then out = q -
+    courant D with courant = dt |v| / (eps h) <= 1. At the wrap and the
+    middle of the ring D pairs a cell with its mirrored velocity: specular
+    reflection, whose wall fluxes of mass and energy cancel exactly. Each
+    half is the upwind update of its velocity sign bit for bit, as
+    -a b = a (-b) exactly. ``diff`` is left as scratch.
     """
-    np.subtract(g[1:], g[:-1], out=faces[1:-1])
-    np.subtract(g[0], g[0, ::-1], out=faces[0])
-    np.subtract(g[-1, ::-1], g[-1], out=faces[-1])
-    np.multiply(c_pos, faces[:-1], out=out)
-    np.subtract(g, out, out=out)
-    np.multiply(c_neg, faces[1:], out=faces[1:])
-    return np.subtract(out, faces[1:], out=out)
+    np.subtract(q[1:], q[:-1], out=diff[1:])
+    np.subtract(q[0], q[-1], out=diff[0])
+    np.multiply(courant, diff, out=diff)
+    return np.subtract(q, diff, out=out)
 
 
-@lru_cache(maxsize=32)
 def _heat_factor(n: int, h: float, dt: float) -> BandedCholesky:
     """Factor I - dt * Laplacian (Neumann); conserves the quadrature exactly."""
     bands = np.zeros((2, n))
@@ -209,52 +244,21 @@ def _aligned_empty(shape: Tuple[int, ...]) -> np.ndarray:
     return raw[start : start + size].reshape(shape)
 
 
-@lru_cache(maxsize=4)
-def _step_constants(n: int, h: float, dt: float, eps: float, nodes: bytes):
-    """c_pos and c_neg (see _transport), each tiled to (n, n_v), 64-byte aligned.
+class _StepConstants:
+    """What the steps of a run share, built once: the Courant numbers tiled to
+    the ring's shape (64-byte aligned), v_h^2, the moment weights, mu and
+    keep = 1 / (1 + lam) for lam = dt / eps^2, and the heat factor."""
 
-    Keyed like _heat_factor, plus eps and the velocity nodes' bytes. Tiled,
-    the per-step products with the distributions run on contiguous arrays.
-    A run uses one entry; the small cache bounds the memory the tiles hold.
-    """
-    v = np.frombuffer(nodes)
-    courant = dt * v / (eps * h)
-    tiled = []
-    for sign in (v > 0.0, v < 0.0):
-        tile = _aligned_empty((n, v.shape[0]))
-        tile[:] = np.where(sign, courant, 0.0)
-        tile.setflags(write=False)
-        tiled.append(tile)
-    return tuple(tiled)
-
-
-@lru_cache(maxsize=4)
-def _moment_weights(nodes: bytes, weights: bytes):
-    """wq v^2, and wq v^k for k = 0, 2, 4 folded onto the nonnegative nodes.
-
-    Folded weights are doubled, except a zero node's, so S_k = sum wq v^k M1
-    of an even M1 is the product of M1 on the nonnegative nodes with them.
-    """
-    v = np.frombuffer(nodes)
-    wq = np.frombuffer(weights)
-    half = v.shape[0] // 2
-    fold = np.where(v[half:] == 0.0, 1.0, 2.0) * wq[half:]
-    folded = tuple(fold * v[half:] ** k for k in (0, 2, 4))
-    wv2 = wq * v**2
-    for a in (wv2,) + folded:
-        a.setflags(write=False)
-    return wv2, folded
-
-
-def _mirror_even(half: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill out with the even extension of ``half``, given on the nonnegative nodes.
-
-    The nodes are exactly antisymmetric, so node j mirrors node n_v - 1 - j.
-    """
-    n_half = out.shape[1] // 2
-    out[:, n_half:] = half
-    out[:, :n_half] = half[:, ::-1][:, :n_half]
-    return out
+    def __init__(self, grid: Grid1D, vgrid: VelocityGrid, eps: float, dt: float):
+        v = vgrid.nodes[vgrid.n_v // 2 :]
+        self.courant = _aligned_empty((2 * grid.n_cells, v.shape[0]))
+        self.courant[:] = dt * v / (eps * grid.h)
+        self.v2 = v**2
+        self.w, self.wv2, _, self.folded = _moment_weights(vgrid)
+        lam = dt / eps**2
+        self.mu = lam / (1.0 + lam)
+        self.keep = 1.0 / (1.0 + lam)
+        self.heat = _heat_factor(grid.n_cells, grid.h, dt)
 
 
 def _relax_temperature(
@@ -262,49 +266,51 @@ def _relax_temperature(
     rho: np.ndarray,
     e_kin: np.ndarray,
     delta: np.ndarray,
-    mu: float,
-    v_half: np.ndarray,
-    folded: Tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    k: _StepConstants,
+    gauss: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve theta + mu rho e_M(theta) = theta_b + mu e_kin per cell.
 
     e_M(theta) = (S2/S0 + 2 theta) / 2 is the kinetic energy of the
     discrete, mass-normalized Maxwellian target; the left side is strictly
     increasing in theta, so safeguarded Newton with a bracket converges.
-    M1 is even in v, so each iterate evaluates it on the nonnegative nodes
-    ``v_half`` only, and S_k is its product with the folded weights
-    ``folded`` (see _moment_weights).
+    Each iterate evaluates the Gaussian G = exp(-v^2 / (2 theta)) into
+    ``gauss`` on the nonnegative nodes, and S_k = sum wq v^k G is its
+    product with the folded weights of ``k`` (see _moment_weights); S2/S0
+    does not depend on G's normalization.
 
     Newton starts from the solution of the same equation with the energy
     defect S2/S0 - theta frozen at ``delta``, its value at the previous
     step's temperature: e_M is then 3 theta / 2 + delta / 2 and the equation
     is linear. On a velocity grid that resolves the Maxwellian, the defect
     is roundoff-small and barely moves between steps, so this start already
-    meets the tolerance and a step evaluates the Maxwellian once. The
+    meets the tolerance and a step evaluates the Gaussian once. The
     stopping rule, the bracket and the iteration cap are those of any start.
 
-    Returns theta, S0 and M1 on ``v_half`` of the converged iterate, and its
-    defect S2/S0 - theta for the next step.
+    Returns theta and S0 of the converged iterate, whose G ``gauss`` then
+    holds, and its defect S2/S0 - theta for the next step.
     """
-    w0, w2, w4 = folded
+    w0, w2, w4 = k.folded
+    mu = k.mu
     rhs = theta_b + mu * e_kin
     lo = np.full_like(rhs, 1e-12)
     hi = rhs.copy()
     theta = np.clip((rhs - 0.5 * mu * rho * delta) / (1.0 + 1.5 * mu * rho), lo, hi)
     for _ in range(_RELAX_MAX_ITER):
-        m1 = maxwellian_1d(theta[:, None], v_half)
-        s0 = m1 @ w0
-        s2 = m1 @ w2
-        with np.errstate(divide="ignore", invalid="ignore"):  # S0 = 0 if M1 underflows
+        _gaussian(theta, k.v2, gauss)
+        s0 = gauss @ w0
+        s2 = gauss @ w2
+        with np.errstate(divide="ignore", invalid="ignore"):  # S0 = 0 if G underflows
             ratio = s2 / s0
         e_m = 0.5 * (ratio + 2.0 * theta)
         f = theta + mu * rho * e_m - rhs
         if np.all(np.abs(f) <= _RELAX_TOL * (1.0 + rhs)):
-            return theta, s0, m1, ratio - theta
+            return theta, s0, ratio - theta
         if not np.isfinite(f).all():
             break  # no Newton update can repair non-finite moments
-        s4 = m1 @ w4
-        # analytic d/dtheta of S_k through dM1/dtheta = M1 (v^2 - theta)/(2 theta^2)
+        s4 = gauss @ w4
+        # d(S2/S0)/dtheta does not depend on G's normalization either; take
+        # it through the normalized dM1/dtheta = M1 (v^2 - theta)/(2 theta^2)
         s0p = (s2 - theta * s0) / (2.0 * theta**2)
         s2p = (s4 - theta * s2) / (2.0 * theta**2)
         de_m = 0.5 * ((s2p * s0 - s2 * s0p) / s0**2 + 2.0)
@@ -322,79 +328,68 @@ def _relax_temperature(
 
 
 def _step_block(state: KineticState) -> np.ndarray:
-    """An uninitialized step block for kinetic_step's ``out``: (4, n_x + 1, n_v).
-
-    The block starts on a 64-byte boundary (see _aligned_empty). When n_v
-    is a multiple of 8, as the default 64 is, so does every layer and the
-    ``faces[1:]`` work view of kinetic_step.
-    """
-    n_x, n_v = state.g0.shape
-    return _aligned_empty((4, n_x + 1, n_v))
+    """An uninitialized, 64-byte aligned block for kinetic_step's ``out``."""
+    return _aligned_empty((3,) + state.g0.shape)
 
 
 def kinetic_step(
-    state: KineticState, dt: float, out: Optional[np.ndarray] = None
+    state: KineticState,
+    dt: float,
+    out: Optional[np.ndarray] = None,
+    constants: Optional[_StepConstants] = None,
 ) -> KineticState:
     """One split step: transport, background heat diffusion, implicit relaxation.
 
-    The step works in one block of shape (4, n_x + 1, n_v) (see _step_block):
-    ``out`` when given, which must not hold the input state's distributions,
-    else a new array. Its layers 0 and 1 take the new g0 and g2 in their
-    first n_x rows, layer 2 the Maxwellian M1 of the relaxation, and layer 3
-    the face differences of the transport, then the relaxation's products.
-    A step makes no other distribution-sized array; the returned state's g0
-    and g2 are views into the block.
+    The step works in one block of shape (3, 2 n_x, n_h): ``out`` when
+    given, which must not hold the input state's distributions, else a new
+    one. Layers 0 and 1 take the new g0 and g2, which the returned state
+    views; layer 2 takes the transport's differences, then the Gaussian G
+    (top half) and the target c G (bottom half). ``constants`` are the
+    _StepConstants of the state's grids, eps and dt, built when not given.
 
-    Transport takes one contiguous pass per operation and is the upwind
-    update bit for bit. Every velocity moment is a product with a cached
-    weight vector wq v^k, and the relaxation is g <- g / (1 + lam) + c M1
-    with per-cell c0 = mu rho / S0 for g0 and c2 = 2 theta* c0 for g2; these
-    reorder the full-grid sums and divisions of the plain formulation, so
-    they agree with it to roundoff. Mass and total energy are conserved by
-    construction: the target is normalized by its discrete mass, and the
-    background absorbs exactly the kinetic energy the gas released.
+    Transport is the upwind update bit for bit. The relaxation is
+    g <- g / (1 + lam) + c G with per-cell c0 = mu rho / S0 for g0 and
+    c2 = 2 theta* c0 for g2, c G added to the top rows and row-reversed to
+    the bottom rows. Moments and target reorder the sums and divisions of
+    the plain full-grid formulation, so they agree with it to roundoff.
+    Mass and total energy are conserved by construction: the target is
+    normalized by its discrete mass, and the background absorbs exactly the
+    kinetic energy the gas released.
     """
     grid, vgrid, eps = state.grid, state.vgrid, state.eps
     cfl_bound = eps * grid.h / vgrid.v_max
     if dt > cfl_bound * (1.0 + 1e-9):
         raise ValueError(f"dt = {dt:.3e} violates the CFL bound {cfl_bound:.3e}")
-    v, wq = vgrid.nodes, vgrid.weights
+    k = _StepConstants(grid, vgrid, eps, dt) if constants is None else constants
     n = grid.n_cells
-    c_pos, c_neg = _step_constants(n, grid.h, dt, eps, v.tobytes())
-    wv2, folded = _moment_weights(v.tobytes(), wq.tobytes())
 
     block = _step_block(state) if out is None else out
-    g0, g2, m1, faces = block[0, :n], block[1, :n], block[2, :n], block[3]
-    _transport(state.g0, c_pos, c_neg, faces, g0)
-    _transport(state.g2, c_pos, c_neg, faces, g2)
+    g0, g2, scratch = block
+    _transport(state.g0, k.courant, scratch, g0)
+    _transport(state.g2, k.courant, scratch, g2)
 
-    theta_b = _heat_factor(n, grid.h, dt).solve(state.theta_b)
+    theta_b = k.heat.solve(state.theta_b)
 
-    lam = dt / eps**2
-    mu = lam / (1.0 + lam)
-    rho = g0 @ wq
-    e_kin = 0.5 * (g0 @ wv2 + g2 @ wq)
-    theta_star, s0, m1_half, delta = _relax_temperature(
-        theta_b, rho, e_kin, state.delta, mu, v[None, v.shape[0] // 2 :], folded
+    rho = _cell_sums(g0 @ k.w)
+    e_kin = _kinetic_energy(g0, g2, k.w, k.wv2)
+    gauss, work = scratch[:n], scratch[n:]
+    theta_star, s0, delta = _relax_temperature(
+        theta_b, rho, e_kin, state.delta, k, gauss
     )
-    _mirror_even(m1_half, m1)
     # Normalizing the target by its discrete mass makes relaxation conserve
     # the density exactly on this quadrature.
-    c0 = mu * rho / s0
+    c0 = k.mu * rho / s0
     c2 = 2.0 * theta_star * c0
-    work = faces[1:]
-    keep = 1.0 / (1.0 + lam)
-    g0 *= keep
-    g0 += np.multiply(c0[:, None], m1, out=work)
-    g2 *= keep
-    g2 += np.multiply(c2[:, None], m1, out=work)
-    e_kin_new = 0.5 * (g0 @ wv2 + g2 @ wq)
+    for g, c in ((g0, c0), (g2, c2)):
+        g *= k.keep
+        np.multiply(c[:, None], gauss, out=work)
+        g[:n] += work
+        g[n:] += work[::-1]
+    e_kin_new = _kinetic_energy(g0, g2, k.w, k.wv2)
     # The background absorbs exactly what the gas released.
     theta_b = theta_b + (e_kin - e_kin_new)
 
-    return KineticState(
-        g0=g0, g2=g2, theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid, delta=delta
-    )
+    return KineticState(g0, g2, theta_b, eps, grid, vgrid, delta)
 
 
 @dataclass
@@ -415,11 +410,20 @@ class KineticTrajectory:
 
 def kinetic_step_count(
     t_final: float, eps: float, h: float, v_max: float, cfl: float = 0.9
-) -> float:
-    """Steps of at most the CFL bound cfl * eps * h / v_max that reach t_final:
-    at least 1, and inf when the bound underflows to zero."""
+) -> int:
+    """Steps of at most the CFL bound cfl * eps * h / v_max that reach t_final,
+    at least 1; ValueError naming eps when eps lies outside EPS_RANGE or the
+    run needs more than MAX_KINETIC_STEPS steps."""
+    if not MIN_EPS <= eps <= MAX_EPS:
+        raise ValueError(f"eps = {eps:.3g} must lie in {EPS_RANGE}")
     dt_max = cfl * eps * h / v_max
-    return max(1.0, float(np.ceil(t_final / dt_max))) if dt_max > 0.0 else math.inf
+    steps = max(1.0, float(np.ceil(t_final / dt_max))) if dt_max > 0.0 else math.inf
+    if steps > MAX_KINETIC_STEPS:
+        raise ValueError(
+            f"eps = {eps:.3g} needs {steps:.3g} kinetic steps to reach t_final, "
+            f"more than {MAX_KINETIC_STEPS}"
+        )
+    return int(steps)
 
 
 def run_kinetic(
@@ -434,26 +438,26 @@ def run_kinetic(
 ) -> KineticTrajectory:
     """March equilibrium initial data to t_final with a CFL-consistent dt.
 
-    The steps write into two step blocks in turn (see kinetic_step), so a
-    run allocates its distributions once, whatever the allocator's
-    thresholds; the final state's distributions are views into one block.
+    Raises ValueError as kinetic_step_count does. The step constants are
+    built once, and the steps write into two step blocks in turn (see
+    kinetic_step), so a run allocates its distributions once.
     """
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
+    n_steps = kinetic_step_count(t_final, eps, grid.h, vgrid.v_max, cfl)
     state = init_equilibrium(grid, vgrid, rho0, theta0, eps)
-    n_steps = int(kinetic_step_count(t_final, eps, grid.h, vgrid.v_max, cfl))
     dt = t_final / n_steps
     record_every = max(1, n_steps // max(1, n_records))
+    constants = _StepConstants(grid, vgrid, eps, dt)
 
     times = [0.0]
     rho, e_kin, flux = moments(state)
     rhos, e_kins, theta_bs, fluxes = [rho], [e_kin], [state.theta_b.copy()], [flux]
-    # Two arrays, not one of shape (2, 4, n_x + 1, n_v): in one array each
-    # step's source and destination layers lie exactly a block apart, and a
-    # run at n_x = 256, n_v = 64 measured about 7% slower that way.
+    # Two arrays, not one: there each step's source and destination layers
+    # would lie exactly a block apart, which measured slower.
     blocks = [_step_block(state) for _ in range(2)]
     for k in range(1, n_steps + 1):
-        state = kinetic_step(state, dt, out=blocks[k % 2])
+        state = kinetic_step(state, dt, out=blocks[k % 2], constants=constants)
         if k % record_every == 0 or k == n_steps:
             rho, e_kin, flux = moments(state)
             times.append(k * dt)
@@ -462,13 +466,7 @@ def run_kinetic(
             theta_bs.append(state.theta_b.copy())
             fluxes.append(flux)
     return KineticTrajectory(
-        eps=eps,
-        times=np.array(times),
-        rho=rhos,
-        kinetic_energy=e_kins,
-        theta_b=theta_bs,
-        mass_flux=fluxes,
-        final_state=state,
+        eps, np.array(times), rhos, e_kins, theta_bs, fluxes, state
     )
 
 

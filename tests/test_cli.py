@@ -12,8 +12,6 @@ from etlab.cli import (
     EXIT_AUDIT,
     EXIT_OK,
     _FIELDS,
-    _MAX_KINETIC_EPS,
-    _MIN_KINETIC_EPS,
     ConfigError,
     _read_csv,
     _write_audits,
@@ -21,6 +19,7 @@ from etlab.cli import (
     parse_config,
 )
 from etlab.experiments import write_csv
+from etlab.kinetic import MAX_EPS, MIN_EPS
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -704,10 +703,10 @@ def test_kinetic_eps_with_underflowing_square_exits_3(tmp_path, capsys, mode, va
 def test_kinetic_eps_at_its_bounds_runs(tmp_path):
     doc = {"grid": {"n_cells": 8, "length": 1.0}, "scheme": {"t_final": 2e-3}}
     cfg = _write_config(tmp_path, doc)
-    for eps in (_MIN_KINETIC_EPS, _MAX_KINETIC_EPS):
+    for eps in (MIN_EPS, MAX_EPS):
         assert parse_config(json.dumps(doc), [f"kinetic.eps={eps!r}"]).kinetic_eps == [eps]
     out = f"output.directory={tmp_path / 'out'}"
-    assert main(["kinetic", cfg, f"kinetic.eps={_MAX_KINETIC_EPS!r}", out]) == 0
+    assert main(["kinetic", cfg, f"kinetic.eps={MAX_EPS!r}", out]) == 0
 
 
 @pytest.mark.parametrize("mode, value", [("kinetic", "1e-150"), ("compare", "[0.1,1e-150]")])

@@ -8,12 +8,14 @@ from etlab.grid import build_grid, integrate
 from etlab.kinetic import (
     _RELAX_MAX_ITER,
     _RELAX_TOL,
+    MAX_KINETIC_STEPS,
     KineticState,
     VelocityGrid,
+    _fold,
+    _gaussian,
     _heat_factor,
-    _mirror_even,
     _step_block,
-    _step_constants,
+    _StepConstants,
     _transport,
     build_velocity_grid,
     closure_identity_errors,
@@ -35,6 +37,24 @@ def _copy(state):
     """A KineticState with its own copies of the arrays."""
     arrays = ("g0", "g2", "theta_b", "delta")
     return dataclasses.replace(state, **{a: getattr(state, a).copy() for a in arrays})
+
+
+def _unfold(ring, n_v):
+    """The (n_x, n_v) distribution whose _fold is ``ring``; a zero node's
+    column comes from the top rows."""
+    n_x = ring.shape[0] // 2
+    g = np.empty((n_x, n_v))
+    g[::-1, ::-1][:, n_v // 2 :] = ring[n_x:]
+    g[:, n_v // 2 :] = ring[:n_x]
+    return g
+
+
+def _unfolded(state):
+    """A copy of a ring state with g0 and g2 in plain (n_x, n_v) form."""
+    n_v = state.vgrid.n_v
+    return dataclasses.replace(
+        _copy(state), g0=_unfold(state.g0, n_v), g2=_unfold(state.g2, n_v)
+    )
 
 
 def _bump_fields(grid):
@@ -157,9 +177,9 @@ def test_resolved_step_evaluates_the_maxwellian_once(monkeypatch):
 
     def counting(*args):
         calls.append(1)
-        return maxwellian_1d(*args)
+        return _gaussian(*args)
 
-    monkeypatch.setattr(kinetic, "maxwellian_1d", counting)
+    monkeypatch.setattr(kinetic, "_gaussian", counting)
     rho0, theta0 = _hot_bump_fields(GRID, 1.0)
     state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
     dt = 0.9 * 0.1 * GRID.h / VGRID.v_max
@@ -227,6 +247,19 @@ def test_energy_total_additive_over_subintervals():
     assert total == pytest.approx(left + right, rel=1e-14)
 
 
+def test_run_kinetic_rejects_eps_with_underflowing_square():
+    # eps**2 underflows to zero: the relaxation rate dt / eps**2 has no value
+    with pytest.raises(ValueError, match=r"^eps = 1e-300 must lie in \["):
+        run_kinetic(GRID, VGRID, np.ones(32), np.ones(32), eps=1e-300, t_final=1.0)
+
+
+def test_run_kinetic_rejects_eps_needing_too_many_steps():
+    # About 3e152 CFL steps: rejected before any step or allocation.
+    message = f"^eps = 1e-150 needs .* more than {MAX_KINETIC_STEPS}"
+    with pytest.raises(ValueError, match=message):
+        run_kinetic(GRID, VGRID, np.ones(32), np.ones(32), eps=1e-150, t_final=1.0)
+
+
 def test_run_kinetic_equilibrium_constant_observables():
     run = run_kinetic(GRID, VGRID, np.ones(32), np.ones(32), eps=0.2, t_final=0.01)
     for rho in run.rho:
@@ -284,15 +317,18 @@ def test_maxwellian_1d_normalization_on_grid():
     assert float(np.sum(VGRID.weights * m)) == pytest.approx(1.0, abs=1e-12)
 
 
-# References for the step tests. _ref_transport is the mask-based upwind
-# transport that _transport was rewritten from; the rewrite must agree with it
-# bit for bit. _ref_kinetic_step is the step in kinetic_step's arithmetic
-# (moments as products with weight vectors, S_k with the weights folded onto
-# the nonnegative nodes, g <- g / (1 + lam) + c M1) in plain full-grid form,
-# without buffers or mirroring, and must agree bit for bit.
-# _full_grid_kinetic_step is the formulation before that rewrite (products
-# with v^2 and v^4, full-grid sums, divisions in the update), which the step
-# must follow to roundoff.
+# References for the step tests, on (n_x, n_v) distributions; the tests
+# compare through _unfold. _ref_transport is the mask-based two-sided upwind
+# transport; the ring transport must agree with it bit for bit.
+# _ref_kinetic_step is the step in kinetic_step's arithmetic (each moment as
+# the sum of two half-grid products with weight vectors, one over the
+# nonnegative nodes and one over the nonpositive ones in mirrored order, a
+# zero node weighted half in each; S_k of the unnormalized Gaussian G with
+# the weights folded onto the nonnegative nodes; g <- g / (1 + lam) + c G)
+# in plain full-grid form, without buffers or a ring, and must agree bit for
+# bit. _full_grid_kinetic_step is the plain formulation (products with v^2
+# and v^4, full-grid sums, the normalized Maxwellian, divisions in the
+# update), which the step must follow to roundoff.
 
 
 def _ref_transport(g, v, courant):
@@ -325,6 +361,28 @@ def _ref_gauss_sums(theta, v, wq):
     return m1, s0, s2, s4
 
 
+def _ref_gaussian_sums(theta, v, wq):
+    """G = exp(v^2 (-1 / (2 theta))) on the full grid, and S_k = sum wq v^k G,
+    k = 0, 2, 4, by folded weights."""
+    gauss = np.exp(v**2 * (-1.0 / (2.0 * theta))[:, None])
+    upper = np.ascontiguousarray(gauss[:, v.shape[0] // 2 :])
+    s0, s2, s4 = (upper @ w for w in _ref_folded_weights(v, wq))
+    return gauss, s0, s2, s4
+
+
+def _ref_half_sums(g, weights):
+    """Per cell, sum weights g over the nonnegative nodes and over the
+    nonpositive nodes in mirrored order; returns the two sums."""
+    half = g.shape[1] // 2
+    parts = (g[:, half:], g[:, ::-1][:, half:])
+    return [np.ascontiguousarray(p) @ weights for p in parts]
+
+
+def _ref_kinetic_energy(g0, g2, w, wv2):
+    (a_pos, a_neg), (b_pos, b_neg) = _ref_half_sums(g0, wv2), _ref_half_sums(g2, w)
+    return 0.5 * ((a_pos + b_pos) + (a_neg + b_neg))
+
+
 def _ref_relax_temperature(theta_b, rho, e_kin, delta, mu, v, wq, gauss_sums):
     rhs = theta_b + mu * e_kin
     lo = np.full_like(rhs, 1e-12)
@@ -352,22 +410,26 @@ def _ref_relax_temperature(theta_b, rho, e_kin, delta, mu, v, wq, gauss_sums):
 def _ref_kinetic_step(state, dt):
     grid, vgrid, eps = state.grid, state.vgrid, state.eps
     v, wq = vgrid.nodes, vgrid.weights
+    v_h = v[v.shape[0] // 2 :]
+    w = np.where(v_h == 0.0, 0.5, 1.0) * wq[v.shape[0] // 2 :]
+    wv2 = w * v_h**2
     courant = dt * v / (eps * grid.h)
     g0 = _ref_transport(state.g0, v, courant)
     g2 = _ref_transport(state.g2, v, courant)
     theta_b = _heat_factor(grid.n_cells, grid.h, dt).solve(state.theta_b)
     lam = dt / eps**2
     mu = lam / (1.0 + lam)
-    rho = g0 @ wq
-    e_kin = 0.5 * (g0 @ (wq * v**2) + g2 @ wq)
-    theta_star, m1, s0, delta = _ref_relax_temperature(
-        theta_b, rho, e_kin, state.delta, mu, v, wq, _ref_gauss_sums
+    rho_pos, rho_neg = _ref_half_sums(g0, w)
+    rho = rho_pos + rho_neg
+    e_kin = _ref_kinetic_energy(g0, g2, w, wv2)
+    theta_star, gauss, s0, delta = _ref_relax_temperature(
+        theta_b, rho, e_kin, state.delta, mu, v, wq, _ref_gaussian_sums
     )
     c0 = mu * rho / s0
     c2 = 2.0 * theta_star * c0
-    g0 = g0 * (1.0 / (1.0 + lam)) + c0[:, None] * m1
-    g2 = g2 * (1.0 / (1.0 + lam)) + c2[:, None] * m1
-    e_kin_new = 0.5 * (g0 @ (wq * v**2) + g2 @ wq)
+    g0 = g0 * (1.0 / (1.0 + lam)) + c0[:, None] * gauss
+    g2 = g2 * (1.0 / (1.0 + lam)) + c2[:, None] * gauss
+    e_kin_new = _ref_kinetic_energy(g0, g2, w, wv2)
     theta_b = theta_b + (e_kin - e_kin_new)
     return KineticState(
         g0=g0, g2=g2, theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid, delta=delta
@@ -406,17 +468,63 @@ def _full_grid_kinetic_step(state, dt):
     )
 
 
-@pytest.mark.parametrize("n_v", [64, 5, 4])
+@pytest.mark.parametrize("n_v", [64, 5, 4, 33])
 def test_transport_matches_mask_reference_bit_for_bit(n_v):
     vgrid = build_velocity_grid(8.0, n_v)
     v = vgrid.nodes
     dt = 0.9 * 0.1 * GRID.h / vgrid.v_max
-    c_pos, c_neg = _step_constants(GRID.n_cells, GRID.h, dt, 0.1, v.tobytes())
+    courant = _StepConstants(GRID, vgrid, 0.1, dt).courant
     rng = np.random.default_rng(n_v)
     g = rng.random((GRID.n_cells, n_v))
-    faces = np.full((GRID.n_cells + 1, n_v), np.nan)  # stale contents must not leak
-    out = _transport(g, c_pos, c_neg, faces, np.empty_like(g))
-    assert np.array_equal(out, _ref_transport(g, v, dt * v / (0.1 * GRID.h)))
+    ring = _fold(g)
+    diff = np.full_like(ring, np.nan)  # stale contents must not leak
+    out = _transport(ring, courant, diff, np.empty_like(ring))
+    ref = _ref_transport(g, v, dt * v / (0.1 * GRID.h))
+    assert np.array_equal(_unfold(out, n_v), ref)
+    assert np.array_equal(_fold(ref), out)  # a zero node's two copies agree too
+
+
+@pytest.mark.parametrize("n_v", [64, 5, 4, 33])
+def test_unfold_inverts_fold(n_v):
+    g = np.random.default_rng(n_v).random((GRID.n_cells, n_v))
+    ring = _fold(g)
+    assert ring.shape == (2 * GRID.n_cells, n_v - n_v // 2)
+    assert np.array_equal(ring[: GRID.n_cells], g[:, n_v // 2 :])
+    assert np.array_equal(_unfold(ring, n_v), g)
+
+
+@pytest.mark.parametrize("n_v", [5, 33])
+def test_zero_velocity_copies_stay_bit_identical(n_v):
+    vgrid = build_velocity_grid(8.0, n_v)
+    assert vgrid.nodes[n_v // 2] == 0.0
+    rho0, theta0 = _hot_bump_fields(GRID, 1.0)
+    state = init_equilibrium(GRID, vgrid, rho0, theta0, eps=0.1)
+    dt = 0.9 * 0.1 * GRID.h / vgrid.v_max
+    n = GRID.n_cells
+    for _ in range(50):
+        state = kinetic_step(state, dt)
+        for g in (state.g0, state.g2):
+            assert np.array_equal(g[:n, 0], g[n:, 0][::-1])
+
+
+@pytest.mark.parametrize("n_v", [64, 5])
+def test_ring_moments_match_full_grid_products(n_v):
+    vgrid = build_velocity_grid(8.0, n_v)
+    v, wq = vgrid.nodes, vgrid.weights
+    rho0, theta0 = _hot_bump_fields(GRID, 1.0)
+    state = init_equilibrium(GRID, vgrid, rho0, theta0, eps=0.1)
+    dt = 0.9 * 0.1 * GRID.h / vgrid.v_max
+    for _ in range(20):
+        state = kinetic_step(state, dt)
+    full = _unfolded(state)
+    rho, e_kin, flux = moments(state)
+    # the flux cancels between velocity signs: compare it on the scale of its terms
+    for got, want, scale in (
+        (rho, full.g0 @ wq, full.g0 @ wq),
+        (e_kin, 0.5 * (full.g0 @ (wq * v**2) + full.g2 @ wq), e_kin),
+        (flux, full.g0 @ (wq * v) / 0.1, full.g0 @ (wq * np.abs(v)) / 0.1),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(scale))
 
 
 @pytest.mark.parametrize("n_v", [64, 5])
@@ -424,13 +532,13 @@ def test_step_matches_reference_bit_for_bit(n_v):
     vgrid = build_velocity_grid(8.0, n_v)
     rho0, theta0 = _bump_fields(GRID)
     state = init_equilibrium(GRID, vgrid, rho0, theta0, eps=0.1)
-    ref = _copy(state)
+    ref = _unfolded(state)
     dt = 0.9 * 0.1 * GRID.h / vgrid.v_max
     for _ in range(50):
         state = kinetic_step(state, dt)
         ref = _ref_kinetic_step(ref, dt)
-    assert np.array_equal(state.g0, ref.g0)
-    assert np.array_equal(state.g2, ref.g2)
+    assert np.array_equal(_unfold(state.g0, n_v), ref.g0)
+    assert np.array_equal(_unfold(state.g2, n_v), ref.g2)
     assert np.array_equal(state.theta_b, ref.theta_b)
     assert np.array_equal(state.delta, ref.delta)
 
@@ -440,24 +548,27 @@ def test_step_follows_full_grid_arithmetic_to_roundoff(n_v):
     vgrid = build_velocity_grid(8.0, n_v)
     rho0, theta0 = _hot_bump_fields(GRID, 1.0)
     state = init_equilibrium(GRID, vgrid, rho0, theta0, eps=0.1)
-    full = _copy(state)
+    full = _unfolded(state)
     dt = 0.9 * 0.1 * GRID.h / vgrid.v_max
     for _ in range(50):
         state = kinetic_step(state, dt)
         full = _full_grid_kinetic_step(full, dt)
+    new_state = _unfolded(state)
     for name in ("g0", "g2", "theta_b"):
-        new, old = getattr(state, name), getattr(full, name)
+        new, old = getattr(new_state, name), getattr(full, name)
         assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old)), name
 
 
 @pytest.mark.parametrize("n_v", [64, 5])
-def test_mirrored_maxwellian_equals_full_grid(n_v):
+def test_mirrored_gaussian_equals_full_grid(n_v):
+    # The relaxation evaluates G on the nonnegative nodes and adds it to both
+    # halves of the ring: that must be the full-grid G, folded, bit for bit.
     vgrid = build_velocity_grid(8.0, n_v)
     theta = np.linspace(0.05, 5.0, 17)
     v = vgrid.nodes
-    upper = maxwellian_1d(theta[:, None], v[None, n_v // 2 :])
-    m1 = _mirror_even(upper, np.empty((theta.shape[0], n_v)))
-    assert np.array_equal(m1, maxwellian_1d(theta[:, None], v[None, :]))
+    upper = _gaussian(theta, v[n_v // 2 :] ** 2, np.empty((17, n_v - n_v // 2)))
+    full, *_ = _ref_gaussian_sums(theta, v, vgrid.weights)
+    assert np.array_equal(np.concatenate((upper, upper[::-1])), _fold(full))
 
 
 def test_step_leaves_input_state_unchanged():
@@ -477,7 +588,7 @@ def test_step_into_given_block_matches_fresh_step_bit_for_bit():
     rho0, theta0 = _bump_fields(GRID)
     state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
     dt = 0.9 * 0.1 * GRID.h / VGRID.v_max
-    block = np.full((4, GRID.n_cells + 1, VGRID.n_v), np.nan)  # stale contents must not leak
+    block = np.full(_step_block(state).shape, np.nan)  # stale contents must not leak
     fresh = kinetic_step(state, dt)
     given = kinetic_step(state, dt, out=block)
     assert np.shares_memory(given.g0, block) and np.shares_memory(given.g2, block)
@@ -490,10 +601,10 @@ def test_run_owned_buffers_start_on_cache_lines():
     rho0, theta0 = _bump_fields(GRID)
     state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
     dt = 0.9 * 0.1 * GRID.h / VGRID.v_max
-    tiles = _step_constants(GRID.n_cells, GRID.h, dt, 0.1, VGRID.nodes.tobytes())
+    courant = _StepConstants(GRID, VGRID, 0.1, dt).courant
     run = run_kinetic(GRID, VGRID, rho0, theta0, 0.1, 0.002)
     final = run.final_state
-    for a in (_step_block(state), *tiles, final.g0, final.g2):
+    for a in (_step_block(state), courant, final.g0, final.g2):
         assert a.ctypes.data % 64 == 0
 
 
