@@ -1,0 +1,66 @@
+#!/bin/sh
+# Run one small config per etlab mode on two source trees and report, per
+# mode, whether `diff -r` finds their output directories identical.
+#
+#   scripts/output_diff.sh <base-tree> [<head-tree>] [<work-dir>]
+#
+# <head-tree> defaults to the current directory, <work-dir> to a fresh
+# temporary directory, which keeps the configs and both trees' outputs.
+# The script only reports: it exits 0 whatever the outputs are, so that a
+# change that alters output bytes is seen and explained, not blocked.
+set -u
+base=$(cd "$1" && pwd)
+head=$(cd "${2:-.}" && pwd)
+work=${3:-$(mktemp -d)}
+mkdir -p "$work"
+
+config() {  # config <name> <json>
+  printf '%s\n' "$2" > "$work/$1.json"
+}
+config macro '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
+  "scheme": {"tau": 1e-3, "t_final": 0.01}, "init": {"preset": "gauss-bump"},
+  "output": {"snapshot_stride": 1}}'
+config kinetic '{"mode": "kinetic", "grid": {"n_cells": 32, "length": 1.0},
+  "scheme": {"t_final": 0.005}, "kinetic": {"eps": 0.2, "n_v": 32},
+  "init": {"preset": "gauss-bump"}}'
+config compare '{"mode": "compare", "grid": {"n_cells": 32, "length": 1.0},
+  "scheme": {"tau": 1e-3, "t_final": 0.01}, "kinetic": {"eps": [0.4, 0.2, 0.1], "n_v": 32},
+  "init": {"preset": "gauss-bump"}}'
+config sweep-which '{"mode": "sweep", "grid": {"n_cells": 16, "length": 1.0},
+  "scheme": {"tau": 2e-3, "t_final": 0.01, "eps": 0.0}, "init": {"preset": "gauss-bump"},
+  "sweep": {"which": "delta", "values": [1e-2, 1e-3, 1e-4]}}'
+config sweep-varied '{"mode": "sweep", "grid": {"n_cells": 16, "length": 1.0},
+  "scheme": {"tau": 5e-3, "t_final": 0.02, "eps": 0.0}, "init": {"preset": "temp-step"},
+  "sweep": {"varied": {"delta": [1e-3, 1e-4], "tau": [1e-2, 5e-3]}}}'
+config mms '{"mode": "mms", "grid": {"n_cells": 16, "length": 1.0},
+  "scheme": {"tau": 1e-3, "t_final": 0.01, "eps": 0.0, "delta": 0.0},
+  "mms": {"resolutions": [16, 32]}}'
+
+run() {  # run <tree> <label> <mode> <config> <out>: etlab's exit code
+  PYTHONPATH="$1/src" python3 -m etlab.cli "$3" "$work/$4.json" \
+    "output.directory=$work/$2/$5" > "$work/$2-$5.log" 2>&1
+}
+
+for name in macro audit kinetic compare sweep-which sweep-varied mms; do
+  status=
+  for tree in base head; do
+    if [ "$tree" = base ]; then dir=$base; else dir=$head; fi
+    case $name in
+      audit) cp -r "$work/$tree/macro" "$work/$tree/audit" 2> /dev/null &&
+             run "$dir" "$tree" audit macro audit ;;
+      sweep-*) run "$dir" "$tree" sweep "$name" "$name" ;;
+      *) run "$dir" "$tree" "$name" "$name" "$name" ;;
+    esac
+    code=$?
+    [ "$code" -eq 0 ] || status="${status:+$status; }$tree run failed (exit $code)"
+  done
+  if [ -z "$status" ]; then
+    if diff -r "$work/base/$name" "$work/head/$name" > /dev/null; then
+      status=identical
+    else
+      status="outputs differ"
+    fi
+  fi
+  echo "$name: $status"
+done
+exit 0

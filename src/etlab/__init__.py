@@ -16,7 +16,6 @@ from .kinetic import (
     energy_total,
     init_equilibrium,
     kinetic_step,
-    limit_compare,
     moments,
     run_kinetic,
 )

@@ -611,8 +611,8 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_sweep(cfg: RunConfig, out: Path) -> int:
-    grid, init = cfg.initial_state()
     if cfg.sweep_which is not None:
+        grid, init = cfg.initial_state()
         result = regularization_study(
             grid, init, cfg.scheme, cfg.sweep_which, cfg.sweep_values
         )
@@ -629,7 +629,10 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
     names = sorted(cfg.sweep_varied)
     rows = []
     for combo in _sweep_runs(cfg):
-        traj = run_transient(grid, init, dataclasses.replace(cfg.scheme, **combo))
+        # Each run starts from its own initial data: init_floor may be varied.
+        run_cfg = dataclasses.replace(cfg, scheme=dataclasses.replace(cfg.scheme, **combo))
+        grid, init = run_cfg.initial_state()
+        traj = run_transient(grid, init, run_cfg.scheme)
         mac0 = to_primitive(traj.states[0])
         mac1 = to_primitive(traj.states[-1])
         rows.append(
@@ -699,7 +702,7 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
             iterations=0,
             residual=None,
             tau_used=tau_k,
-            budget=budget_audit(grid, states[k - 1], states[k], p_k),
+            budget=budget_audit(grid, states[k - 1], states[k], p_k, float(times[k])),
             entropy=entropy_audit(grid, states[k - 1], states[k], p_k),
         )
         records.append(_audit_record(k, float(times[k]), rep))

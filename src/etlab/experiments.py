@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .grid import Grid1D, build_grid, integrate
-from .kinetic import build_velocity_grid, limit_compare, run_kinetic
-from .scheme import SchemeParams, make_initial_state, run_transient
+from .kinetic import build_velocity_grid, run_kinetic
+from .scheme import SchemeParams, run_transient
 from .thermo import MacroState, to_primitive
 
 CSV_HEADER = ["param", "err_rho_L1", "err_E_L1", "order_rho", "order_E"]
@@ -100,12 +100,22 @@ def _safe_order(e_coarse: float, e_fine: float, denom: float) -> float:
 
 
 def _l1_errors(
-    grid: Grid1D, a: MacroState, rho_ref: np.ndarray, energy_ref: np.ndarray
+    grid: Grid1D,
+    rho: np.ndarray,
+    energy: np.ndarray,
+    rho_ref: np.ndarray,
+    energy_ref: np.ndarray,
 ) -> Tuple[float, float]:
+    """The L1 gaps of (rho, E) to reference fields on the same grid."""
     return (
-        integrate(grid, np.abs(a.rho - rho_ref)),
-        integrate(grid, np.abs(a.energy - energy_ref)),
+        integrate(grid, np.abs(rho - rho_ref)),
+        integrate(grid, np.abs(energy - energy_ref)),
     )
+
+
+def _gap_table(params: Sequence[float], gaps: Sequence[Tuple[float, float]]) -> ConvergenceTable:
+    """The table of one (rho, E) gap pair per parameter value."""
+    return ConvergenceTable.from_errors(params, [g[0] for g in gaps], [g[1] for g in gaps])
 
 
 # ---------------------------------------------------------------------------
@@ -139,25 +149,22 @@ def regularization_study(
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ValueError("values must be strictly decreasing")
 
-    finals: Dict[float, MacroState] = {}
+    finals: List[MacroState] = []
     mass_drift: Dict[float, float] = {}
     energy_drift: Dict[float, float] = {}
     for v in values:
         traj = run_transient(grid, init, replace(p, **{which: v}))
         first = to_primitive(traj.states[0])
-        last = finals[v] = to_primitive(traj.states[-1])
+        last = to_primitive(traj.states[-1])
+        finals.append(last)
         mass_drift[v] = abs(integrate(grid, last.rho) - integrate(grid, first.rho))
         energy_drift[v] = abs(
             integrate(grid, last.energy) - integrate(grid, first.energy)
         )
 
-    ref = finals[values[-1]]
-    errs_rho, errs_energy = [], []
-    for v in values[:-1]:
-        er, ee = _l1_errors(grid, finals[v], ref.rho, ref.energy)
-        errs_rho.append(er)
-        errs_energy.append(ee)
-    table = ConvergenceTable.from_errors(values[:-1], errs_rho, errs_energy)
+    ref = finals[-1]
+    gaps = [_l1_errors(grid, f.rho, f.energy, ref.rho, ref.energy) for f in finals[:-1]]
+    table = _gap_table(values[:-1], gaps)
     return StudyResult(table=table, mass_drift=mass_drift, energy_drift=energy_drift)
 
 
@@ -237,17 +244,16 @@ class MmsResult:
     temporal: ConvergenceTable
 
 
-def _mms_error(
+def _manufactured_final(
     n_cells: int, length: float, ms: ManufacturedSolution, p: SchemeParams
-) -> Tuple[float, float]:
+) -> Tuple[Grid1D, MacroState]:
+    """The grid, and the final state of a run from the manufactured fields
+    at t = 0 with their source terms."""
     grid = build_grid(n_cells, length)
     x = grid.cell_centers
     init = MacroState.from_rho_theta(ms.rho(x, 0.0), ms.theta(x, 0.0))
     p_run = replace(p, source_mass=ms.source_mass, source_energy=ms.source_energy)
-    traj = run_transient(grid, init, p_run)
-    mac = to_primitive(traj.states[-1])
-    t_end = p_run.t_final
-    return _l1_errors(grid, mac, ms.rho(x, t_end), ms.energy(x, t_end))
+    return grid, to_primitive(run_transient(grid, init, p_run).states[-1])
 
 
 def mms_convergence(
@@ -255,13 +261,15 @@ def mms_convergence(
     ms: ManufacturedSolution,
     p: SchemeParams,
     length: float = 1.0,
-    temporal_taus: Optional[Sequence[float]] = None,
 ) -> MmsResult:
     """Observed spatial and temporal orders against manufactured fields.
 
     The spatial sweep scales tau with h^2 so the first-order time error
-    refines at the same rate as the second-order space error; the temporal
-    sweep runs on the finest grid, where the spatial error is negligible.
+    refines at the same rate as the second-order space error, and measures
+    against the exact fields at t_final. The temporal sweep runs tau =
+    t_final/5, /10 and /20 on the finest grid and measures against a run
+    with tau = t_final/160 on that grid: the spatial error cancels exactly
+    and the first-order time error is left clean.
     """
     resolutions = sorted(int(n) for n in resolutions)
     if not resolutions:
@@ -272,44 +280,23 @@ def mms_convergence(
         raise ValueError("manufactured fields must be strictly positive")
 
     base_n = resolutions[0]
-    errs_rho, errs_energy, hs = [], [], []
+    gaps = []
     for n in resolutions:
-        scale = (base_n / n) ** 2
-        tau_n = p.tau * scale
-        n_steps = max(1, round(p.t_final / tau_n))
-        tau_n = p.t_final / n_steps
-        er, ee = _mms_error(n, length, ms, replace(p, tau=tau_n))
-        hs.append(length / n)
-        errs_rho.append(er)
-        errs_energy.append(ee)
-    spatial = ConvergenceTable.from_errors(hs, errs_rho, errs_energy)
+        n_steps = max(1, round(p.t_final / (p.tau * (base_n / n) ** 2)))
+        grid, final = _manufactured_final(n, length, ms, replace(p, tau=p.t_final / n_steps))
+        x = grid.cell_centers
+        exact = ms.rho(x, p.t_final), ms.energy(x, p.t_final)
+        gaps.append(_l1_errors(grid, final.rho, final.energy, *exact))
+    spatial = _gap_table([length / n for n in resolutions], gaps)
 
-    if temporal_taus is None:
-        temporal_taus = [p.t_final / 5, p.t_final / 10, p.t_final / 20]
-    temporal_taus = sorted((float(t) for t in temporal_taus), reverse=True)
-    # Temporal sweep on one fixed grid, measured against a small-tau
-    # reference run on the same grid: the spatial error cancels exactly and
-    # the first-order time error is left clean.
+    taus = [p.t_final / 5, p.t_final / 10, p.t_final / 20]
     n_fine = resolutions[-1]
-    grid = build_grid(n_fine, length)
-    x = grid.cell_centers
-    init = MacroState.from_rho_theta(ms.rho(x, 0.0), ms.theta(x, 0.0))
-
-    def _final_state(tau_t: float) -> MacroState:
-        p_run = replace(
-            p, tau=tau_t, source_mass=ms.source_mass, source_energy=ms.source_energy
-        )
-        return to_primitive(run_transient(grid, init, p_run).states[-1])
-
-    ref = _final_state(temporal_taus[-1] / 8.0)
-    errs_rho, errs_energy = [], []
-    for tau_t in temporal_taus:
-        mac = _final_state(tau_t)
-        er, ee = _l1_errors(grid, mac, ref.rho, ref.energy)
-        errs_rho.append(er)
-        errs_energy.append(ee)
-    temporal = ConvergenceTable.from_errors(list(temporal_taus), errs_rho, errs_energy)
-    return MmsResult(spatial=spatial, temporal=temporal)
+    grid, ref = _manufactured_final(n_fine, length, ms, replace(p, tau=taus[-1] / 8.0))
+    gaps = []
+    for tau_t in taus:
+        _, final = _manufactured_final(n_fine, length, ms, replace(p, tau=tau_t))
+        gaps.append(_l1_errors(grid, final.rho, final.energy, ref.rho, ref.energy))
+    return MmsResult(spatial=spatial, temporal=_gap_table(taus, gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +321,15 @@ def kinetic_limit_study(
     eps_values = [float(e) for e in eps_values]
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("eps values must be strictly decreasing")
+    p_macro = SchemeParams(tau=tau_macro, eps=0.0, delta=0.0, t_final=t_final)
+    ref = to_primitive(run_transient(grid, init, p_macro).states[-1])
     vgrid = build_velocity_grid(v_max=v_max, n_v=n_v)
-    runs = [
-        run_kinetic(grid, vgrid, init.rho, init.theta, eps, t_final)
-        for eps in eps_values
-    ]
-    p_macro = SchemeParams(
-        tau=tau_macro, eps=0.0, delta=0.0, t_final=t_final, inner_mode="coupled_implicit"
-    )
-    macro = run_transient(grid, init, p_macro)
-    final = to_primitive(macro.states[-1])
-    rows = limit_compare(runs, final.rho, final.energy, grid)
-    return ConvergenceTable.from_errors(
-        [r["eps"] for r in rows],
-        [r["err_rho_l1"] for r in rows],
-        [r["err_energy_l1"] for r in rows],
-    )
+    gaps = []
+    for eps in eps_values:
+        run = run_kinetic(grid, vgrid, init.rho, init.theta, eps, t_final)
+        energy = run.theta_b[-1] + run.kinetic_energy[-1]
+        gaps.append(_l1_errors(grid, run.rho[-1], energy, ref.rho, ref.energy))
+    return _gap_table(eps_values, gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +338,7 @@ def kinetic_limit_study(
 
 
 def default_run_matrix(
-    n_cells: int = 64,
-    t_final: float = 0.1,
-    inner_mode: str = "coupled_implicit",
-    positive_reg_only: bool = False,
+    t_final: float = 0.1, positive_reg_only: bool = False
 ) -> List[Tuple[str, SchemeParams]]:
     """The verification matrix: presets x eps x delta x tau."""
     combos = []
@@ -371,16 +348,6 @@ def default_run_matrix(
                 for tau in (1e-2, 1e-3):
                     if positive_reg_only and (eps == 0.0 or delta == 0.0):
                         continue
-                    combos.append(
-                        (
-                            preset,
-                            SchemeParams(
-                                tau=tau,
-                                eps=eps,
-                                delta=delta,
-                                t_final=t_final,
-                                inner_mode=inner_mode,
-                            ),
-                        )
-                    )
+                    params = SchemeParams(tau=tau, eps=eps, delta=delta, t_final=t_final)
+                    combos.append((preset, params))
     return combos

@@ -36,12 +36,10 @@ def build_grid(n_cells: int, length: float) -> Grid1D:
     return Grid1D(n_cells=int(n_cells), length=float(length))
 
 
-def _check_cells(grid: Grid1D, field: np.ndarray, name: str = "field") -> np.ndarray:
+def _check_cells(grid: Grid1D, field: np.ndarray) -> np.ndarray:
     field = np.asarray(field, dtype=float)
     if field.shape != (grid.n_cells,):
-        raise ValueError(
-            f"{name} has shape {field.shape}, expected ({grid.n_cells},)"
-        )
+        raise ValueError(f"field has shape {field.shape}, expected ({grid.n_cells},)")
     return field
 
 

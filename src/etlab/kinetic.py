@@ -404,9 +404,6 @@ class KineticTrajectory:
     mass_flux: List[np.ndarray]
     final_state: KineticState
 
-    def total_energy_density(self, index: int = -1) -> np.ndarray:
-        return self.theta_b[index] + self.kinetic_energy[index]
-
 
 def kinetic_step_count(
     t_final: float, eps: float, h: float, v_max: float, cfl: float = 0.9
@@ -468,33 +465,6 @@ def run_kinetic(
     return KineticTrajectory(
         eps, np.array(times), rhos, e_kins, theta_bs, fluxes, state
     )
-
-
-def limit_compare(
-    kinetic_runs: List[KineticTrajectory],
-    macro_rho: np.ndarray,
-    macro_energy: np.ndarray,
-    grid: Grid1D,
-) -> List[dict]:
-    """L1 gaps at the final time between kinetic moments and macroscopic fields.
-
-    Rows come back sorted by decreasing eps; the macroscopic fields must
-    live on the same grid.
-    """
-    macro_rho = np.asarray(macro_rho, dtype=float)
-    macro_energy = np.asarray(macro_energy, dtype=float)
-    if macro_rho.shape != (grid.n_cells,) or macro_energy.shape != (grid.n_cells,):
-        raise ValueError("macroscopic fields do not match the grid")
-    rows = []
-    for run in sorted(kinetic_runs, key=lambda r: -r.eps):
-        if run.rho[-1].shape != (grid.n_cells,):
-            raise ValueError("kinetic run does not match the comparison grid")
-        err_rho = integrate(grid, np.abs(run.rho[-1] - macro_rho))
-        err_energy = integrate(
-            grid, np.abs(run.total_energy_density() - macro_energy)
-        )
-        rows.append({"eps": run.eps, "err_rho_l1": err_rho, "err_energy_l1": err_energy})
-    return rows
 
 
 def closure_identity_errors(

@@ -63,8 +63,13 @@ logger = logging.getLogger(__name__)
 
 INNER_MODES = ("paper_picard", "coupled_implicit")
 
+# Relative tolerances of the audits: budget_audit's mass and energy identity
+# errors, and entropy_audit's violation of the entropy inequality.
+BUDGET_TOL = 1e-10
+ENTROPY_TOL = 1e-8
+
 # Largest budget-identity error tau * h * |sum r| (mass and energy) that an
-# accepted iterate may carry; well below budget_audit's tolerance of 1e-10.
+# accepted iterate may carry; well below BUDGET_TOL.
 _BUDGET_GUARD = 1e-12
 
 # Largest max|(dphi, dw)| of a correction in Newton mode, the last attempt
@@ -580,7 +585,7 @@ def fixed_point_step(
                     iterations=len(history),
                     residual=history[-1],
                     tau_used=tau_try,
-                    budget=budget_audit(grid, prev, x, p_try, t_new=t_start + tau_try),
+                    budget=budget_audit(grid, prev, x, p_try, t_start + tau_try),
                     entropy=entropy_audit(grid, prev, x, p_try),
                     residual_history=history,
                 )
@@ -675,8 +680,7 @@ def budget_audit(
     prev: EntropicState,
     nxt: EntropicState,
     p: SchemeParams,
-    tol: float = 1e-10,
-    t_new: Optional[float] = None,
+    t_new: float,
 ) -> Dict[str, Any]:
     """Check the two exact step identities obtained from constant test functions.
 
@@ -685,8 +689,9 @@ def budget_audit(
                                           + delta * integral(theta^{-N} w))
 
     Manufactured source terms, when configured, are added to the right-hand
-    sides. A violation means the assembly broke summation by parts. Returns
-    the ``mass_*`` and ``energy_*`` fields of an audits.json record.
+    sides at the step's end time t_new. A violation beyond BUDGET_TOL means
+    the assembly broke summation by parts. Returns the ``mass_*`` and
+    ``energy_*`` fields of an audits.json record.
     """
     prev_mac = to_primitive(prev)
     next_mac = to_primitive(nxt)
@@ -700,13 +705,10 @@ def budget_audit(
         p.eps * integrate(grid, (1.0 + next_mac.theta) * nxt.w)
         + p.delta * integrate(grid, np.exp(-p.n_exp * nxt.w) * nxt.w)
     )
-    if t_new is not None:
-        if p.source_mass is not None:
-            mass_rhs += p.tau * integrate(grid, p.source_mass(grid.cell_centers, t_new))
-        if p.source_energy is not None:
-            energy_rhs += p.tau * integrate(
-                grid, p.source_energy(grid.cell_centers, t_new)
-            )
+    if p.source_mass is not None:
+        mass_rhs += p.tau * integrate(grid, p.source_mass(grid.cell_centers, t_new))
+    if p.source_energy is not None:
+        energy_rhs += p.tau * integrate(grid, p.source_energy(grid.cell_centers, t_new))
 
     mass_lhs = mass_next - mass_prev
     energy_lhs = energy_next - energy_prev
@@ -716,11 +718,11 @@ def budget_audit(
         "mass_lhs": mass_lhs,
         "mass_rhs": mass_rhs,
         "mass_error": mass_error,
-        "mass_pass": mass_error <= tol * (1.0 + abs(mass_lhs)),
+        "mass_pass": mass_error <= BUDGET_TOL * (1.0 + abs(mass_lhs)),
         "energy_lhs": energy_lhs,
         "energy_rhs": energy_rhs,
         "energy_error": energy_error,
-        "energy_pass": energy_error <= tol * (1.0 + abs(energy_lhs)),
+        "energy_pass": energy_error <= BUDGET_TOL * (1.0 + abs(energy_lhs)),
     }
 
 
@@ -791,13 +793,10 @@ def dissipation_terms(
 
 
 def entropy_audit(
-    grid: Grid1D,
-    prev: EntropicState,
-    nxt: EntropicState,
-    p: SchemeParams,
-    tol_ent: float = 1e-8,
+    grid: Grid1D, prev: EntropicState, nxt: EntropicState, p: SchemeParams
 ) -> Dict[str, Any]:
-    """Assert H(next) <= H(prev) + tau * delta * e^{2(N+1)} |Omega| + tolerance.
+    """Assert H(next) <= H(prev) + tau * delta * e^{2(N+1)} |Omega| + tolerance,
+    the tolerance ENTROPY_TOL * (1 + |H(prev)|).
 
     The slack is the explicit bound on the sign-indefinite part of the
     zero-order delta term; with eps = 0 every remaining contribution is
@@ -815,7 +814,7 @@ def entropy_audit(
         "entropy_after": h_next,
         "entropy_slack": slack,
         "entropy_violation": violation,
-        "entropy_pass": violation <= tol_ent * (1.0 + abs(h_prev)),
+        "entropy_pass": violation <= ENTROPY_TOL * (1.0 + abs(h_prev)),
         "edge_form_min": edge_min,
         "dissipation": terms,
     }

@@ -53,7 +53,7 @@ def run_matrix():
     """All 36 transient runs of the verification matrix (coupled solver)."""
     grid = build_grid(N_CELLS, 1.0)
     results = {}
-    for preset, params in default_run_matrix(n_cells=N_CELLS, t_final=T_FINAL):
+    for preset, params in default_run_matrix(t_final=T_FINAL):
         init = make_initial_state(*initial_condition(preset, grid))
         traj = run_transient(grid, init, params)
         results[(preset, params.eps, params.delta, params.tau)] = (params, traj)
@@ -287,9 +287,7 @@ def test_criterion_10_solver_equivalence(run_matrix):
     grid, results = run_matrix
     worst = 0.0
     n_pairs = 0
-    for preset, params in default_run_matrix(
-        n_cells=N_CELLS, t_final=T_FINAL, positive_reg_only=True
-    ):
+    for preset, params in default_run_matrix(t_final=T_FINAL, positive_reg_only=True):
         _, traj_coupled = results[(preset, params.eps, params.delta, params.tau)]
         init = make_initial_state(*initial_condition(preset, grid))
         traj_picard = run_transient(

@@ -669,6 +669,43 @@ def test_kinetic_byte_identical_reruns(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+_STUDY_DOCS = {
+    "compare": {
+        "mode": "compare",
+        "scheme": {"tau": 1e-3, "t_final": 0.01},
+        "kinetic": {"eps": [0.4, 0.2], "n_v": 17},
+    },
+    "sweep-which": {
+        "mode": "sweep",
+        "scheme": {"tau": 2e-3, "t_final": 0.01, "eps": 0.0},
+        "sweep": {"which": "delta", "values": [1e-2, 1e-3, 1e-4]},
+    },
+    "sweep-varied": {
+        "mode": "sweep",
+        "scheme": {"tau": 5e-3, "t_final": 0.01, "eps": 0.0},
+        "sweep": {"varied": {"delta": [1e-3, 1e-4], "init_floor": [0.5, 1e-12]}},
+    },
+    "mms": {
+        "mode": "mms",
+        "scheme": {"tau": 1e-3, "t_final": 0.01, "eps": 0.0, "delta": 0.0},
+        "mms": {"resolutions": [8, 16]},
+    },
+}
+
+
+@pytest.mark.parametrize("study", sorted(_STUDY_DOCS))
+def test_study_byte_identical_reruns(tmp_path, study):
+    doc = dict(_STUDY_DOCS[study], grid={"n_cells": 16, "length": 1.0})
+    cfg = _write_config(tmp_path, doc)
+    mode = doc["mode"]
+    assert main([mode, cfg, f"output.directory={tmp_path/'a'}"]) == 0
+    assert main([mode, cfg, f"output.directory={tmp_path/'b'}"]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir()) != []
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_sweep_values_not_decreasing_exits_3(tmp_path, capsys):
     doc = dict(MINIMAL, grid={"n_cells": 8, "length": 1.0}, scheme={"t_final": 2e-3})
     cfg = _write_config(tmp_path, doc)
@@ -765,6 +802,13 @@ def test_sweep_varied_runs_from_the_configured_initial_data(tmp_path):
         "explicit": dict(preset, init=cosines),
         "rerun": dict(preset, init=cosines),
         "floored": dict(preset, scheme=dict(preset["scheme"], init_floor=0.5)),
+        # A varied init_floor changes each run's initial data.
+        "floor-varied": dict(preset, sweep={"varied": {"init_floor": [0.5, 1e-12]}}),
+        "floor-fixed": dict(
+            preset,
+            scheme=dict(preset["scheme"], init_floor=0.5),
+            sweep={"varied": {"tau": [5e-3]}},
+        ),
     }
     summaries = {}
     for name, doc in docs.items():
@@ -773,6 +817,13 @@ def test_sweep_varied_runs_from_the_configured_initial_data(tmp_path):
         summaries[name] = (tmp_path / name / "sweep_summary.csv").read_bytes()
     assert summaries["rerun"] == summaries["explicit"] != summaries["preset"]
     assert summaries["floored"] != summaries["preset"]
+    floor_rows = summaries["floor-varied"].decode("utf-8").splitlines()
+    fixed_rows = summaries["floor-fixed"].decode("utf-8").splitlines()
+    assert floor_rows[0] == "init_floor,mass_drift,energy_drift,entropy_final"
+    high, low = (row.split(",", 1) for row in floor_rows[1:])
+    assert float(high[0]) == 0.5 and float(low[0]) == 1e-12
+    assert high[1] != low[1]
+    assert high[1] == fixed_rows[1].split(",", 1)[1]
     lines = summaries["explicit"].decode("utf-8").splitlines()
     assert lines[0] == "delta,tau,mass_drift,energy_drift,entropy_final"
     combos = [tuple(float(v) for v in line.split(",")[:2]) for line in lines[1:]]

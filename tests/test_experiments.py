@@ -4,14 +4,17 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from etlab.grid import build_grid, grad_edge
-from etlab.scheme import SchemeParams, make_initial_state
+from etlab.grid import build_grid, grad_edge, integrate
+from etlab.kinetic import build_velocity_grid, run_kinetic
+from etlab.scheme import SchemeParams, make_initial_state, run_transient
+from etlab.thermo import to_primitive
 from etlab.experiments import (
     ConvergenceTable,
     default_manufactured,
     default_run_matrix,
     fit_loglog_slope,
     initial_condition,
+    kinetic_limit_study,
     mms_convergence,
     regularization_study,
 )
@@ -221,6 +224,31 @@ def test_default_manufactured_positive_and_wall_compatible():
     for t in (0.0, 0.5):
         for f in (ms.rho, ms.theta):
             assert abs(f(np.array([dh]), t)[0] - f(np.array([0.0]), t)[0]) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# kinetic limit
+# ---------------------------------------------------------------------------
+
+
+def test_kinetic_limit_study_rows_are_gaps_to_the_unregularized_run():
+    # Row k is the L1 gap at t_final between the BGK moments of eps_k, with
+    # energy theta_b + kinetic energy, and the eps = delta = 0 macro run.
+    init = make_initial_state(*initial_condition("gauss-bump", GRID))
+    eps_values, t_final, tau = [0.4, 0.2], 0.01, 2e-3
+    table = kinetic_limit_study(GRID, init, eps_values, t_final, n_v=17, tau_macro=tau)
+    p = SchemeParams(tau=tau, eps=0.0, delta=0.0, t_final=t_final)
+    macro = to_primitive(run_transient(GRID, init, p).states[-1])
+    vgrid = build_velocity_grid(8.0, 17)
+    assert [row.param for row in table.rows] == eps_values
+    for row, eps in zip(table.rows, eps_values):
+        run = run_kinetic(GRID, vgrid, init.rho, init.theta, eps, t_final)
+        energy = run.theta_b[-1] + run.kinetic_energy[-1]
+        assert row.err_rho == integrate(GRID, np.abs(run.rho[-1] - macro.rho))
+        assert row.err_energy == integrate(GRID, np.abs(energy - macro.energy))
+        assert row.err_rho > 0.0 and row.err_energy > 0.0
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        kinetic_limit_study(GRID, init, eps_values[::-1], t_final, n_v=17, tau_macro=tau)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from etlab.kinetic import (
     init_equilibrium,
     kinetic_step,
     kinetic_step_count,
-    limit_compare,
     maxwellian_1d,
     moments,
     run_kinetic,
@@ -274,35 +273,6 @@ def test_run_kinetic_dt_refinement_stability():
     run_b = run_kinetic(GRID, VGRID, rho0, theta0, eps=0.2, t_final=0.02, cfl=0.45)
     gap = integrate(GRID, np.abs(run_a.rho[-1] - run_b.rho[-1]))
     assert gap < 5e-3  # first-order in dt, halving changes little
-
-
-def test_limit_compare_identical_fields_zero_error():
-    rho0, theta0 = _bump_fields(GRID)
-    run = run_kinetic(GRID, VGRID, rho0, theta0, eps=0.2, t_final=0.01)
-    rows = limit_compare(
-        [run], run.rho[-1], run.total_energy_density(), GRID
-    )
-    assert rows[0]["err_rho_l1"] == 0.0
-    assert rows[0]["err_energy_l1"] == 0.0
-
-
-def test_limit_compare_rejects_mismatched_grids():
-    rho0, theta0 = _bump_fields(GRID)
-    run = run_kinetic(GRID, VGRID, rho0, theta0, eps=0.2, t_final=0.01)
-    other = build_grid(16, 1.0)
-    with pytest.raises(ValueError):
-        limit_compare([run], np.ones(16), np.ones(16), other)
-
-
-def test_limit_compare_sorts_by_decreasing_eps():
-    rho0, theta0 = _bump_fields(GRID)
-    runs = [
-        run_kinetic(GRID, VGRID, rho0, theta0, eps=e, t_final=0.005)
-        for e in (0.2, 0.4)
-    ]
-    rows = limit_compare(runs, rho0, theta0 * (1.0 + 1.5 * rho0), GRID)
-    assert rows[0]["eps"] == 0.4
-    assert rows[1]["eps"] == 0.2
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
