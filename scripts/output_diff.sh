@@ -1,6 +1,8 @@
 #!/bin/sh
 # Run one small config per etlab mode on two source trees and report, per
-# mode, whether `diff -r` finds their output directories identical.
+# config, whether `diff -r` finds their output directories identical. macro
+# also runs with paper_picard, and sweep with `which` and with `varied`; a
+# config named <mode>-<variant> runs <mode>.
 #
 #   scripts/output_diff.sh <base-tree> [<head-tree>] [<work-dir>]
 #
@@ -20,6 +22,9 @@ config() {  # config <name> <json>
 config macro '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-3, "t_final": 0.01}, "init": {"preset": "gauss-bump"},
   "output": {"snapshot_stride": 1}}'
+config macro-picard '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
+  "scheme": {"tau": 1e-3, "t_final": 0.01, "inner_mode": "paper_picard"},
+  "init": {"preset": "gauss-bump"}}'
 config kinetic '{"mode": "kinetic", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"t_final": 0.005}, "kinetic": {"eps": 0.2, "n_v": 32},
   "init": {"preset": "gauss-bump"}}'
@@ -41,14 +46,14 @@ run() {  # run <tree> <label> <mode> <config> <out>: etlab's exit code
     "output.directory=$work/$2/$5" > "$work/$2-$5.log" 2>&1
 }
 
-for name in macro audit kinetic compare sweep-which sweep-varied mms; do
+for name in macro macro-picard audit kinetic compare sweep-which sweep-varied mms; do
   status=
   for tree in base head; do
     if [ "$tree" = base ]; then dir=$base; else dir=$head; fi
     case $name in
       audit) cp -r "$work/$tree/macro" "$work/$tree/audit" 2> /dev/null &&
              run "$dir" "$tree" audit macro audit ;;
-      sweep-*) run "$dir" "$tree" sweep "$name" "$name" ;;
+      *-*) run "$dir" "$tree" "${name%%-*}" "$name" "$name" ;;
       *) run "$dir" "$tree" "$name" "$name" "$name" ;;
     esac
     code=$?

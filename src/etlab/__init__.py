@@ -16,6 +16,7 @@ from .kinetic import (
     energy_total,
     init_equilibrium,
     kinetic_step,
+    maxwellian_moments_check,
     moments,
     run_kinetic,
 )
@@ -46,7 +47,6 @@ from .thermo import (
     entropy_tilde,
     flux_consistency,
     hessian_htilde,
-    maxwellian_moments_check,
     onsager,
     to_entropic,
     to_primitive,

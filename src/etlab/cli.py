@@ -679,10 +679,14 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
         times = _read_csv(traj_file)["t"]
     except (ValueError, KeyError, IndexError) as exc:
         raise ConfigError(str(traj_file), f"damaged trajectory: {exc}") from exc
+    # The run stored times[k] = k * tau, so times[1] is its tau exactly; a
+    # difference of two stored times is not (0.012 - 0.011 != 0.001).
+    tau = float(times[1]) if times.size > 1 else 0.0
+    steps = tau * np.arange(times.size)
     _expect(
-        bool(np.all(np.diff(times) > 0.0)),
+        tau > 0.0 and bool(np.all(np.abs(times - steps) <= 1e-9 * steps)),
         str(traj_file),
-        "damaged trajectory: times must increase",
+        "damaged trajectory: times must be 0, tau, 2 tau, ... for some tau > 0",
     )
     states: List[EntropicState] = []
     for k in range(len(times)):
@@ -694,16 +698,15 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
             )
         states.append(_read_snapshot(snap, states[0].phi.size if states else None))
     grid = build_grid(len(states[0].phi), cfg.length)
+    p = dataclasses.replace(cfg.scheme, tau=tau)
     records = []
     for k in range(1, len(states)):
-        tau_k = float(times[k] - times[k - 1])
-        p_k = dataclasses.replace(cfg.scheme, tau=tau_k)
         rep = StepReport(
             iterations=0,
             residual=None,
-            tau_used=tau_k,
-            budget=budget_audit(grid, states[k - 1], states[k], p_k, float(times[k])),
-            entropy=entropy_audit(grid, states[k - 1], states[k], p_k),
+            tau_used=tau,
+            budget=budget_audit(grid, states[k - 1], states[k], p, float(times[k])),
+            entropy=entropy_audit(grid, states[k - 1], states[k], p),
         )
         records.append(_audit_record(k, float(times[k]), rep))
     return _write_audits(out, records)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -467,34 +467,75 @@ def run_kinetic(
     )
 
 
-def closure_identity_errors(
-    theta: float, half_width: float | None = None, n_perp: int = 201, n_samples: int = 9
-) -> Tuple[float, float]:
+# Trapezoid nodes per axis of the Maxwellian moment and closure checks.
+_MOMENT_NODES = 64
+_CLOSURE_NODES = 201
+
+
+def _adequate_width(theta: float) -> float:
+    """8 sqrt(theta): the per-axis half width of a box that resolves M1(theta)."""
+    if not theta > 0.0:
+        raise ValueError("theta must be positive")
+    return 8.0 * math.sqrt(theta)
+
+
+@dataclass
+class MomentCheckReport:
+    """Quadrature errors of the Maxwellian moment identities up to order 4."""
+
+    errors: Dict[str, float]
+    max_error: float
+    box_adequate: bool
+
+
+def maxwellian_moments_check(
+    theta: float, half_width: Optional[float] = None
+) -> MomentCheckReport:
+    """Verify the Maxwellian moment identities on a tensor trapezoid box.
+
+    Checks integral M = 1, odd moments = 0, second moments theta * delta_ij,
+    and fourth moments 5 theta^2 * delta_ij of the product of three
+    maxwellian_1d marginals, with build_velocity_grid's nodes and weights
+    along each axis; the tensor quadrature factorizes into the 1D sums
+    evaluated. A box narrower than 8 sqrt(theta) per axis is inadequate.
+    """
+    adequate_width = _adequate_width(theta)
+    if half_width is None:
+        half_width = adequate_width
+    box = build_velocity_grid(half_width, _MOMENT_NODES)
+    m1 = maxwellian_1d(theta, box.nodes)
+    s = [float(np.sum(box.weights * box.nodes**k * m1)) for k in range(5)]
+
+    errors = {
+        "m0": abs(s[0] ** 3 - 1.0),
+        "m1": abs(s[1] * s[0] ** 2),
+        "m2_diag": abs(s[2] * s[0] ** 2 - theta),
+        "m2_offdiag": abs(s[1] ** 2 * s[0]),
+        "m3_odd": abs(s[3] * s[0] ** 2 + 2.0 * s[1] * s[2] * s[0]),
+        "m4_diag": abs(s[4] * s[0] ** 2 + 2.0 * s[2] ** 2 * s[0] - 5.0 * theta**2),
+        "m4_offdiag": abs(2.0 * s[3] * s[1] * s[0] + s[1] ** 2 * s[2]),
+    }
+    return MomentCheckReport(
+        errors=errors,
+        max_error=max(errors.values()),
+        box_adequate=half_width >= adequate_width * (1.0 - 1e-12),
+    )
+
+
+def closure_identity_errors(theta: float) -> Tuple[float, float]:
     """Verify the reduced-closure identities by 2D transverse quadrature.
 
-    Checks, at sample longitudinal velocities, that integrating the full 3D
-    Maxwellian over the transverse plane gives M1(theta; v1), and weighting
-    by |v_perp|^2 gives 2 theta M1(theta; v1). Returns the two max errors.
+    Over the transverse plane, the 3D Maxwellian M1(v1) M1(v2) M1(v3) must
+    integrate to M1(theta; v1), and weighted by |v_perp|^2 to
+    2 theta M1(theta; v1). On the velocity grid on [-8 sqrt(theta),
+    8 sqrt(theta)] per axis the integrals are M1(v1) S0 and M1(v1) S2, so
+    the two max errors over all v1, returned, are M1(0) |S0 - 1| and
+    M1(0) |S2 - 2 theta|.
     """
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
-    if half_width is None:
-        half_width = 8.0 * np.sqrt(theta)
-    vp = np.linspace(-half_width, half_width, n_perp)
-    wq = np.full(n_perp, vp[1] - vp[0])
-    wq[0] *= 0.5
-    wq[-1] *= 0.5
-    v2, v3 = np.meshgrid(vp, vp, indexing="ij")
-    w2 = np.outer(wq, wq)
-    perp_sq = v2**2 + v3**2
-    v1_samples = np.linspace(0.0, 3.0 * np.sqrt(theta), n_samples)
-    err0 = 0.0
-    err2 = 0.0
-    for v1 in v1_samples:
-        m3 = (2.0 * np.pi * theta) ** -1.5 * np.exp(
-            -(v1**2 + perp_sq) / (2.0 * theta)
-        )
-        m1 = maxwellian_1d(theta, v1)
-        err0 = max(err0, abs(float(np.sum(w2 * m3)) - m1))
-        err2 = max(err2, abs(float(np.sum(w2 * perp_sq * m3)) - 2.0 * theta * m1))
-    return err0, err2
+    box = build_velocity_grid(_adequate_width(theta), _CLOSURE_NODES)
+    wm = box.weights * maxwellian_1d(theta, box.nodes)
+    w2 = np.outer(wm, wm)
+    s0 = float(np.sum(w2))
+    s2 = float(np.sum(w2 * np.add.outer(box.nodes**2, box.nodes**2)))
+    peak = maxwellian_1d(theta, 0.0)
+    return abs(s0 - 1.0) * peak, abs(s2 - 2.0 * theta) * peak

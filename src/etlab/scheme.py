@@ -614,7 +614,7 @@ def make_initial_state(rho0, theta0, floor: float = 1e-12) -> MacroState:
         )
         rho0 = np.maximum(rho0, floor)
         theta0 = np.maximum(theta0, floor)
-    return MacroState.from_rho_theta(rho0, theta0)
+    return MacroState(rho0, theta0)
 
 
 def step_count(t_final: float, tau: float) -> int:

@@ -6,15 +6,16 @@ potential phi and w = log theta. Density and temperature are derived views
 
     rho = exp(phi + 3 w / 2 - 5/2),    theta = exp(w),
 
-so both stay strictly positive for any finite chart values. The entropy,
-Onsager matrix and Maxwellian moments are the standard closed forms for this
-closure.
+so both stay strictly positive for any finite chart values. The entropy and
+the Onsager matrix are the standard closed forms for this closure; the
+Maxwellian and its moment checks live in etlab.kinetic, on the solver's
+velocity quadrature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -65,31 +66,25 @@ class EntropicState:
 
 @dataclass(frozen=True)
 class MacroState:
-    """Nodal primitive fields (rho, theta, E); the observable output.
+    """Nodal primitive fields (rho, theta, E = theta (1 + 3 rho / 2)); the
+    observable output. E is derived, never given.
 
     Immutable, with read-only copies of its arrays like EntropicState.
     """
 
     rho: np.ndarray
     theta: np.ndarray
-    energy: np.ndarray
+    energy: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rho, theta, energy = _frozen(self.rho), _frozen(self.theta), _frozen(self.energy)
+        rho, theta = _frozen(self.rho), _frozen(self.theta)
         if not ((rho > 0.0).all() and (theta > 0.0).all()):
             raise ValueError("rho and theta must be strictly positive")
-        expected = theta * (1.0 + 1.5 * rho)
-        if (np.abs(energy - expected) / np.abs(expected)).max() > 1e-14:
-            raise ValueError("energy inconsistent with theta * (1 + 1.5 rho)")
+        energy = theta * (1.0 + 1.5 * rho)
+        energy.flags.writeable = False
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "energy", energy)
-
-    @classmethod
-    def from_rho_theta(cls, rho, theta) -> "MacroState":
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return cls(rho=rho, theta=theta, energy=theta * (1.0 + 1.5 * rho))
 
 
 @dataclass
@@ -149,7 +144,7 @@ def to_primitive(state: EntropicState) -> MacroState:
         )
     rho = np.exp(expo)
     theta = np.exp(w)
-    mac = MacroState(rho=rho, theta=theta, energy=theta * (1.0 + 1.5 * rho))
+    mac = MacroState(rho, theta)
     object.__setattr__(state, "_primitive", mac)
     return mac
 
@@ -176,16 +171,19 @@ def entropy_tilde(rho, energy):
     return rho * np.log(rho) - gamma * np.log(energy / gamma)
 
 
+def _mobility(rho, theta) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Onsager entries (m11, m12, m22) at (rho, theta), unchecked."""
+    theta_sq = theta**2
+    return rho * theta, 2.5 * rho * theta_sq, theta_sq * (1.0 + 8.75 * rho * theta)
+
+
 def onsager(rho, theta) -> OnsagerMatrix:
     """Mobility matrix; positive semidefinite on the closed positive quadrant."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(rho < 0.0) or np.any(theta < 0.0):
         raise ValueError("onsager requires rho >= 0 and theta >= 0")
-    m11 = rho * theta
-    m12 = 2.5 * rho * theta**2
-    m22 = theta**2 * (1.0 + 8.75 * rho * theta)
-    return OnsagerMatrix(m11=m11, m12=m12, m22=m22)
+    return OnsagerMatrix(*_mobility(rho, theta))
 
 
 def hessian_htilde(rho: float, energy: float) -> Tuple[np.ndarray, float]:
@@ -203,56 +201,6 @@ def hessian_htilde(rho: float, energy: float) -> Tuple[np.ndarray, float]:
     return matrix, det
 
 
-@dataclass
-class MomentCheckReport:
-    """Quadrature errors of the Maxwellian moment identities up to order 4."""
-
-    errors: Dict[str, float]
-    max_error: float
-    box_adequate: bool
-    half_width: float
-    n_nodes: int
-
-
-def maxwellian_moments_check(
-    theta: float, half_width: float | None = None, n_nodes: int = 64
-) -> MomentCheckReport:
-    """Verify the Maxwellian moment identities on a tensor trapezoid box.
-
-    Checks integral M = 1, odd moments = 0, second moments theta * delta_ij,
-    and fourth moments 5 theta^2 * delta_ij. The 3D tensor quadrature
-    factorizes into 1D sums, which is what gets evaluated. A box narrower
-    than 8 sqrt(theta) per axis is flagged as inadequate.
-    """
-    theta = float(_require_positive("theta", theta))
-    adequate_width = 8.0 * np.sqrt(theta)
-    if half_width is None:
-        half_width = adequate_width
-    v = np.linspace(-half_width, half_width, n_nodes)
-    wq = np.full(n_nodes, v[1] - v[0])
-    wq[0] *= 0.5
-    wq[-1] *= 0.5
-    m1 = (2.0 * np.pi * theta) ** -0.5 * np.exp(-(v**2) / (2.0 * theta))
-    s = [float(np.sum(wq * v**k * m1)) for k in range(5)]
-
-    errors = {
-        "m0": abs(s[0] ** 3 - 1.0),
-        "m1": abs(s[1] * s[0] ** 2),
-        "m2_diag": abs(s[2] * s[0] ** 2 - theta),
-        "m2_offdiag": abs(s[1] ** 2 * s[0]),
-        "m3_odd": abs(s[3] * s[0] ** 2 + 2.0 * s[1] * s[2] * s[0]),
-        "m4_diag": abs(s[4] * s[0] ** 2 + 2.0 * s[2] ** 2 * s[0] - 5.0 * theta**2),
-        "m4_offdiag": abs(2.0 * s[3] * s[1] * s[0] + s[1] ** 2 * s[2]),
-    }
-    return MomentCheckReport(
-        errors=errors,
-        max_error=max(errors.values()),
-        box_adequate=half_width >= adequate_width * (1.0 - 1e-12),
-        half_width=half_width,
-        n_nodes=n_nodes,
-    )
-
-
 def edge_mean(a: np.ndarray) -> np.ndarray:
     """Edge value of a nodal quantity: the arithmetic mean of its two cells."""
     return 0.5 * (a[:-1] + a[1:])
@@ -267,13 +215,7 @@ def onsager_edge(
     edge matrix [[m11, m12 e], [m12 e, m22 e^2]] positive semidefinite for
     any positive edge value e of exp(-w).
     """
-    rho_e = edge_mean(rho)
-    theta_e = edge_mean(theta)
-    w_e = edge_mean(w)
-    m11 = rho_e * theta_e
-    m12 = 2.5 * rho_e * theta_e**2
-    m22 = theta_e**2 * (1.0 + 8.75 * rho_e * theta_e)
-    return m11, m12, m22, np.exp(-w_e)
+    return (*_mobility(edge_mean(rho), edge_mean(theta)), np.exp(-edge_mean(w)))
 
 
 def flux_consistency(grid: Grid1D, state: EntropicState) -> Tuple[float, float]:

@@ -18,6 +18,7 @@ from etlab.kinetic import (
     energy_total,
     init_equilibrium,
     kinetic_step,
+    maxwellian_moments_check,
     moments,
 )
 from etlab.scheme import SchemeParams, make_initial_state, run_transient
@@ -34,7 +35,6 @@ from etlab.thermo import (
     entropy_tilde,
     flux_consistency,
     hessian_htilde,
-    maxwellian_moments_check,
     onsager,
     to_entropic,
     to_primitive,

@@ -448,7 +448,9 @@ def _strict_json(path):
 
 
 def test_macro_and_audit_write_the_same_records(tmp_path):
-    doc = _macro_doc(tmp_path, delta=1e-4, eps=1e-6)
+    # Twelve steps of 1e-3: a tau taken as a difference of stored times
+    # (0.012 - 0.011 = 0.0010000000000000009) would move the replayed fields.
+    doc = _macro_doc(tmp_path, tau=1e-3, t_final=0.012, delta=1e-4, eps=1e-6)
     doc["init"]["preset"] = "gauss-bump"
     cfg = _write_config(tmp_path, doc)
     audits = tmp_path / "out" / "audits.json"
@@ -456,20 +458,25 @@ def test_macro_and_audit_write_the_same_records(tmp_path):
     solved = _strict_json(audits)["records"]
     assert main(["audit", cfg]) == 0
     replayed = _strict_json(audits)["records"]
-    flags = ("mass_pass", "energy_pass", "entropy_pass")
-    assert len(solved) == len(replayed) == 4
+    assert len(solved) == len(replayed) == 12
     for a, b in zip(solved, replayed):
         assert a.keys() == b.keys()
-        assert [a[f] for f in flags] == [b[f] for f in flags]
-        assert a["step"] == b["step"]
+        assert a["t"] == pytest.approx(b["t"], rel=1e-12)
         assert a["iterations"] > 0 and b["iterations"] == 0
         assert a["residual"] >= 0.0 and b["residual"] is None
+        # every budget and entropy field, the flags and tau_used, exactly
+        same = {key for key in a if key not in ("t", "iterations", "residual")}
+        assert {key: a[key] for key in same} == {key: b[key] for key in same}
 
 
 def _corrupt_snapshot(out, damage):
-    if damage == "header-only trajectory":
+    if damage.endswith("trajectory"):
         traj = out / "trajectory.csv"
-        traj.write_text(traj.read_text().splitlines()[0] + "\n")
+        lines = traj.read_text().splitlines()
+        if damage == "uneven-times trajectory":
+            lines[3] = ",".join(["0.0025"] + lines[3].split(",")[1:])
+        keep = {"header-only trajectory": 1, "one-row trajectory": 2}.get(damage)
+        traj.write_text("\n".join(lines[:keep]) + "\n")
         return traj
     if damage == "truncated":
         snap = out / "snapshot_1.csv"
@@ -487,7 +494,15 @@ def _corrupt_snapshot(out, damage):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "damage", ["w=1000", "nan", "truncated", "header-only trajectory"]
+    "damage",
+    [
+        "w=1000",
+        "nan",
+        "truncated",
+        "header-only trajectory",
+        "one-row trajectory",
+        "uneven-times trajectory",
+    ],
 )
 def test_audit_on_corrupted_run_directory_exits_3(tmp_path, capsys, damage):
     doc = _macro_doc(tmp_path, tau=1e-3, t_final=3e-3, delta=1e-4, eps=1e-6)
@@ -503,6 +518,8 @@ def test_audit_on_corrupted_run_directory_exits_3(tmp_path, capsys, damage):
     assert snap.name in record["message"]
     if damage == "header-only trajectory":
         assert "damaged trajectory: no rows" in record["message"]
+    elif damage.endswith("trajectory"):
+        assert "damaged trajectory: times must be 0, tau, 2 tau" in record["message"]
 
 
 def test_audit_mode_requires_per_step_snapshots(tmp_path):
@@ -913,6 +930,18 @@ def test_python_m_cli_runs_main():
     proc = _run_python("-m", "etlab.cli")
     assert proc.returncode == 3
     assert "usage" in proc.stderr
+
+
+def test_perfbench_tracer_installs_against_the_package():
+    # perfbench/tracing.py patches etlab functions by name; a refactor that
+    # drops or renames one breaks every traced benchmark run.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = _run_python(
+        "-c",
+        f"import sys; sys.path.insert(0, {str(perfbench)!r}); import tracing; "
+        "assert callable(tracing.install(tracing.Tracer()))",
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 _IMPORT_BOUNDARY = """

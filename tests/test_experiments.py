@@ -191,13 +191,16 @@ def test_manufactured_sources_solve_the_pde_by_fourth_order_differences():
     def flux_mass(x, t):
         return ms.rho(x, t) * ms.theta(x, t)
 
+    def energy(x, t):
+        return ms.theta(x, t) * (1.0 + 1.5 * ms.rho(x, t))
+
     def flux_energy(x, t):
         return ms.theta(x, t) + 2.5 * ms.rho(x, t) * ms.theta(x, t) ** 2
 
     for t in (0.0, 0.05, 0.3):
         for source, density, flux in (
             (ms.source_mass, ms.rho, flux_mass),
-            (ms.source_energy, ms.energy, flux_energy),
+            (ms.source_energy, energy, flux_energy),
         ):
             want = d_t(density, t) - d_xx(flux, t)
             got = source(xs, t)

@@ -617,7 +617,7 @@ def test_transient_factors_once_per_step(monkeypatch):
 
 def test_transient_equilibrium_constant_trajectory():
     p = SchemeParams(tau=0.02, eps=0.0, delta=0.0, t_final=0.1)
-    init = MacroState.from_rho_theta(np.ones(16), np.ones(16))
+    init = MacroState(np.ones(16), np.ones(16))
     traj = run_transient(GRID, init, p)
     assert np.allclose(traj.times, [0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
     for s in traj.states:
@@ -627,7 +627,7 @@ def test_transient_equilibrium_constant_trajectory():
 
 def test_transient_times_contract():
     p = SchemeParams(tau=0.01, eps=1e-6, delta=1e-4, t_final=0.05)
-    traj = run_transient(GRID, MacroState.from_rho_theta(np.ones(16), np.ones(16)), p)
+    traj = run_transient(GRID, MacroState(np.ones(16), np.ones(16)), p)
     assert traj.times[0] == 0.0
     assert np.all(np.diff(traj.times) > 0.0)
     assert len(traj.states) == len(traj.times)
@@ -636,15 +636,13 @@ def test_transient_times_contract():
 def test_transient_rejects_non_integer_step_count():
     p = SchemeParams(tau=0.03, t_final=0.1)
     with pytest.raises(ValueError, match="not an integer"):
-        run_transient(GRID, MacroState.from_rho_theta(np.ones(16), np.ones(16)), p)
+        run_transient(GRID, MacroState(np.ones(16), np.ones(16)), p)
 
 
 def test_transient_positivity_by_construction():
     grid = build_grid(32, 1.0)
     x = grid.cell_centers
-    init = MacroState.from_rho_theta(
-        0.2 + np.exp(-50.0 * (x - 0.5) ** 2), np.ones(32)
-    )
+    init = MacroState(0.2 + np.exp(-50.0 * (x - 0.5) ** 2), np.ones(32))
     p = SchemeParams(tau=1e-3, eps=1e-6, delta=1e-4, t_final=0.02)
     traj = run_transient(grid, init, p)
     for s in traj.states:
@@ -667,9 +665,7 @@ def test_make_initial_state_clips_with_floor():
 def test_budget_conservation_without_regularization():
     p = SchemeParams(tau=1e-2, eps=0.0, delta=0.0, t_final=0.05)
     grid = build_grid(32, 1.0)
-    init = MacroState.from_rho_theta(
-        0.2 + np.exp(-50.0 * (grid.cell_centers - 0.5) ** 2), np.ones(32)
-    )
+    init = MacroState(0.2 + np.exp(-50.0 * (grid.cell_centers - 0.5) ** 2), np.ones(32))
     traj = run_transient(grid, init, p)
     for rep in traj.reports:
         assert abs(rep.budget["mass_lhs"]) <= 1e-10
@@ -679,9 +675,7 @@ def test_budget_conservation_without_regularization():
 def test_budget_identities_on_accepted_steps():
     p = SchemeParams(tau=1e-3, eps=1e-6, delta=1e-2, t_final=0.01)
     grid = build_grid(32, 1.0)
-    init = MacroState.from_rho_theta(
-        0.2 + np.exp(-50.0 * (grid.cell_centers - 0.5) ** 2), np.ones(32)
-    )
+    init = MacroState(0.2 + np.exp(-50.0 * (grid.cell_centers - 0.5) ** 2), np.ones(32))
     traj = run_transient(grid, init, p)
     for rep in traj.reports:
         b = rep.budget
@@ -709,9 +703,7 @@ def test_entropy_audit_equilibrium_passes():
 
 def test_entropy_decreases_on_relaxation_run():
     grid = build_grid(32, 1.0)
-    init = MacroState.from_rho_theta(
-        0.2 + np.exp(-50.0 * (grid.cell_centers - 0.5) ** 2), np.ones(32)
-    )
+    init = MacroState(0.2 + np.exp(-50.0 * (grid.cell_centers - 0.5) ** 2), np.ones(32))
     p = SchemeParams(tau=1e-2, eps=0.0, delta=0.0, t_final=0.1)
     traj = run_transient(grid, init, p)
     for rep in traj.reports:

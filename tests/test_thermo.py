@@ -9,15 +9,16 @@ from etlab.thermo import (
     BlowupError,
     EntropicState,
     MacroState,
+    edge_mean,
     entropy_tilde,
     flux_consistency,
     hessian_htilde,
-    maxwellian_moments_check,
     onsager,
+    onsager_edge,
     to_entropic,
     to_primitive,
 )
-from etlab.kinetic import maxwellian_1d
+from etlab.kinetic import maxwellian_1d, maxwellian_moments_check
 
 
 def _central_diff(f, x, h=1e-6):
@@ -132,7 +133,11 @@ def test_round_trip_random_states():
 
 
 def test_macro_state_rejects_inconsistent_energy():
-    with pytest.raises(ValueError):
+    # The energy is derived from the closure, so no other value can be given.
+    mac = MacroState(rho=np.array([1.0, 2.0]), theta=np.array([1.0, 0.5]))
+    assert mac.energy.tolist() == [2.5, 2.0]
+    assert not mac.energy.flags.writeable
+    with pytest.raises(TypeError):
         MacroState(rho=np.array([1.0]), theta=np.array([1.0]), energy=np.array([2.0]))
 
 
@@ -217,6 +222,20 @@ def test_onsager_determinant_identity():
     det = onsager(rho, theta).determinant()
     exact = rho * theta**3 + 2.5 * rho**2 * theta**4
     assert np.max(np.abs(det - exact)) <= 1e-12 * (1.0 + np.max(np.abs(exact)))
+
+
+def test_onsager_edge_entries_are_onsager_at_edge_means():
+    # The scheme's edge mobility is the checked onsager() at the edge means,
+    # bit for bit, so criterion 1 covers what the solver runs.
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(1e-3, 10.0, size=65)
+    theta = rng.uniform(1e-3, 10.0, size=65)
+    w = np.log(theta)
+    m11, m12, m22, eneg = onsager_edge(rho, theta, w)
+    m = onsager(edge_mean(rho), edge_mean(theta))
+    for got, want in ((m11, m.m11), (m12, m.m12), (m22, m.m22)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(eneg, np.exp(-edge_mean(w)))
 
 
 # ---------------------------------------------------------------------------
