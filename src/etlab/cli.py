@@ -447,30 +447,25 @@ def _read_csv(path: Path) -> Dict[str, np.ndarray]:
 def _write_macro_outputs(
     out: Path, grid: Grid1D, traj: Trajectory, stride: int
 ) -> None:
+    iters = [0] * len(traj.times)
+    diss = [0.0] * len(traj.times)
+    for rep in traj.reports:
+        iters[rep.step] += rep.iterations
+        diss[rep.step] += sum(rep.entropy["dissipation"].values())
     rows = []
-    report_idx = 0
-    t_acc = 0.0
     for k, t in enumerate(traj.times):
         mac = to_primitive(traj.states[k])
         entropy = lyapunov_functional(grid, traj.states[k])
-        iters, diss = 0, 0.0
-        if k > 0:
-            while report_idx < len(traj.reports) and t_acc < t - 1e-12 * max(1.0, t):
-                rep = traj.reports[report_idx]
-                t_acc += rep.tau_used
-                iters += rep.iterations
-                diss += sum(rep.entropy["dissipation"].values())
-                report_idx += 1
         rows.append(
             [
                 t,
                 integrate(grid, mac.rho),
                 integrate(grid, mac.energy),
                 entropy,
-                diss,
+                diss[k],
                 float(np.min(mac.theta)),
                 float(np.max(mac.rho)),
-                iters,
+                iters[k],
             ]
         )
     write_csv(
@@ -491,11 +486,11 @@ def _write_macro_outputs(
         )
 
 
-def _audit_record(step: int, t: float, rep: StepReport) -> Dict[str, Any]:
+def _audit_record(rep: StepReport) -> Dict[str, Any]:
     """The audits.json record of one step, in ``macro`` and ``audit`` mode alike."""
     return {
-        "step": step,
-        "t": t,
+        "step": rep.step,
+        "t": rep.t,
         "tau_used": rep.tau_used,
         "iterations": rep.iterations,
         "residual": rep.residual,
@@ -554,12 +549,7 @@ def _run_macro(cfg: RunConfig, out: Path) -> int:
     grid, init = cfg.initial_state()
     traj = run_transient(grid, init, cfg.scheme)
     _write_macro_outputs(out, grid, traj, cfg.snapshot_stride)
-    records = []
-    t = 0.0
-    for k, rep in enumerate(traj.reports):
-        t += rep.tau_used
-        records.append(_audit_record(k + 1, t, rep))
-    return _write_audits(out, records)
+    return _write_audits(out, [_audit_record(rep) for rep in traj.reports])
 
 
 def _run_kinetic(cfg: RunConfig, out: Path) -> int:
@@ -702,13 +692,15 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
     records = []
     for k in range(1, len(states)):
         rep = StepReport(
+            step=k,
+            t=float(times[k]),
             iterations=0,
             residual=None,
             tau_used=tau,
             budget=budget_audit(grid, states[k - 1], states[k], p, float(times[k])),
             entropy=entropy_audit(grid, states[k - 1], states[k], p),
         )
-        records.append(_audit_record(k, float(times[k]), rep))
+        records.append(_audit_record(rep))
     return _write_audits(out, records)
 
 

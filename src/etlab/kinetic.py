@@ -47,6 +47,9 @@ _RELAX_MAX_ITER = 60
 # of about four minutes at n = 256.
 MAX_KINETIC_STEPS = 10**6
 
+_CFL = 0.9  # a run's step is at most _CFL times the CFL bound eps h / v_max
+_N_RECORDS = 20  # a run records every (n_steps // _N_RECORDS)-th state
+
 # The eps whose squares are normal finite doubles: the relaxation rate
 # dt / eps**2 needs eps**2, which underflows to zero below about 1.6e-162
 # and overflows above the largest.
@@ -405,15 +408,13 @@ class KineticTrajectory:
     final_state: KineticState
 
 
-def kinetic_step_count(
-    t_final: float, eps: float, h: float, v_max: float, cfl: float = 0.9
-) -> int:
-    """Steps of at most the CFL bound cfl * eps * h / v_max that reach t_final,
-    at least 1; ValueError naming eps when eps lies outside EPS_RANGE or the
-    run needs more than MAX_KINETIC_STEPS steps."""
+def kinetic_step_count(t_final: float, eps: float, h: float, v_max: float) -> int:
+    """Steps of at most _CFL * eps * h / v_max that reach t_final, at least 1;
+    ValueError naming eps when eps lies outside EPS_RANGE or the run needs
+    more than MAX_KINETIC_STEPS steps."""
     if not MIN_EPS <= eps <= MAX_EPS:
         raise ValueError(f"eps = {eps:.3g} must lie in {EPS_RANGE}")
-    dt_max = cfl * eps * h / v_max
+    dt_max = _CFL * eps * h / v_max
     steps = max(1.0, float(np.ceil(t_final / dt_max))) if dt_max > 0.0 else math.inf
     if steps > MAX_KINETIC_STEPS:
         raise ValueError(
@@ -430,8 +431,6 @@ def run_kinetic(
     theta0,
     eps: float,
     t_final: float,
-    cfl: float = 0.9,
-    n_records: int = 20,
 ) -> KineticTrajectory:
     """March equilibrium initial data to t_final with a CFL-consistent dt.
 
@@ -441,10 +440,10 @@ def run_kinetic(
     """
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
-    n_steps = kinetic_step_count(t_final, eps, grid.h, vgrid.v_max, cfl)
+    n_steps = kinetic_step_count(t_final, eps, grid.h, vgrid.v_max)
     state = init_equilibrium(grid, vgrid, rho0, theta0, eps)
     dt = t_final / n_steps
-    record_every = max(1, n_steps // max(1, n_records))
+    record_every = max(1, n_steps // _N_RECORDS)
     constants = _StepConstants(grid, vgrid, eps, dt)
 
     times = [0.0]

@@ -142,11 +142,14 @@ class SchemeParams:
 class StepReport:
     """One step: how the nonlinear solve converged and the step's audits.
 
+    ``step`` and ``t`` place it on run_transient's time grid (see there).
     ``residual`` is None for a step that was audited but not solved here
     (``etlab audit`` re-checks stored states). ``budget`` and ``entropy`` are
     the records of budget_audit and entropy_audit, keyed as in audits.json.
     """
 
+    step: int
+    t: float
     iterations: int
     residual: Optional[float]
     tau_used: float
@@ -274,11 +277,6 @@ def _assemble_blocks(
     m11, m12, m22, eneg, dphi, dw, theta_e = edges
     second, stiffness = _unit_bands(n, h)
     h_tau = h / p.tau
-    # (h / tau) (1 + 15 rho / 4) bounds every time-derivative entry. Once tau
-    # has been halved close to underflow it is not finite, and the system
-    # cannot be formed: a numerical failure like a non-SPD matrix.
-    if not math.isfinite(h_tau * (1.0 + 3.75 * float(rho.max()))):
-        raise NotSPDError(f"time-derivative block overflows at tau = {p.tau:.3e}")
 
     a11 = np.zeros((3, n))
     a11[0] = h_tau * rho
@@ -553,9 +551,9 @@ def fixed_point_step(
     a non-SPD or singular linear system of both attempts halve tau; any
     other error propagates. StepFailureError ends the step after
     p.tau_backoff_limit halvings, or earlier when one more halving would
-    underflow tau to zero. Returns the state after the
-    time increment that actually succeeded (tau_used <= p.tau) together
-    with its audit report.
+    underflow tau to zero. Returns the state after the time increment that
+    actually succeeded (tau_used <= p.tau) and its audit report, with step 0
+    (no time grid) and t = t_start + tau_used.
     """
     tau_try = p.tau
     start = prev
@@ -582,6 +580,8 @@ def fixed_point_step(
                 pass
             else:
                 report = StepReport(
+                    step=0,
+                    t=t_start + tau_try,
                     iterations=len(history),
                     residual=history[-1],
                     tau_used=tau_try,
@@ -629,20 +629,24 @@ def step_count(t_final: float, tau: float) -> int:
 def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory:
     """March to t_final in steps of tau, auditing every accepted step.
 
-    A step that needed backoff is completed by dyadic substeps so the
-    recorded states still sit at exact multiples of tau. Every step after
-    the first starts its nonlinear iteration from the linear extrapolation
-    of the last two accepted states (see fixed_point_step).
+    A step k that needed backoff is completed by substeps, each attempting
+    what remains of it, so the states still sit at times[k] = k tau. Each
+    accepted attempt's report gets step k and its end time t, counted from
+    times[k - 1], or times[k] exactly for the attempt that completes step
+    k. Every step after the first starts its nonlinear iteration from the
+    linear extrapolation of the last two accepted states (see
+    fixed_point_step).
     """
     n_steps = step_count(p.t_final, p.tau)
+    times = p.tau * np.arange(n_steps + 1)
     state = to_entropic(init.rho, init.theta)
     states = [state]
     reports: List[StepReport] = []
     older: Optional[EntropicState] = None
     tau_prev: Optional[float] = None
-    for k in range(n_steps):
+    for k in range(1, n_steps + 1):
         remaining = p.tau
-        t_base = k * p.tau
+        t_base = float(times[k - 1])
         while remaining > 1e-12 * p.tau:
             p_sub = replace(p, tau=min(p.tau, remaining))
             try:
@@ -651,16 +655,17 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
                 )
             except StepFailureError as exc:
                 raise StepFailureError(
-                    f"step {k + 1} (t in [{t_base:.6g}, {t_base + p.tau:.6g}]): {exc}",
+                    f"step {k} (t in [{t_base:.6g}, {t_base + p.tau:.6g}]): {exc}",
                     residual=exc.residual,
                     tau_last=exc.tau_last,
                 ) from exc
             older, state, tau_prev = state, nxt, rep.tau_used
+            rep.step = k
             reports.append(rep)
             remaining -= rep.tau_used
             t_base += rep.tau_used
+        rep.t = float(times[k])
         states.append(state)
-    times = p.tau * np.arange(n_steps + 1)
     return Trajectory(times=times, states=states, reports=reports)
 
 

@@ -461,12 +461,33 @@ def test_macro_and_audit_write_the_same_records(tmp_path):
     assert len(solved) == len(replayed) == 12
     for a, b in zip(solved, replayed):
         assert a.keys() == b.keys()
-        assert a["t"] == pytest.approx(b["t"], rel=1e-12)
         assert a["iterations"] > 0 and b["iterations"] == 0
         assert a["residual"] >= 0.0 and b["residual"] is None
-        # every budget and entropy field, the flags and tau_used, exactly
-        same = {key for key in a if key not in ("t", "iterations", "residual")}
+        # step, t, tau_used, the budget and entropy fields and flags, exactly
+        same = {key for key in a if key not in ("iterations", "residual")}
         assert {key: a[key] for key in same} == {key: b[key] for key in same}
+
+
+def test_macro_substep_records_share_their_time_grid_step(tmp_path):
+    # fp_max_iter = 4 makes the first step back off to 1/32 of tau: 33
+    # accepted attempts advance the four steps.
+    doc = _macro_doc(tmp_path, tau=1e-2, t_final=0.04, fp_max_iter=4)
+    del doc["scheme"]["eps"], doc["scheme"]["delta"]
+    doc["grid"]["n_cells"] = 32
+    doc["init"]["preset"] = "gauss-bump"
+    assert main(["macro", _write_config(tmp_path, doc)]) == 0
+    out = tmp_path / "out"
+    records = _strict_json(out / "audits.json")["records"]
+    rows = _read_csv(out / "trajectory.csv")
+    assert len(records) == 33
+    assert [r["step"] for r in records] == sorted(r["step"] for r in records)
+    assert {r["step"] for r in records} == {1, 2, 3, 4}
+    assert rows["fp_iters"][0] == 0
+    for k in range(1, 5):
+        own = [r for r in records if r["step"] == k]
+        assert rows["fp_iters"][k] == sum(r["iterations"] for r in own)
+        assert own[-1]["t"] == rows["t"][k]
+        assert all(r["t"] < rows["t"][k] for r in own[:-1])
 
 
 def _corrupt_snapshot(out, damage):
@@ -547,14 +568,24 @@ def test_solver_failure_exits_2(tmp_path):
     assert record["error"] == "solver"
 
 
-def test_solver_failure_exits_2_when_tau_would_underflow(tmp_path):
-    # Over 1074 halvings take tau below the smallest positive double.
-    doc = _macro_doc(tmp_path, fp_max_iter=1, tau_backoff_limit=1100)
+@pytest.mark.parametrize("inner_mode", ["coupled_implicit", "paper_picard"])
+def test_solver_failure_exits_2_when_tau_would_underflow(tmp_path, inner_mode):
+    # Over 1074 halvings take tau below the smallest positive double; on the
+    # way h / tau overflows, which must fail the attempt without a warning.
+    doc = _macro_doc(
+        tmp_path,
+        fp_max_iter=1,
+        tau_backoff_limit=1100,
+        eps=1e-6,
+        delta=1e-4,
+        inner_mode=inner_mode,
+    )
     doc["init"]["preset"] = "gauss-bump"
     cfg = _write_config(tmp_path, doc)
     assert main(["macro", cfg, "grid.n_cells=8"]) == 2
     record = json.loads((tmp_path / "out" / "error.json").read_text())
     assert record["error"] == "solver"
+    assert "tau halvings" in record["message"]
 
 
 def _assert_run_passed(out):

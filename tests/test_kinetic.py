@@ -6,6 +6,8 @@ import pytest
 from etlab import kinetic
 from etlab.grid import build_grid, integrate
 from etlab.kinetic import (
+    _CFL,
+    _N_RECORDS,
     _RELAX_MAX_ITER,
     _RELAX_TOL,
     MAX_KINETIC_STEPS,
@@ -269,9 +271,15 @@ def test_run_kinetic_equilibrium_constant_observables():
 
 def test_run_kinetic_dt_refinement_stability():
     rho0, theta0 = _bump_fields(GRID)
-    run_a = run_kinetic(GRID, VGRID, rho0, theta0, eps=0.2, t_final=0.02, cfl=0.9)
-    run_b = run_kinetic(GRID, VGRID, rho0, theta0, eps=0.2, t_final=0.02, cfl=0.45)
-    gap = integrate(GRID, np.abs(run_a.rho[-1] - run_b.rho[-1]))
+    eps, t_final = 0.2, 0.02
+    n_steps = kinetic_step_count(t_final, eps, GRID.h, VGRID.v_max)
+    final_rho = []
+    for n in (n_steps, 2 * n_steps):  # run_kinetic's dt, then half of it
+        state = init_equilibrium(GRID, VGRID, rho0, theta0, eps)
+        for _ in range(n):
+            state = kinetic_step(state, t_final / n)
+        final_rho.append(moments(state)[0])
+    gap = integrate(GRID, np.abs(final_rho[0] - final_rho[1]))
     assert gap < 5e-3  # first-order in dt, halving changes little
 
 
@@ -598,12 +606,12 @@ def test_step_into_misaligned_block_matches_aligned_bit_for_bit(n_v):
 def test_run_kinetic_equals_independent_steps_bit_for_bit(n_v):
     vgrid = build_velocity_grid(8.0, n_v)
     rho0, theta0 = _bump_fields(GRID)
-    eps, t_final, n_records = 0.1, 0.02, 20
-    run = run_kinetic(GRID, vgrid, rho0, theta0, eps, t_final, n_records=n_records)
+    eps, t_final = 0.1, 0.02
+    run = run_kinetic(GRID, vgrid, rho0, theta0, eps, t_final)
     # run_kinetic's step size and record schedule
-    n_steps = int(np.ceil(t_final / (0.9 * eps * GRID.h / vgrid.v_max)))
+    n_steps = int(np.ceil(t_final / (_CFL * eps * GRID.h / vgrid.v_max)))
     dt = t_final / n_steps
-    record_every = max(1, n_steps // n_records)
+    record_every = max(1, n_steps // _N_RECORDS)
     assert n_steps >= 50
 
     state = init_equilibrium(GRID, vgrid, rho0, theta0, eps)
