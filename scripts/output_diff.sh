@@ -1,9 +1,10 @@
 #!/bin/sh
 # Run one small config per etlab mode on two source trees and report, per
 # config, whether `diff -r` finds their output directories identical. macro
-# also runs with paper_picard and with backoff substeps (fp_max_iter = 4
-# makes its first step halve tau five times), and sweep with `which` and
-# with `varied`; a config named <mode>-<variant> runs <mode>.
+# also runs with paper_picard (at the default eps and delta, and at
+# eps = delta = 0) and with backoff substeps (fp_max_iter = 4 makes its
+# first step halve tau five times), and sweep with `which` and with
+# `varied`; a config named <mode>-<variant> runs <mode>.
 #
 #   scripts/output_diff.sh <base-tree> [<head-tree>] [<work-dir>]
 #
@@ -25,6 +26,10 @@ config macro '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
   "output": {"snapshot_stride": 1}}'
 config macro-picard '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-3, "t_final": 0.01, "inner_mode": "paper_picard"},
+  "init": {"preset": "gauss-bump"}}'
+config macro-picard-unregularized '{"mode": "macro",
+  "grid": {"n_cells": 32, "length": 1.0},
+  "scheme": {"tau": 1e-3, "t_final": 0.01, "inner_mode": "paper_picard", "eps": 0.0, "delta": 0.0},
   "init": {"preset": "gauss-bump"}}'
 config macro-substeps '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-2, "t_final": 0.04, "fp_max_iter": 4},
@@ -50,7 +55,7 @@ run() {  # run <tree> <label> <mode> <config> <out>: etlab's exit code
     "output.directory=$work/$2/$5" > "$work/$2-$5.log" 2>&1
 }
 
-for name in macro macro-picard macro-substeps audit kinetic compare sweep-which sweep-varied mms; do
+for name in macro macro-picard macro-picard-unregularized macro-substeps audit kinetic compare sweep-which sweep-varied mms; do
   status=
   for tree in base head; do
     if [ "$tree" = base ]; then dir=$base; else dir=$head; fi

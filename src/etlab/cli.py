@@ -200,7 +200,6 @@ _FIELDS: Dict[str, _Field] = {
     "scheme.fp_tol": _scheme_field("fp_tol", float, _NUMBER),
     "scheme.fp_max_iter": _scheme_field("fp_max_iter", None, _INTEGER),
     "scheme.tau_backoff_limit": _scheme_field("tau_backoff_limit", None, _INTEGER),
-    # SchemeParams checks that paper_picard has eps > 0 and delta > 0.
     "scheme.inner_mode": _scheme_field("inner_mode", None),
     "scheme.init_floor": _Field("init_floor", float, _NUMBER),
     # One number, or a list of them for compare mode's Knudsen sweep.
@@ -339,8 +338,7 @@ def parse_config(
 
 def _validate(doc: Dict[str, Any]) -> RunConfig:
     """The RunConfig of an edited document. Its fields are checked in the
-    document's order against ``_FIELDS``, then the checks that join fields,
-    SchemeParams' first."""
+    document's order against ``_FIELDS``, then the checks that join fields."""
     mode = doc.get("mode", RunConfig.mode)
     _expect(mode in MODES, "mode", f"must be one of {MODES}, got {mode!r}")
     config: Dict[str, Any] = {"mode": mode}
@@ -355,10 +353,7 @@ def _validate(doc: Dict[str, Any]) -> RunConfig:
             _expect(path in _FIELDS, path, "unknown field")
             target = scheme if name == "scheme" else config
             target[_FIELDS[path].attr] = _accept(path, value)
-    try:
-        config["scheme"] = SchemeParams(**scheme)
-    except ValueError as exc:
-        raise ConfigError("scheme", str(exc)) from exc
+    config["scheme"] = SchemeParams(**scheme)
     if "kinetic_eps" not in config and mode in _DEFAULT_KINETIC_EPS:
         config["kinetic_eps"] = list(_DEFAULT_KINETIC_EPS[mode])
     cfg = RunConfig(**config)

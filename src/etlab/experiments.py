@@ -333,17 +333,13 @@ def kinetic_limit_study(
 # ---------------------------------------------------------------------------
 
 
-def default_run_matrix(
-    t_final: float = 0.1, positive_reg_only: bool = False
-) -> List[Tuple[str, SchemeParams]]:
+def default_run_matrix(t_final: float = 0.1) -> List[Tuple[str, SchemeParams]]:
     """The verification matrix: presets x eps x delta x tau."""
     combos = []
     for preset in PRESET_NAMES:
         for eps in (0.0, 1e-6):
             for delta in (0.0, 1e-4, 1e-2):
                 for tau in (1e-2, 1e-3):
-                    if positive_reg_only and (eps == 0.0 or delta == 0.0):
-                        continue
                     params = SchemeParams(tau=tau, eps=eps, delta=delta, t_final=t_final)
                     combos.append((preset, params))
     return combos

@@ -134,8 +134,6 @@ class SchemeParams:
         for name, (ok, message) in PARAM_RANGES.items():
             if not ok(getattr(self, name)):
                 raise ValueError(f"{name}: {message}")
-        if self.inner_mode == "paper_picard" and (self.eps <= 0.0 or self.delta <= 0.0):
-            raise ValueError("paper_picard requires eps > 0 and delta > 0")
 
 
 @dataclass
@@ -655,7 +653,7 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
                 )
             except StepFailureError as exc:
                 raise StepFailureError(
-                    f"step {k} (t in [{t_base:.6g}, {t_base + p.tau:.6g}]): {exc}",
+                    f"step {k} (t in [{times[k - 1]:.6g}, {times[k]:.6g}]): {exc}",
                     residual=exc.residual,
                     tau_last=exc.tau_last,
                 ) from exc
@@ -793,8 +791,7 @@ def dissipation_terms(
         terms["delta_theta_neg"] = p.delta * h * float(
             np.exp(-(p.n_exp + 1.0) * w).sum()
         )
-    edge_min = float(edge_form.min()) if edge_form.size else 0.0
-    return terms, edge_min
+    return terms, float(edge_form.min())
 
 
 def entropy_audit(

@@ -232,8 +232,6 @@ def flux_consistency(grid: Grid1D, state: EntropicState) -> Tuple[float, float]:
     flux_energy = m12 * dphi + m22 * eneg * dw
     cons_mass = grad_edge(grid, mac.rho * mac.theta)
     cons_energy = grad_edge(grid, mac.theta + 2.5 * mac.rho * mac.theta**2)
-    res_mass = float(np.max(np.abs(flux_mass - cons_mass))) if flux_mass.size else 0.0
-    res_energy = (
-        float(np.max(np.abs(flux_energy - cons_energy))) if flux_energy.size else 0.0
-    )
+    res_mass = float(np.max(np.abs(flux_mass - cons_mass)))
+    res_energy = float(np.max(np.abs(flux_energy - cons_energy)))
     return res_mass, res_energy

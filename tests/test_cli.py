@@ -226,14 +226,13 @@ def test_field_check_cases_cover_the_table():
     }
 
 
-def test_paper_picard_without_regularization_is_reported_at_scheme(tmp_path, capsys):
-    # the one scheme check that joins fields names the section
+def test_paper_picard_runs_without_regularization(tmp_path):
     cfg = _write_config(tmp_path, MINIMAL)
-    assert main(["macro", cfg, "scheme.inner_mode=paper_picard", "scheme.eps=0"]) == 3
-    message = "scheme: paper_picard requires eps > 0 and delta > 0"
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    record = json.loads((tmp_path / "etlab_out" / "error.json").read_text())
-    assert record == {"error": "config", "message": message}
+    out = tmp_path / "out"
+    overrides = ["scheme.inner_mode=paper_picard", "scheme.eps=0", "scheme.delta=0"]
+    overrides += ["scheme.t_final=0.01", f"output.directory={out}"]
+    assert main(["macro", cfg, *overrides]) == 0
+    assert json.loads((out / "audits.json").read_text())["all_passed"] is True
 
 
 def test_kinetic_eps_is_read_as_given(tmp_path, capsys):
@@ -572,14 +571,7 @@ def test_solver_failure_exits_2(tmp_path):
 def test_solver_failure_exits_2_when_tau_would_underflow(tmp_path, inner_mode):
     # Over 1074 halvings take tau below the smallest positive double; on the
     # way h / tau overflows, which must fail the attempt without a warning.
-    doc = _macro_doc(
-        tmp_path,
-        fp_max_iter=1,
-        tau_backoff_limit=1100,
-        eps=1e-6,
-        delta=1e-4,
-        inner_mode=inner_mode,
-    )
+    doc = _macro_doc(tmp_path, fp_max_iter=1, tau_backoff_limit=1100, inner_mode=inner_mode)
     doc["init"]["preset"] = "gauss-bump"
     cfg = _write_config(tmp_path, doc)
     assert main(["macro", cfg, "grid.n_cells=8"]) == 2

@@ -9,6 +9,7 @@ from etlab.kinetic import build_velocity_grid, run_kinetic
 from etlab.scheme import SchemeParams, make_initial_state, run_transient
 from etlab.thermo import to_primitive
 from etlab.experiments import (
+    PRESET_NAMES,
     ConvergenceTable,
     default_manufactured,
     default_run_matrix,
@@ -260,8 +261,11 @@ def test_kinetic_limit_study_rows_are_gaps_to_the_unregularized_run():
 
 
 def test_default_run_matrix_shape():
-    matrix = default_run_matrix()
-    assert len(matrix) == 3 * 2 * 3 * 2
-    positive = default_run_matrix(positive_reg_only=True)
-    assert len(positive) == 3 * 1 * 2 * 2
-    assert all(p.eps > 0.0 and p.delta > 0.0 for _, p in positive)
+    matrix = default_run_matrix(t_final=0.05)
+    combos = {(preset, p.eps, p.delta, p.tau) for preset, p in matrix}
+    assert len(matrix) == len(combos) == 3 * 2 * 3 * 2
+    assert {c[0] for c in combos} == set(PRESET_NAMES)
+    assert {c[1] for c in combos} == {0.0, 1e-6}
+    assert {c[2] for c in combos} == {0.0, 1e-4, 1e-2}
+    assert {c[3] for c in combos} == {1e-2, 1e-3}
+    assert all(p.t_final == 0.05 and p.inner_mode == "coupled_implicit" for _, p in matrix)

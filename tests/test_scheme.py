@@ -348,11 +348,6 @@ def test_step_modes_share_fixed_point():
     assert np.max(np.abs(out_c.w - out_p.w)) < 10.0 * p.fp_tol
 
 
-def test_step_paper_picard_requires_regularization():
-    with pytest.raises(ValueError, match="paper_picard requires"):
-        SchemeParams(tau=0.1, eps=0.0, delta=1e-4, inner_mode="paper_picard")
-
-
 def test_step_backoff_recovers_with_smaller_tau():
     # the coupled iteration needs 9 residual evaluations on these data at
     # tau = 0.02; allowed 8, every rung fails and tau is halved once
@@ -400,6 +395,57 @@ def _cold_fields(grid, theta_min):
     # degeneracy of the system, where ellipticity is lost as theta vanishes
     x = grid.cell_centers
     return np.ones(grid.n_cells), theta_min + np.exp(-200.0 * (x - 0.5) ** 2)
+
+
+@pytest.mark.parametrize(
+    "data, n_cells, tau, t_final, eps, delta",
+    [
+        ("gauss-bump", 64, 1e-2, 0.1, 0.0, 0.0),
+        ("gauss-bump", 64, 1e-2, 0.1, 0.0, 1e-2),
+        ("gauss-bump", 64, 1e-2, 0.1, 1e-6, 0.0),
+        ("cold", 64, 1e-3, 0.02, 0.0, 0.0),
+    ],
+    ids=["bump-0-0", "bump-0-1e-2", "bump-1e-6-0", "cold-1e-8-0-0"],
+)
+def test_paper_picard_solves_the_unregularized_system(
+    data, n_cells, tau, t_final, eps, delta
+):
+    # Both picard blocks stay SPD without eps or delta: their diagonals carry
+    # h / tau * rho and h / tau * (1 + 15 rho / 4). The cold data have
+    # theta_min = 1e-8.
+    grid = build_grid(n_cells, 1.0)
+    if data == "cold":
+        init = make_initial_state(*_cold_fields(grid, 1e-8))
+    else:
+        init = make_initial_state(*initial_condition(data, grid))
+    p = SchemeParams(tau=tau, eps=eps, delta=delta, t_final=t_final)
+    coupled = run_transient(grid, init, p)
+    picard = run_transient(grid, init, replace(p, inner_mode="paper_picard"))
+    assert len(picard.reports) == step_count(t_final, tau)  # no substeps
+    for rep in picard.reports:
+        assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
+        assert rep.entropy["entropy_pass"]
+    for a, b in zip(coupled.states, picard.states):
+        assert _max_gap(a, b) <= 10.0 * p.fp_tol
+
+
+def test_run_transient_failure_names_the_steps_own_interval(monkeypatch):
+    # step 3 accepts half a step, then fails: the message still names the
+    # step's interval on the time grid, not one shifted by the substep
+    step = scheme.fixed_point_step
+
+    def half_then_fail(grid, state, p, t_start=0.0, **kwargs):
+        if t_start < 0.02 - 1e-12:
+            return step(grid, state, p, t_start=t_start, **kwargs)
+        if t_start < 0.025 - 1e-12:
+            return step(grid, state, replace(p, tau=p.tau / 2.0), t_start=t_start, **kwargs)
+        raise StepFailureError("no convergence", residual=1.0, tau_last=p.tau)
+
+    monkeypatch.setattr(scheme, "fixed_point_step", half_then_fail)
+    p = SchemeParams(tau=1e-2, t_final=0.05)
+    with pytest.raises(StepFailureError) as err:
+        run_transient(GRID, make_initial_state(*initial_condition("gauss-bump", GRID)), p)
+    assert str(err.value).startswith("step 3 (t in [0.02, 0.03]): no convergence")
 
 
 @pytest.mark.parametrize("inner_mode", ["coupled_implicit", "paper_picard"])
