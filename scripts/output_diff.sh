@@ -3,7 +3,8 @@
 # config, whether `diff -r` finds their output directories identical. macro
 # also runs with paper_picard (at the default eps and delta, and at
 # eps = delta = 0) and with backoff substeps (fp_max_iter = 4 makes its
-# first step halve tau five times), and sweep with `which` and with
+# first step halve tau five times), kinetic also on uniform equilibrium
+# data with rho = 1e16 >> theta = 1, and sweep with `which` and with
 # `varied`; a config named <mode>-<variant> runs <mode>.
 #
 #   scripts/output_diff.sh <base-tree> [<head-tree>] [<work-dir>]
@@ -21,6 +22,12 @@ mkdir -p "$work"
 config() {  # config <name> <json>
   printf '%s\n' "$2" > "$work/$1.json"
 }
+repeat() {  # repeat <count> <value>: a JSON array of <count> copies of <value>
+  printf '[%s' "$2"
+  i=1
+  while [ "$i" -lt "$1" ]; do printf ', %s' "$2"; i=$((i + 1)); done
+  printf ']'
+}
 config macro '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-3, "t_final": 0.01}, "init": {"preset": "gauss-bump"},
   "output": {"snapshot_stride": 1}}'
@@ -37,6 +44,9 @@ config macro-substeps '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
 config kinetic '{"mode": "kinetic", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"t_final": 0.005}, "kinetic": {"eps": 0.2, "n_v": 32},
   "init": {"preset": "gauss-bump"}}'
+config kinetic-dense '{"mode": "kinetic", "grid": {"n_cells": 32, "length": 1.0},
+  "scheme": {"t_final": 0.005}, "kinetic": {"eps": 0.2, "n_v": 32},
+  "init": {"rho0": '"$(repeat 32 1e16)"', "theta0": '"$(repeat 32 1.0)"'}}'
 config compare '{"mode": "compare", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-3, "t_final": 0.01}, "kinetic": {"eps": [0.4, 0.2, 0.1], "n_v": 32},
   "init": {"preset": "gauss-bump"}}'
@@ -55,7 +65,7 @@ run() {  # run <tree> <label> <mode> <config> <out>: etlab's exit code
     "output.directory=$work/$2/$5" > "$work/$2-$5.log" 2>&1
 }
 
-for name in macro macro-picard macro-picard-unregularized macro-substeps audit kinetic compare sweep-which sweep-varied mms; do
+for name in macro macro-picard macro-picard-unregularized macro-substeps audit kinetic kinetic-dense compare sweep-which sweep-varied mms; do
   status=
   for tree in base head; do
     if [ "$tree" = base ]; then dir=$base; else dir=$head; fi

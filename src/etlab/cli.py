@@ -358,6 +358,10 @@ def _validate(doc: Dict[str, Any]) -> RunConfig:
         config["kinetic_eps"] = list(_DEFAULT_KINETIC_EPS[mode])
     cfg = RunConfig(**config)
 
+    if cfg.mode != "audit":  # audit checks the cells of its snapshots
+        n = max(cfg.mms_resolutions) if cfg.mode == "mms" else cfg.n_cells
+        _expect_cell_width(cfg.length, n)
+
     if cfg.mode in ("kinetic", "compare"):
         _expect(
             cfg.mode == "compare" or len(cfg.kinetic_eps) == 1,
@@ -410,6 +414,18 @@ def _validate(doc: Dict[str, Any]) -> RunConfig:
         _expect(lengths_ok, "init", f"explicit arrays must have length {n}")
         _expect(min(map(min, explicit)) > 0.0, "init", "explicit arrays must be positive")
     return cfg
+
+
+def _expect_cell_width(length: float, n: int) -> None:
+    """The mirror image of _is_length: the solvers raise 1 / h to at most
+    the fourth power (eps L L in the macro Jacobian), so h = length / n
+    must have a finite h**-4."""
+    inv_h = n / length
+    _expect(
+        math.isfinite(inv_h * inv_h * inv_h * inv_h),
+        "grid.length",
+        f"must be large enough that the cell width h = length / {n} has a finite h**-4",
+    )
 
 
 def _sweep_runs(cfg: RunConfig) -> List[Dict[str, float]]:
@@ -682,6 +698,7 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
                 "audit mode needs snapshots at every step (snapshot_stride=1)",
             )
         states.append(_read_snapshot(snap, states[0].phi.size if states else None))
+    _expect_cell_width(cfg.length, states[0].phi.size)
     grid = build_grid(len(states[0].phi), cfg.length)
     p = dataclasses.replace(cfg.scheme, tau=tau)
     records = []

@@ -13,9 +13,10 @@ energy 3 rho theta / 2, energy flux with the 5/2 factor) at 1D cost.
 
 One step splits into: upwind transport at speed v1/eps with specular wall
 reflection, an implicit heat solve for the background temperature with
-Neumann walls, and pointwise implicit relaxation over dt/eps^2 whose target
-temperature is chosen per cell so the sum of background and kinetic energy
-is invariant by construction.
+Neumann walls, and pointwise implicit relaxation over dt/eps^2. The
+relaxation temperature theta* solves each cell's balance of background and
+kinetic energy, and the background takes theta*: total energy is conserved
+to the relaxation tolerance, and theta_b stays positive at any density.
 
 g0 and g2 are stored on a velocity ring (see _fold), along which specular
 reflection at both walls is periodicity, so transport is one-way upwind with
@@ -201,7 +202,7 @@ def moments(state: KineticState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def energy_total(grid: Grid1D, state: KineticState) -> float:
-    """Integral of background plus kinetic energy; invariant under kinetic_step."""
+    """Integral of background plus kinetic energy; kinetic_step conserves it."""
     _, kinetic_energy, _ = moments(state)
     return integrate(grid, state.theta_b + kinetic_energy)
 
@@ -355,9 +356,12 @@ def kinetic_step(
     c2 = 2 theta* c0 for g2, c G added to the top rows and row-reversed to
     the bottom rows. Moments and target reorder the sums and divisions of
     the plain full-grid formulation, so they agree with it to roundoff.
-    Mass and total energy are conserved by construction: the target is
-    normalized by its discrete mass, and the background absorbs exactly the
-    kinetic energy the gas released.
+    Mass is conserved by construction: the target is normalized by its
+    discrete mass. The new background is theta*, the root of theta +
+    mu rho e_M(theta) = theta_b + mu e_kin (see _relax_temperature): as the
+    relaxed gas holds (1 - mu) e_kin + mu rho e_M(theta*), total energy is
+    conserved to the solve's tolerance, 1e-14 (1 + theta_b + mu e_kin) per
+    cell, and theta* >= 1e-12 at any density.
     """
     grid, vgrid, eps = state.grid, state.vgrid, state.eps
     cfl_bound = eps * grid.h / vgrid.v_max
@@ -388,18 +392,13 @@ def kinetic_step(
         np.multiply(c[:, None], gauss, out=work)
         g[:n] += work
         g[n:] += work[::-1]
-    e_kin_new = _kinetic_energy(g0, g2, k.w, k.wv2)
-    # The background absorbs exactly what the gas released.
-    theta_b = theta_b + (e_kin - e_kin_new)
-
-    return KineticState(g0, g2, theta_b, eps, grid, vgrid, delta)
+    return KineticState(g0, g2, theta_star, eps, grid, vgrid, delta)
 
 
 @dataclass
 class KineticTrajectory:
     """Macroscopic observables of one kinetic run."""
 
-    eps: float
     times: np.ndarray
     rho: List[np.ndarray]
     kinetic_energy: List[np.ndarray]
@@ -461,9 +460,7 @@ def run_kinetic(
             e_kins.append(e_kin)
             theta_bs.append(state.theta_b.copy())
             fluxes.append(flux)
-    return KineticTrajectory(
-        eps, np.array(times), rhos, e_kins, theta_bs, fluxes, state
-    )
+    return KineticTrajectory(np.array(times), rhos, e_kins, theta_bs, fluxes, state)
 
 
 # Trapezoid nodes per axis of the Maxwellian moment and closure checks.

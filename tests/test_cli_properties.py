@@ -35,7 +35,7 @@ def _json(strategy):
 # t_final <= 5e-3 a config that passes validation runs at most 5 steps.
 _FIELDS = {
     "grid.n_cells": _json(st.integers(-1, 32)),
-    "grid.length": _json(st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0])),
+    "grid.length": _json(st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, 1e-100])),
     "scheme.tau": _json(st.sampled_from([1e-3, 2e-3, 0.0, -1e-3])),
     "scheme.t_final": _json(st.sampled_from([1e-3, 1.5e-3, 2e-3, 4e-3, 5e-3, 0.0])),
     "scheme.eps": _json(st.sampled_from([0.0, 1e-6, 1e-3, -1.0])),

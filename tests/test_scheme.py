@@ -386,6 +386,37 @@ def test_step_backoff_exhaustion_raises_with_residual():
     assert err.value.tau_last < 1e-2
 
 
+@pytest.mark.parametrize("bad", ["residual", "correction"])
+def test_non_finite_iterate_fails_the_step_without_backoff(monkeypatch, bad):
+    # _converge gives up on a non-finite residual before factoring, and on a
+    # non-finite correction before the next residual: one residual per
+    # attempt (chord, then Newton). With no tau halvings allowed, both
+    # attempts failing ends the step.
+    residual, calls = scheme._residual, []
+
+    def evaluated(*args, **kwargs):
+        r1, r2, mac, edges = residual(*args, **kwargs)
+        calls.append(bad)
+        if bad == "residual":
+            r1 = np.full_like(r1, np.inf)
+        return r1, r2, mac, edges
+
+    def factored(*args, **kwargs):
+        assert bad == "correction", "factored at a non-finite residual"
+        return lambda r1, r2: (np.full_like(r1, np.nan), r2)
+
+    monkeypatch.setattr(scheme, "_residual", evaluated)
+    monkeypatch.setattr(scheme, "_factor", factored)
+    p = SchemeParams(tau=1e-3, tau_backoff_limit=0)
+    with pytest.raises(StepFailureError) as err:
+        fixed_point_step(GRID, _bump_state(GRID), p)
+    assert len(calls) == 2
+    if bad == "residual":
+        assert err.value.residual == math.inf
+    else:
+        assert 0.0 < err.value.residual < math.inf
+
+
 def _max_gap(a, b):
     return max(float(np.max(np.abs(a.phi - b.phi))), float(np.max(np.abs(a.w - b.w))))
 
