@@ -4,8 +4,9 @@
 # also runs with paper_picard (at the default eps and delta, and at
 # eps = delta = 0) and with backoff substeps (fp_max_iter = 4 makes its
 # first step halve tau five times), kinetic also on uniform equilibrium
-# data with rho = 1e16 >> theta = 1, and sweep with `which` and with
-# `varied`; a config named <mode>-<variant> runs <mode>.
+# data with rho = 1e16 >> theta = 1, and sweep with one varied field (the
+# gaps and orders of a delta study) and with two; a config named
+# <mode>-<variant> runs <mode>.
 #
 #   scripts/output_diff.sh <base-tree> [<head-tree>] [<work-dir>]
 #
@@ -50,9 +51,9 @@ config kinetic-dense '{"mode": "kinetic", "grid": {"n_cells": 32, "length": 1.0}
 config compare '{"mode": "compare", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-3, "t_final": 0.01}, "kinetic": {"eps": [0.4, 0.2, 0.1], "n_v": 32},
   "init": {"preset": "gauss-bump"}}'
-config sweep-which '{"mode": "sweep", "grid": {"n_cells": 16, "length": 1.0},
+config sweep-delta '{"mode": "sweep", "grid": {"n_cells": 16, "length": 1.0},
   "scheme": {"tau": 2e-3, "t_final": 0.01, "eps": 0.0}, "init": {"preset": "gauss-bump"},
-  "sweep": {"which": "delta", "values": [1e-2, 1e-3, 1e-4]}}'
+  "sweep": {"varied": {"delta": [1e-2, 1e-3, 1e-4]}}}'
 config sweep-varied '{"mode": "sweep", "grid": {"n_cells": 16, "length": 1.0},
   "scheme": {"tau": 5e-3, "t_final": 0.02, "eps": 0.0}, "init": {"preset": "temp-step"},
   "sweep": {"varied": {"delta": [1e-3, 1e-4], "tau": [1e-2, 5e-3]}}}'
@@ -65,7 +66,7 @@ run() {  # run <tree> <label> <mode> <config> <out>: etlab's exit code
     "output.directory=$work/$2/$5" > "$work/$2-$5.log" 2>&1
 }
 
-for name in macro macro-picard macro-picard-unregularized macro-substeps audit kinetic kinetic-dense compare sweep-which sweep-varied mms; do
+for name in macro macro-picard macro-picard-unregularized macro-substeps audit kinetic kinetic-dense compare sweep-delta sweep-varied mms; do
   status=
   for tree in base head; do
     if [ "$tree" = base ]; then dir=$base; else dir=$head; fi

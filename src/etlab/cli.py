@@ -27,11 +27,13 @@ import numpy as np
 
 from .experiments import (
     PRESET_NAMES,
+    SWEEP_COLUMNS,
     default_manufactured,
     initial_condition,
     kinetic_limit_study,
     mms_convergence,
-    regularization_study,
+    sweep_runs,
+    sweep_study,
     write_csv,
 )
 from .grid import Grid1D, build_grid, integrate
@@ -90,21 +92,22 @@ class RunConfig:
     theta0: Optional[List[float]] = None
     output_dir: str = "etlab_out"
     snapshot_stride: int = 10
-    sweep_which: Optional[str] = None
-    sweep_values: Optional[List[float]] = None
     sweep_varied: Optional[Dict[str, List[float]]] = None
     mms_resolutions: List[int] = field(default_factory=lambda: [16, 32, 64])
 
-    def initial_state(self) -> Tuple[Grid1D, MacroState]:
-        """The grid, and the state every run starts from: the explicit init
-        arrays, which parse_config checked, else the preset's, clipped up to
-        ``scheme.init_floor``."""
+    def initial_fields(self) -> Tuple[Grid1D, Any, Any]:
+        """The grid, and the raw (rho0, theta0): the explicit init arrays,
+        which parse_config checked, else the preset's."""
         grid = build_grid(self.n_cells, self.length)
         if self.rho0 is not None:
-            fields = self.rho0, self.theta0
-        else:
-            fields = initial_condition(self.preset, grid)
-        return grid, make_initial_state(*fields, floor=self.scheme.init_floor)
+            return grid, self.rho0, self.theta0
+        return (grid, *initial_condition(self.preset, grid))
+
+    def initial_state(self) -> Tuple[Grid1D, MacroState]:
+        """The grid, and the state every run starts from: the raw fields
+        clipped up to ``scheme.init_floor``."""
+        grid, rho0, theta0 = self.initial_fields()
+        return grid, make_initial_state(rho0, theta0, floor=self.scheme.init_floor)
 
 
 _DEFAULT_KINETIC_EPS = {"kinetic": (0.1,), "compare": (0.4, 0.2, 0.1, 0.05)}
@@ -227,15 +230,6 @@ _FIELDS: Dict[str, _Field] = {
     ),
     "output.snapshot_stride": _Field(
         "snapshot_stride", None, (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-    ),
-    "sweep.which": _Field(
-        "sweep_which", None, (lambda v: v in ("eps", "delta", "tau"), "must be eps, delta, or tau")
-    ),
-    "sweep.values": _Field(
-        "sweep_values",
-        _floats,
-        (lambda v: _is_number_list(v) and len(v) >= 2, "must be an array of at least two numbers"),
-        (_decreasing, "must be strictly decreasing"),
     ),
     # Each entry names a scheme field and lists the values it takes.
     "sweep.varied": _Field(
@@ -376,25 +370,11 @@ def _validate(doc: Dict[str, Any]) -> RunConfig:
             raise ConfigError("kinetic.eps", str(exc)) from exc
 
     if cfg.mode == "sweep":
-        _expect(
-            cfg.sweep_which is not None or cfg.sweep_varied is not None,
-            "sweep",
-            "needs either which/values or varied",
-        )
-        _expect(
-            cfg.sweep_varied is None
-            or (cfg.sweep_which is None and cfg.sweep_values is None),
-            "sweep.varied",
-            "cannot be combined with sweep.which/values",
-        )
-        _expect(
-            cfg.sweep_which is None or cfg.sweep_values is not None,
-            "sweep.values",
-            "required when sweep.which is set",
-        )
-        runs = _sweep_runs(cfg)
+        _expect(cfg.sweep_varied is not None, "sweep.varied", "required in sweep mode")
+        runs = sweep_runs(cfg.sweep_varied)
     else:
         runs = [{}] if cfg.mode in ("macro", "compare") else []
+    floors = []  # each run's init_floor
     for changes in runs:
         where = f" (sweep run {changes})" if changes else ""
         try:
@@ -405,6 +385,7 @@ def _validate(doc: Dict[str, Any]) -> RunConfig:
             step_count(p.t_final, p.tau)
         except ValueError as exc:
             raise ConfigError("scheme.t_final", f"{exc}{where}") from exc
+        floors.append(p.init_floor)
 
     explicit = [a for a in (cfg.rho0, cfg.theta0) if a is not None]
     if explicit and cfg.mode in ("macro", "kinetic", "compare", "sweep"):
@@ -412,7 +393,13 @@ def _validate(doc: Dict[str, Any]) -> RunConfig:
         _expect(len(explicit) == 2, "init", "rho0 and theta0 must be given together")
         lengths_ok = all(len(a) == n for a in explicit)
         _expect(lengths_ok, "init", f"explicit arrays must have length {n}")
-        _expect(min(map(min, explicit)) > 0.0, "init", "explicit arrays must be positive")
+        low = min(map(min, explicit))
+        _expect(low >= 0.0, "init", "explicit arrays must be nonnegative")
+        _expect(
+            low > 0.0 or min(floors or [cfg.scheme.init_floor]) > 0.0,
+            "scheme.init_floor",
+            "must be positive to raise the zero entries of init.rho0, init.theta0",
+        )
     return cfg
 
 
@@ -426,17 +413,6 @@ def _expect_cell_width(length: float, n: int) -> None:
         "grid.length",
         f"must be large enough that the cell width h = length / {n} has a finite h**-4",
     )
-
-
-def _sweep_runs(cfg: RunConfig) -> List[Dict[str, float]]:
-    """The scheme fields each transient of a sweep changes: the values of
-    ``which``, or the cross product of ``varied`` over its sorted names."""
-    if cfg.sweep_which is not None:
-        return [{cfg.sweep_which: v} for v in cfg.sweep_values]
-    combos: List[Dict[str, float]] = [{}]
-    for name in sorted(cfg.sweep_varied):
-        combos = [dict(c, **{name: v}) for c in combos for v in cfg.sweep_varied[name]]
-    return combos
 
 
 # ---------------------------------------------------------------------------
@@ -612,39 +588,13 @@ def _run_compare(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_sweep(cfg: RunConfig, out: Path) -> int:
-    if cfg.sweep_which is not None:
-        grid, init = cfg.initial_state()
-        result = regularization_study(
-            grid, init, cfg.scheme, cfg.sweep_which, cfg.sweep_values
-        )
-        result.table.write_csv(out / "table.csv")
-        write_csv(
-            out / "drifts.csv",
-            [cfg.sweep_which, "mass_drift", "energy_drift"],
-            [
-                [v, result.mass_drift[v], result.energy_drift[v]]
-                for v in cfg.sweep_values
-            ],
-        )
-        return EXIT_OK
     names = sorted(cfg.sweep_varied)
-    rows = []
-    for combo in _sweep_runs(cfg):
-        # Each run starts from its own initial data: init_floor may be varied.
-        run_cfg = dataclasses.replace(cfg, scheme=dataclasses.replace(cfg.scheme, **combo))
-        grid, init = run_cfg.initial_state()
-        traj = run_transient(grid, init, run_cfg.scheme)
-        mac0 = to_primitive(traj.states[0])
-        mac1 = to_primitive(traj.states[-1])
-        rows.append(
-            [combo[n] for n in names]
-            + [
-                integrate(grid, mac1.rho) - integrate(grid, mac0.rho),
-                integrate(grid, mac1.energy) - integrate(grid, mac0.energy),
-                lyapunov_functional(grid, traj.states[-1]),
-            ]
-        )
-    write_csv(out / "sweep_summary.csv", names + ["mass_drift", "energy_drift", "entropy_final"], rows)
+    rows = sweep_study(*cfg.initial_fields(), cfg.scheme, cfg.sweep_varied)
+    write_csv(
+        out / "sweep_summary.csv",
+        names + SWEEP_COLUMNS,
+        [[row.values[n] for n in names] + list(dataclasses.astuple(row)[1:]) for row in rows],
+    )
     return EXIT_OK
 
 

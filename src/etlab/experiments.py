@@ -1,10 +1,9 @@
 """Reproducible experiment drivers.
 
-Regularization-limit studies measure Cauchy-style self-convergence (errors
-against the run with the smallest parameter value), since the continuous
-system has no closed-form solutions. Manufactured-solution studies measure
-discretization orders against exact fields with analytically derived source
-terms. The kinetic study compares BGK moments against the unregularized
+Parameter sweeps measure Cauchy-style self-convergence (gaps to the last
+run of the sweep), since the continuous system has no closed-form
+solutions. Manufactured-solution studies measure discretization orders
+against exact fields with analytically derived source terms. The kinetic study compares BGK moments against the unregularized
 macroscopic solver over a Knudsen-number sweep.
 
 Every study is deterministic given its inputs: fixed iteration orders, no
@@ -21,7 +20,7 @@ import numpy as np
 
 from .grid import Grid1D, build_grid, integrate
 from .kinetic import build_velocity_grid, run_kinetic
-from .scheme import SchemeParams, run_transient
+from .scheme import SchemeParams, lyapunov_functional, make_initial_state, run_transient
 from .thermo import MacroState, to_primitive
 
 CSV_HEADER = ["param", "err_rho_L1", "err_E_L1", "order_rho", "order_E"]
@@ -75,9 +74,8 @@ class ConvergenceTable:
             else:
                 # log2(e_coarse/e_fine) when the parameter halves; the same
                 # slope formula covers non-dyadic sweeps.
-                denom = math.log(params[i - 1] / p_val)
-                o_r = _safe_order(err_rho[i - 1], er, denom)
-                o_e = _safe_order(err_energy[i - 1], ee, denom)
+                o_r = _safe_order(err_rho[i - 1], er, params[i - 1], p_val)
+                o_e = _safe_order(err_energy[i - 1], ee, params[i - 1], p_val)
             rows.append(TableRow(float(p_val), float(er), float(ee), o_r, o_e))
         return cls(rows=rows)
 
@@ -93,10 +91,15 @@ def write_csv(path, header: Sequence[str], rows) -> None:
         f.writelines(line % tuple(row) for row in rows)
 
 
-def _safe_order(e_coarse: float, e_fine: float, denom: float) -> float:
-    if e_coarse <= 0.0 or e_fine <= 0.0 or denom == 0.0:
+def _safe_order(e_coarse: float, e_fine: float, p_coarse: float, p_fine: float) -> float:
+    """log(e_coarse / e_fine) / log(p_coarse / p_fine); nan unless both
+    ratios are positive and finite and the parameter moved."""
+    if e_coarse <= 0.0 or e_fine <= 0.0 or p_fine == 0.0:
         return math.nan
-    return math.log(e_coarse / e_fine) / denom
+    ratio = p_coarse / p_fine
+    if not 0.0 < ratio < math.inf or ratio == 1.0:
+        return math.nan
+    return math.log(e_coarse / e_fine) / math.log(ratio)
 
 
 def _l1_errors(
@@ -119,53 +122,75 @@ def _gap_table(params: Sequence[float], gaps: Sequence[Tuple[float, float]]) -> 
 
 
 # ---------------------------------------------------------------------------
-# regularization limits
+# parameter sweeps
 # ---------------------------------------------------------------------------
 
 
+SWEEP_COLUMNS = ["mass_drift", "energy_drift", "entropy_final", *CSV_HEADER[1:]]
+
+
 @dataclass
-class StudyResult:
-    table: ConvergenceTable
-    mass_drift: Dict[float, float]
-    energy_drift: Dict[float, float]
+class SweepRow:
+    """One run of a sweep: its values of the varied fields, then the
+    columns of SWEEP_COLUMNS in order."""
+
+    values: Dict[str, float]
+    mass_drift: float  # signed: final minus initial
+    energy_drift: float
+    entropy_final: float
+    err_rho: float  # L1 gap to the last run of the sweep
+    err_energy: float
+    order_rho: float  # nan unless exactly one field is varied
+    order_energy: float
 
 
-def regularization_study(
+def sweep_runs(varied: Dict[str, Sequence[float]]) -> List[Dict[str, float]]:
+    """The scheme fields each run of a sweep changes: the cross product of
+    ``varied`` over its sorted names, the last name varying fastest."""
+    combos: List[Dict[str, float]] = [{}]
+    for name in sorted(varied):
+        combos = [dict(c, **{name: v}) for c in combos for v in varied[name]]
+    return combos
+
+
+def sweep_study(
     grid: Grid1D,
-    init: MacroState,
+    rho0: np.ndarray,
+    theta0: np.ndarray,
     p: SchemeParams,
-    which: str,
-    values: Sequence[float],
-) -> StudyResult:
-    """Self-convergence under one shrinking regularization parameter.
+    varied: Dict[str, Sequence[float]],
+) -> List[SweepRow]:
+    """One row per run of ``sweep_runs(varied)``, each a transient from the
+    raw fields clipped with its own ``init_floor``.
 
-    Runs the transient per value and measures L1 gaps of (rho, E) at t_final
-    against the smallest-value run; also records the total mass and energy
-    drifts of every run.
+    The gaps are Cauchy-style, against the last run, so the last row's are
+    zero. With one varied field its values are the table's parameter and
+    each row after the first gets the observed orders.
     """
-    if which not in ("eps", "delta", "tau"):
-        raise ValueError(f"regularization parameter must be eps/delta/tau, got {which!r}")
-    values = [float(v) for v in values]
-    if any(b >= a for a, b in zip(values, values[1:])):
-        raise ValueError("values must be strictly decreasing")
-
-    finals: List[MacroState] = []
-    mass_drift: Dict[float, float] = {}
-    energy_drift: Dict[float, float] = {}
-    for v in values:
-        traj = run_transient(grid, init, replace(p, **{which: v}))
+    runs = sweep_runs(varied)
+    measured, finals = [], []
+    for changes in runs:
+        p_run = replace(p, **changes)
+        traj = run_transient(grid, make_initial_state(rho0, theta0, p_run.init_floor), p_run)
         first = to_primitive(traj.states[0])
         last = to_primitive(traj.states[-1])
         finals.append(last)
-        mass_drift[v] = abs(integrate(grid, last.rho) - integrate(grid, first.rho))
-        energy_drift[v] = abs(
-            integrate(grid, last.energy) - integrate(grid, first.energy)
+        measured.append(
+            (
+                integrate(grid, last.rho) - integrate(grid, first.rho),
+                integrate(grid, last.energy) - integrate(grid, first.energy),
+                lyapunov_functional(grid, traj.states[-1]),
+            )
         )
-
     ref = finals[-1]
-    gaps = [_l1_errors(grid, f.rho, f.energy, ref.rho, ref.energy) for f in finals[:-1]]
-    table = _gap_table(values[:-1], gaps)
-    return StudyResult(table=table, mass_drift=mass_drift, energy_drift=energy_drift)
+    gaps = [_l1_errors(grid, f.rho, f.energy, ref.rho, ref.energy) for f in finals]
+    # An order needs one parameter per run; nan gives none to the table.
+    params = [c[min(varied)] if len(varied) == 1 else math.nan for c in runs]
+    rows = _gap_table(params, gaps).rows
+    return [
+        SweepRow(changes, *m, row.err_rho, row.err_energy, row.order_rho, row.order_energy)
+        for changes, m, row in zip(runs, measured, rows)
+    ]
 
 
 def fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:

@@ -29,7 +29,7 @@ from etlab.experiments import (
     initial_condition,
     kinetic_limit_study,
     mms_convergence,
-    regularization_study,
+    sweep_study,
 )
 from etlab.thermo import (
     entropy_tilde,
@@ -198,11 +198,10 @@ def test_criterion_5_positivity(run_matrix):
 
 def test_criterion_6_delta_drift_scaling():
     grid = build_grid(N_CELLS, 1.0)
-    init = make_initial_state(*initial_condition("gauss-bump", grid))
     p = SchemeParams(tau=1e-3, eps=1e-6, delta=1e-4, t_final=T_FINAL)
     values = [1e-2, 1e-3, 1e-4]
-    result = regularization_study(grid, init, p, "delta", values)
-    drifts = [result.mass_drift[v] for v in values]
+    rows = sweep_study(grid, *initial_condition("gauss-bump", grid), p, {"delta": values})
+    drifts = [abs(row.mass_drift) for row in rows]
     slope = fit_loglog_slope(values, drifts)
     assert slope >= 0.5
     _report(

@@ -127,11 +127,30 @@ def _bad(*overrides, mode="macro", path=None, id=None):
         ),
         _bad(
             "init.rho0=[1,1,1]",
-            "init.theta0=[1,0,1]",
+            "init.theta0=[1,-1e-300,1]",
             "grid.n_cells=3",
             mode="compare",
             path="init",
             id="compare-arrays-not-positive",
+        ),
+        # zero entries are raised to the floor, so it must be positive
+        _bad(
+            "init.rho0=[1,0,1]",
+            "init.theta0=[1,1,1]",
+            "grid.n_cells=3",
+            "scheme.init_floor=0",
+            mode="kinetic",
+            path="scheme.init_floor",
+            id="kinetic-zero-entries-floor-0",
+        ),
+        _bad(
+            "init.rho0=[1,1,1]",
+            "init.theta0=[0,1,1]",
+            "grid.n_cells=3",
+            'sweep.varied={"init_floor":[1e-4,-1]}',
+            mode="sweep",
+            path="scheme.init_floor",
+            id="sweep-zero-entries-floor-negative",
         ),
         _bad(
             "init.theta0=[1,1,1]",
@@ -140,16 +159,10 @@ def _bad(*overrides, mode="macro", path=None, id=None):
             path="init",
             id="sweep-varied-theta0-alone",
         ),
-        _bad("sweep.which=delta", mode="sweep", path="sweep.values", id="sweep-which-alone"),
-        _bad("sweep.values=[0.1,0.01]", mode="sweep", path="sweep", id="sweep-values-alone"),
-        _bad(
-            "sweep.which=delta",
-            "sweep.values=[0.01,0.001]",
-            'sweep.varied={"tau":[0.002,0.001]}',
-            mode="sweep",
-            path="sweep.varied",
-            id="sweep-which-and-varied",
-        ),
+        # the former which/values form of sweep is gone
+        _bad("sweep.which=delta", mode="sweep", id="sweep-which-alone"),
+        _bad("sweep.values=[0.1,0.01]", mode="sweep", id="sweep-values-alone"),
+        _bad(mode="sweep", path="sweep.varied", id="sweep-varied-missing"),
         # eps**2 and h**2 overflow a double
         _bad("kinetic.eps=1e160", mode="kinetic"),
         _bad("kinetic.eps=[1e300,0.1]", mode="compare"),
@@ -197,6 +210,7 @@ _FIELD_CHECKS = [
     ("bogus.key=1", "bogus: unknown section"),
     ("grid=5", "grid: must be an object"),
     ("grid.size=8", "grid.size: unknown field"),
+    ("sweep.which=x", "sweep.which: unknown field"),  # the former which/values sweep
     ("grid.n_cells=2", "grid.n_cells: must be an integer >= 3"),
     ("grid.length=0", "grid.length: must be a positive number whose (length / 3)**2 is finite"),
     *[
@@ -227,9 +241,6 @@ _FIELD_CHECKS = [
     ("init.theta0=1", "init.theta0: must be an array of numbers"),
     ("output.directory=5", "output.directory: must be a string"),
     ("output.snapshot_stride=0", "output.snapshot_stride: must be a positive integer"),
-    ("sweep.which=x", "sweep.which: must be eps, delta, or tau"),
-    ("sweep.values=[1.0]", "sweep.values: must be an array of at least two numbers"),
-    ("sweep.values=[1e-3,1e-2]", "sweep.values: must be strictly decreasing"),
     ("sweep.varied=[]", "sweep.varied: must be an object"),
     ("sweep.varied={}", "sweep.varied: must not be empty"),
     ('sweep.varied={"fp_max_iter":[1]}', "sweep.varied.fp_max_iter: must name a numeric scheme field"),
@@ -255,10 +266,10 @@ def test_each_field_check_leaves_its_message(tmp_path, capsys, override, message
 
 
 def test_field_check_cases_cover_the_table():
-    # three section-walk cases, then one per check of each field
+    # four section-walk cases, then one per check of each field
     checks = sum(len(spec.checks) + len(spec.entries) for spec in _FIELDS.values())
-    assert len(_FIELD_CHECKS) == 3 + checks
-    assert {o.split("=")[0] for o, _ in _FIELD_CHECKS[3:]} == {
+    assert len(_FIELD_CHECKS) == 4 + checks
+    assert {o.split("=")[0] for o, _ in _FIELD_CHECKS[4:]} == {
         path for path, spec in _FIELDS.items() if spec.checks
     }
 
@@ -321,7 +332,7 @@ def test_t_final_not_multiple_of_tau_exits_3(tmp_path, capsys, mode):
     doc = dict(
         MINIMAL,
         scheme={"t_final": 0.0015},
-        sweep={"which": "delta", "values": [1e-2, 1e-3]},
+        sweep={"varied": {"delta": [1e-2, 1e-3]}},
     )
     cfg = _write_config(tmp_path, doc)
     assert main([mode, cfg]) == 3
@@ -330,7 +341,7 @@ def test_t_final_not_multiple_of_tau_exits_3(tmp_path, capsys, mode):
 
 @pytest.mark.parametrize(
     "sweep",
-    [{"which": "tau", "values": [1e-3, 3e-4]}, {"varied": {"t_final": [2e-3, 1.5e-3]}}],
+    [{"varied": {"tau": [1e-3, 3e-4]}}, {"varied": {"t_final": [2e-3, 1.5e-3]}}],
     ids=["swept-tau", "swept-t_final"],
 )
 def test_sweep_checks_step_count_of_every_run(tmp_path, capsys, sweep):
@@ -811,10 +822,10 @@ _STUDY_DOCS = {
         "scheme": {"tau": 1e-3, "t_final": 0.01},
         "kinetic": {"eps": [0.4, 0.2], "n_v": 17},
     },
-    "sweep-which": {
+    "sweep-delta": {
         "mode": "sweep",
         "scheme": {"tau": 2e-3, "t_final": 0.01, "eps": 0.0},
-        "sweep": {"which": "delta", "values": [1e-2, 1e-3, 1e-4]},
+        "sweep": {"varied": {"delta": [1e-2, 1e-3, 1e-4]}},
     },
     "sweep-varied": {
         "mode": "sweep",
@@ -840,13 +851,6 @@ def test_study_byte_identical_reruns(tmp_path, study):
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir()) != []
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
-def test_sweep_values_not_decreasing_exits_3(tmp_path, capsys):
-    doc = dict(MINIMAL, grid={"n_cells": 8, "length": 1.0}, scheme={"t_final": 2e-3})
-    cfg = _write_config(tmp_path, doc)
-    assert main(["sweep", cfg, "sweep.which=delta", "sweep.values=[1e-3,1e-2]"]) == 3
-    assert "sweep.values" in capsys.readouterr().err
 
 
 def test_kinetic_eps_not_decreasing_exits_3(tmp_path, capsys):
@@ -907,20 +911,27 @@ def test_sweep_mode_writes_table(tmp_path):
         "grid": {"n_cells": 16, "length": 1.0},
         "scheme": {"tau": 2e-3, "t_final": 0.01, "eps": 0.0},
         "init": {"preset": "gauss-bump"},
-        "sweep": {"which": "delta", "values": [1e-2, 1e-3, 1e-4]},
+        "sweep": {"varied": {"delta": [1e-2, 1e-3, 1e-4]}},
         "output": {"directory": str(tmp_path / "sw")},
     }
     cfg = _write_config(tmp_path, doc)
     assert main(["sweep", cfg]) == 0
-    table = (tmp_path / "sw" / "table.csv").read_text().splitlines()
-    assert table[0] == "param,err_rho_L1,err_E_L1,order_rho,order_E"
-    assert len(table) == 3  # two rows measured against the smallest value
-    assert (tmp_path / "sw" / "drifts.csv").exists()
+    assert [p.name for p in (tmp_path / "sw").iterdir()] == ["sweep_summary.csv"]
+    lines = (tmp_path / "sw" / "sweep_summary.csv").read_text().splitlines()
+    assert lines[0] == (
+        "delta,mass_drift,energy_drift,entropy_final,err_rho_L1,err_E_L1,order_rho,order_E"
+    )
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(rows[:, 0], [1e-2, 1e-3, 1e-4])
+    # gaps to the last run, so the last row's are zero; orders between rows
+    assert np.all(rows[:2, 4:6] > 0.0) and np.all(rows[2, 4:6] == 0.0)
+    assert np.isnan(rows[0, 6:]).all() and np.isnan(rows[2, 6:]).all()
+    assert np.all(np.abs(rows[1, 6:] - 1.0) < 0.1)  # the gaps are first order in delta
 
 
 def test_sweep_varied_runs_from_the_configured_initial_data(tmp_path):
     # Every run of a varied sweep starts from the config's init data and
-    # init_floor, like a which/values sweep, not from the preset alone.
+    # init_floor, not from the preset alone.
     x = (np.arange(16) + 0.5) / 16
     preset = {
         "mode": "sweep",
@@ -955,13 +966,14 @@ def test_sweep_varied_runs_from_the_configured_initial_data(tmp_path):
     assert summaries["floored"] != summaries["preset"]
     floor_rows = summaries["floor-varied"].decode("utf-8").splitlines()
     fixed_rows = summaries["floor-fixed"].decode("utf-8").splitlines()
-    assert floor_rows[0] == "init_floor,mass_drift,energy_drift,entropy_final"
-    high, low = (row.split(",", 1) for row in floor_rows[1:])
+    assert floor_rows[0].startswith("init_floor,mass_drift,energy_drift,entropy_final,")
+    high, low = (row.split(",") for row in floor_rows[1:])
     assert float(high[0]) == 0.5 and float(low[0]) == 1e-12
-    assert high[1] != low[1]
-    assert high[1] == fixed_rows[1].split(",", 1)[1]
+    assert high[1:4] != low[1:4]
+    # the drifts and final entropy; the gaps differ, as each run has its own last
+    assert high[1:4] == fixed_rows[1].split(",")[1:4]
     lines = summaries["explicit"].decode("utf-8").splitlines()
-    assert lines[0] == "delta,tau,mass_drift,energy_drift,entropy_final"
+    assert lines[0].startswith("delta,tau,mass_drift,energy_drift,entropy_final,")
     combos = [tuple(float(v) for v in line.split(",")[:2]) for line in lines[1:]]
     assert combos == [(1e-3, 1e-2), (1e-3, 5e-3), (1e-4, 1e-2), (1e-4, 5e-3)]
 
@@ -1019,6 +1031,28 @@ def test_kinetic_starts_from_the_floored_initial_data(tmp_path):
         assert main(["kinetic", cfg, f"output.directory={tmp_path / name}"]) == 0
         finals[name] = (tmp_path / name / "kinetic_final.csv").read_bytes()
     assert finals["floored"] == finals["clipped"] != finals["default"]
+
+
+def test_zero_init_entries_are_raised_to_the_floor_like_tiny_ones(tmp_path, caplog):
+    # A vacuum written as 0 starts the same run as one written as 1e-300:
+    # both lie below scheme.init_floor and are raised to it.
+    inside = np.abs((np.arange(16) + 0.5) / 16 - 0.5) < 0.2
+    outputs = {}
+    for vacuum in (0, 1e-300):
+        doc = {
+            "mode": "macro",
+            "grid": {"n_cells": 16, "length": 1.0},
+            "scheme": {"tau": 1e-3, "t_final": 0.005, "eps": 0.0, "delta": 0.0},
+            "init": {"rho0": np.where(inside, 1.0, vacuum).tolist(), "theta0": [1.0] * 16},
+            "output": {"snapshot_stride": 1},
+        }
+        out = tmp_path / f"out-{vacuum}"
+        cfg = _write_config(tmp_path, doc, f"{vacuum}.json")
+        caplog.clear()
+        assert main(["macro", cfg, f"output.directory={out}"]) == 0
+        assert "clipped 10 initial cells" in caplog.text
+        outputs[vacuum] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs[0] == outputs[1e-300]
 
 
 def test_mms_mode_writes_tables(tmp_path):

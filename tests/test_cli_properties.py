@@ -1,9 +1,10 @@
-"""Property test: ``etlab macro`` with any overrides exits with a documented code,
-and every solver failure or configuration error leaves a well-formed ``error.json``.
+"""Property tests: ``etlab macro`` and ``etlab sweep`` with any overrides exit
+with a documented code, and every solver failure or configuration error
+leaves a well-formed ``error.json``.
 
 The generated values keep every valid configuration tiny (at most 32 cells,
-at most 5 steps of tau, at most 4 tau halvings), so no example allocates a
-large grid or runs long.
+at most 5 steps of tau, at most 4 tau halvings, at most 4 runs per sweep),
+so no example allocates a large grid or runs long.
 """
 
 import json
@@ -48,6 +49,20 @@ _FIELDS = {
     "scheme.init_floor": _json(st.sampled_from([1e-12, 1e-3, 0.0])),
     "init.preset": st.sampled_from(list(PRESET_NAMES) + ["nope"]),
     "output.snapshot_stride": _json(st.integers(-1, 5)),
+    "sweep.varied": _json(
+        st.sampled_from(
+            [
+                {"delta": [1e-2, 1e-4]},
+                {"init_floor": [1e-3, 0.0]},
+                {"tau": [2e-3, 1e-3], "eps": [0.0, 1e-6]},
+                {"t_final": [1e-3, 1.5e-3]},
+                {"fp_max_iter": [1]},
+                {"delta": []},
+                {},
+            ]
+        )
+    ),
+    "sweep.which": _json(st.sampled_from(["delta", "tau"])),
     "scheme.sigma_ramp": _json(st.just(0.5)),
     "scheme.fp_damping": _json(st.just(1.0)),
     "grid.size": _json(st.just(8)),
@@ -65,27 +80,41 @@ def _overrides(draw):
     return items
 
 
+_BASE = {
+    "grid": {"n_cells": 16, "length": 1.0},
+    "scheme": {"tau": 1e-3, "t_final": 2e-3, "tau_backoff_limit": 2},
+}
+
 # Derandomized and without an example database: the same examples every
 # run, and no files left in the working directory.
-@settings(
+_SETTINGS = settings(
     max_examples=40,
     deadline=None,
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@_SETTINGS
 @given(overrides=_overrides())
 def test_macro_with_any_overrides_returns_documented_code(overrides):
-    base = {
-        "mode": "macro",
-        "grid": {"n_cells": 16, "length": 1.0},
-        "scheme": {"tau": 1e-3, "t_final": 2e-3, "tau_backoff_limit": 2},
-    }
+    _assert_documented_exit("macro", dict(_BASE, mode="macro"), overrides)
+
+
+@_SETTINGS
+@given(overrides=_overrides())
+def test_sweep_with_any_overrides_returns_documented_code(overrides):
+    base = dict(_BASE, mode="sweep", sweep={"varied": {"delta": [1e-4]}})
+    _assert_documented_exit("sweep", base, overrides)
+
+
+def _assert_documented_exit(mode, base, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = f"{tmp}/cfg.json"
         with open(cfg, "w", encoding="utf-8") as f:
             json.dump(base, f)
-        code = main(["macro", cfg, *overrides, f"output.directory={tmp}/out"])
+        code = main([mode, cfg, *overrides, f"output.directory={tmp}/out"])
         error_file = Path(tmp) / "out" / "error.json"
         if code in (EXIT_SOLVER, EXIT_CONFIG):
             record = json.loads(error_file.read_text(encoding="utf-8"))

@@ -17,7 +17,7 @@ from etlab.experiments import (
     initial_condition,
     kinetic_limit_study,
     mms_convergence,
-    regularization_study,
+    sweep_study,
 )
 
 GRID = build_grid(32, 1.0)
@@ -81,6 +81,14 @@ def test_table_orders_match_log2_on_dyadic_sweep():
     assert table.rows[2].order_energy == pytest.approx(2.0)
 
 
+def test_table_orders_are_nan_where_the_parameter_ratio_has_no_logarithm():
+    # A sweep may run to delta = 0, or pass a value twice or change its sign.
+    params = [1e-2, 0.0, 1e-3, 1e-3, -1e-4]
+    table = ConvergenceTable.from_errors(params, [5.0, 4.0, 3.0, 2.0, 1.0], [5.0, 4.0, 3.0, 2.0, 1.0])
+    for row in table.rows:
+        assert math.isnan(row.order_rho) and math.isnan(row.order_energy)
+
+
 def test_table_csv_round_trip(tmp_path):
     table = ConvergenceTable.from_errors(
         [1e-2, 1e-3, 1e-4], [3.2e-3, 3.3e-4, 3.1e-5], [1.1e-3, 1.2e-4, 1.3e-5]
@@ -109,39 +117,29 @@ def test_fit_loglog_slope_exact_powers():
 
 
 # ---------------------------------------------------------------------------
-# regularization studies
+# parameter sweeps
 # ---------------------------------------------------------------------------
 
 
-def test_regularization_study_equilibrium_errors_vanish():
+def test_sweep_study_equilibrium_errors_vanish():
     # at theta = 1 the eps terms all vanish, so equilibrium is stationary
     # for every eps and the self-convergence errors are zero
-    init = make_initial_state(*initial_condition("equilibrium", GRID))
     p = SchemeParams(tau=1e-2, eps=1e-4, delta=0.0, t_final=0.05)
-    result = regularization_study(GRID, init, p, "eps", [1e-4, 1e-5, 1e-6])
-    for row in result.table.rows:
+    rows = sweep_study(GRID, *initial_condition("equilibrium", GRID), p, {"eps": [1e-4, 1e-5, 1e-6]})
+    for row in rows:
         assert row.err_rho < 1e-11
         assert row.err_energy < 1e-11
 
 
-def test_regularization_study_equilibrium_delta_errors_small():
+def test_sweep_study_equilibrium_delta_errors_small():
     # with delta > 0 the equilibrium drifts at rate delta * integral(phi),
     # so self-convergence errors are O(delta), far below bump-run errors
-    init = make_initial_state(*initial_condition("equilibrium", GRID))
     p = SchemeParams(tau=1e-2, eps=0.0, delta=1e-4, t_final=0.05)
-    result = regularization_study(GRID, init, p, "delta", [1e-3, 1e-4, 1e-5])
-    for row in result.table.rows:
+    varied = {"delta": [1e-3, 1e-4, 1e-5]}
+    rows = sweep_study(GRID, *initial_condition("equilibrium", GRID), p, varied)
+    for row in rows:
         assert row.err_rho < 5e-4
         assert row.err_energy < 5e-4
-
-
-def test_regularization_study_requires_decreasing_values():
-    init = make_initial_state(*initial_condition("equilibrium", GRID))
-    p = SchemeParams(tau=1e-2, t_final=0.02)
-    with pytest.raises(ValueError):
-        regularization_study(GRID, init, p, "delta", [1e-4, 1e-3])
-    with pytest.raises(ValueError):
-        regularization_study(GRID, init, p, "sigma", [1e-3, 1e-4])
 
 
 @pytest.mark.parametrize("resolutions", [[], ()])
@@ -151,22 +149,51 @@ def test_mms_convergence_rejects_empty_resolutions(resolutions):
         mms_convergence(resolutions, default_manufactured(), p)
 
 
-def test_regularization_study_tau_first_order():
-    init = make_initial_state(*initial_condition("gauss-bump", GRID))
+def test_sweep_study_tau_first_order():
     p = SchemeParams(tau=1e-3, eps=1e-6, delta=1e-4, t_final=0.04)
     # deep reference value so the Cauchy offset barely biases the slope
-    result = regularization_study(GRID, init, p, "tau", [8e-3, 4e-3, 2e-3, 2.5e-4])
-    for row in result.table.rows[1:]:
+    varied = {"tau": [8e-3, 4e-3, 2e-3, 2.5e-4]}
+    rows = sweep_study(GRID, *initial_condition("gauss-bump", GRID), p, varied)
+    for row in rows[1:-1]:
         assert 0.75 < row.order_rho < 1.35
         assert 0.75 < row.order_energy < 1.35
 
 
-def test_regularization_study_records_drifts():
-    init = make_initial_state(*initial_condition("gauss-bump", GRID))
+def test_sweep_study_records_drifts():
     p = SchemeParams(tau=2e-3, eps=0.0, delta=1e-4, t_final=0.02)
-    result = regularization_study(GRID, init, p, "delta", [1e-3, 1e-4])
-    assert set(result.mass_drift) == {1e-3, 1e-4}
-    assert result.mass_drift[1e-3] > result.mass_drift[1e-4]
+    rows = sweep_study(GRID, *initial_condition("gauss-bump", GRID), p, {"delta": [1e-3, 1e-4]})
+    assert [row.values for row in rows] == [{"delta": 1e-3}, {"delta": 1e-4}]
+    assert abs(rows[0].mass_drift) > abs(rows[1].mass_drift)
+
+
+def _step_field(x, stepped):
+    """1 on |x - 1/2| < 0.2; outside it, 0 when stepped, else 1."""
+    return np.where(np.abs(x - 0.5) < 0.2, 1.0, 0.0 if stepped else 1.0)
+
+
+@pytest.mark.parametrize(
+    "rho_step, theta_step", [(True, False), (False, True), (True, True)], ids=["rho", "theta", "both"]
+)
+def test_sweep_study_converges_to_first_order_as_the_floor_vanishes(rho_step, theta_step):
+    # Step data with a vacuum (rho = 0) or a cold region (theta = 0) outside
+    # |x - 1/2| < 0.2: the floor that lifts them is a regularization of the
+    # degenerate system, and the solution converges to first order in it.
+    grid = build_grid(64, 1.0)
+    x = grid.cell_centers
+    p = SchemeParams(tau=1e-3, eps=0.0, delta=0.0, t_final=0.02)
+    varied = {"init_floor": [1e-4, 1e-6, 1e-8, 1e-10]}
+    rows = sweep_study(grid, _step_field(x, rho_step), _step_field(x, theta_step), p, varied)
+    orders = [row.order_rho for row in rows[1:-1]]
+    assert min(orders) >= 0.9, orders
+
+
+def test_sweep_study_orders_only_for_one_varied_field():
+    p = SchemeParams(tau=5e-3, eps=0.0, delta=1e-4, t_final=0.01)
+    varied = {"delta": [1e-3, 1e-4], "tau": [1e-2, 5e-3]}
+    rows = sweep_study(GRID, *initial_condition("gauss-bump", GRID), p, varied)
+    assert all(row.err_rho > 0.0 for row in rows[:-1])
+    assert rows[-1].err_rho == rows[-1].err_energy == 0.0
+    assert all(math.isnan(row.order_rho) and math.isnan(row.order_energy) for row in rows)
 
 
 # ---------------------------------------------------------------------------
