@@ -2,11 +2,13 @@
 # Run one small config per etlab mode on two source trees and report, per
 # config, whether `diff -r` finds their output directories identical. macro
 # also runs with paper_picard (at the default eps and delta, and at
-# eps = delta = 0) and with backoff substeps (fp_max_iter = 4 makes its
-# first step halve tau five times), kinetic also on uniform equilibrium
-# data with rho = 1e16 >> theta = 1, and sweep with one varied field (the
-# gaps and orders of a delta study) and with two; a config named
-# <mode>-<variant> runs <mode>.
+# eps = delta = 0), with backoff substeps (fp_max_iter = 4 makes its first
+# step halve tau five times) and on theta-step data whose first step
+# exhausts the tau backoff, kinetic also on uniform equilibrium data with
+# rho = 1e16 >> theta = 1, and sweep with one varied field (the gaps and
+# orders of a delta study) and with two; a config named <mode>-<variant>
+# runs <mode>. When both trees exit with the same nonzero code, their
+# error.json files are compared instead.
 #
 #   scripts/output_diff.sh <base-tree> [<head-tree>] [<work-dir>]
 #
@@ -23,11 +25,10 @@ mkdir -p "$work"
 config() {  # config <name> <json>
   printf '%s\n' "$2" > "$work/$1.json"
 }
-repeat() {  # repeat <count> <value>: a JSON array of <count> copies of <value>
-  printf '[%s' "$2"
+items() {  # items <count> <value>: <count> comma-separated copies of <value>
+  printf '%s' "$2"
   i=1
   while [ "$i" -lt "$1" ]; do printf ', %s' "$2"; i=$((i + 1)); done
-  printf ']'
 }
 config macro '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-3, "t_final": 0.01}, "init": {"preset": "gauss-bump"},
@@ -42,12 +43,16 @@ config macro-picard-unregularized '{"mode": "macro",
 config macro-substeps '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-2, "t_final": 0.04, "fp_max_iter": 4},
   "init": {"preset": "gauss-bump"}}'
+config macro-fails '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
+  "scheme": {"tau": 1e-3, "t_final": 0.002},
+  "init": {"rho0": ['"$(items 32 1)"'],
+           "theta0": ['"$(items 10 0), $(items 12 1), $(items 10 0)"']}}'
 config kinetic '{"mode": "kinetic", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"t_final": 0.005}, "kinetic": {"eps": 0.2, "n_v": 32},
   "init": {"preset": "gauss-bump"}}'
 config kinetic-dense '{"mode": "kinetic", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"t_final": 0.005}, "kinetic": {"eps": 0.2, "n_v": 32},
-  "init": {"rho0": '"$(repeat 32 1e16)"', "theta0": '"$(repeat 32 1.0)"'}}'
+  "init": {"rho0": ['"$(items 32 1e16)"'], "theta0": ['"$(items 32 1.0)"']}}'
 config compare '{"mode": "compare", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-3, "t_final": 0.01}, "kinetic": {"eps": [0.4, 0.2, 0.1], "n_v": 32},
   "init": {"preset": "gauss-bump"}}'
@@ -66,8 +71,9 @@ run() {  # run <tree> <label> <mode> <config> <out>: etlab's exit code
     "output.directory=$work/$2/$5" > "$work/$2-$5.log" 2>&1
 }
 
-for name in macro macro-picard macro-picard-unregularized macro-substeps audit kinetic kinetic-dense compare sweep-delta sweep-varied mms; do
+for name in macro macro-picard macro-picard-unregularized macro-substeps macro-fails audit kinetic kinetic-dense compare sweep-delta sweep-varied mms; do
   status=
+  codes=
   for tree in base head; do
     if [ "$tree" = base ]; then dir=$base; else dir=$head; fi
     case $name in
@@ -77,9 +83,17 @@ for name in macro macro-picard macro-picard-unregularized macro-substeps audit k
       *) run "$dir" "$tree" "$name" "$name" "$name" ;;
     esac
     code=$?
+    codes="$codes $code"
     [ "$code" -eq 0 ] || status="${status:+$status; }$tree run failed (exit $code)"
   done
-  if [ -z "$status" ]; then
+  set -- $codes
+  if [ "$1" -ne 0 ] && [ "$1" -eq "$2" ]; then
+    if diff "$work/base/$name/error.json" "$work/head/$name/error.json" > /dev/null 2>&1; then
+      status="identical failure (exit $1)"
+    else
+      status="failure messages differ"
+    fi
+  elif [ -z "$status" ]; then
     if diff -r "$work/base/$name" "$work/head/$name" > /dev/null; then
       status=identical
     else

@@ -326,8 +326,7 @@ def _relax_temperature(
         theta = np.where(outside, 0.5 * (lo + hi), theta_new)
     bad = int(np.argmax(np.abs(f)))
     raise StepFailureError(
-        f"relaxation temperature solve failed at cell {bad}: residual {f[bad]:.3e}",
-        residual=float(f[bad]),
+        f"relaxation temperature solve failed at cell {bad}: residual {f[bad]:.3e}"
     )
 
 

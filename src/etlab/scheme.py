@@ -8,10 +8,11 @@ stabilization weighted by delta. Because the unknowns are chart variables,
 rho and theta stay positive for any finite iterate.
 
 The nonlinear step is solved by chord iterations on the exact residual,
-each step after the first started from the extrapolation of the last two
-accepted states. If that fails, capped Newton iterations from the previous
-state are tried before tau is halved; ``_converge`` states the stopping
-rule and ``fixed_point_step`` the fallback and tau backoff.
+started from the extrapolation of the last two accepted states. If that
+fails, capped Newton iterations from the previous state are tried before
+tau is halved. ``_converge`` states the stopping rule, ``fixed_point_step``
+the two attempts at one tau, and ``run_transient`` the warm start and the
+tau backoff.
 
 Two interchangeable inner linearizations are provided:
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -100,16 +101,14 @@ PARAM_RANGES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
 
 
 class StepFailureError(RuntimeError):
-    """Tau backoff exhausted, or kinetic relaxation failed (``tau_last`` None)."""
-
-    def __init__(self, message: str, residual: float, tau_last: Optional[float] = None):
-        super().__init__(message)
-        self.residual = residual
-        self.tau_last = tau_last
+    """Tau backoff exhausted, or kinetic relaxation failed."""
 
 
 class _NotConverged(Exception):
-    def __init__(self, residual: float):
+    """No attempt at one tau converged; ``residual`` is max|r| of the last
+    iterate of the latest attempt that got one, None when no attempt did."""
+
+    def __init__(self, residual: Optional[float]):
         self.residual = residual
 
 
@@ -153,7 +152,6 @@ class StepReport:
     tau_used: float
     budget: Dict[str, Any]
     entropy: Dict[str, Any]
-    residual_history: List[float] = field(default_factory=list)
 
 
 @dataclass
@@ -530,75 +528,30 @@ def _converge(
 def fixed_point_step(
     grid: Grid1D,
     prev: EntropicState,
+    start: EntropicState,
     p: SchemeParams,
-    t_start: float = 0.0,
-    older: Optional[EntropicState] = None,
-    tau_prev: Optional[float] = None,
-) -> Tuple[EntropicState, StepReport]:
-    """Advance one implicit step, halving tau on numerical failure.
+    t_new: float,
+) -> Tuple[EntropicState, List[float]]:
+    """Solve one implicit step of size p.tau from ``prev``, ending at t_new.
 
-    ``older`` is the accepted state before ``prev`` and ``tau_prev`` the
-    step that led from it to ``prev``. Given both, the first attempt starts
-    from the linear extrapolation prev + (tau / tau_prev) (prev - older);
-    any chart values are admissible, since rho and theta stay positive;
-    without history, and after a halving, the first attempt starts from
-    ``prev``. Each tau gets two attempts of ``_converge``, which states the
-    stopping rule: the chord iteration from that start, and if it fails
-    numerically, Newton iteration from ``prev`` with each correction capped
-    at _LAST_RUNG_UPDATE. Non-convergence, blow-up of the chart values and
-    a non-SPD or singular linear system of both attempts halve tau; any
-    other error propagates. StepFailureError ends the step after
-    p.tau_backoff_limit halvings, or earlier when one more halving would
-    underflow tau to zero. Returns the state after the time increment that
-    actually succeeded (tau_used <= p.tau) and its audit report, with step 0
-    (no time grid) and t = t_start + tau_used.
+    Two attempts of ``_converge``, which states the stopping rule: the chord
+    iteration from ``start``, and if it fails numerically, Newton iteration
+    from ``prev`` with each correction capped at _LAST_RUNG_UPDATE. Returns
+    the accepted state and the residual history of the attempt that
+    converged. Non-convergence, blow-up of the chart values and a non-SPD or
+    singular linear system of both attempts raise _NotConverged, with the
+    last residual of the later attempt that reached one; any other error
+    propagates.
     """
-    tau_try = p.tau
-    start = prev
-    if older is not None and tau_prev is not None:
-        ratio = tau_try / tau_prev
-        # tau_prev after many halvings can overflow the ratio; checked below
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi = prev.phi + ratio * (prev.phi - older.phi)
-            w = prev.w + ratio * (prev.w - older.w)
-        if np.isfinite(phi).all() and np.isfinite(w).all():
-            start = EntropicState(phi=phi, w=w)
-    last_residual = np.inf
-    halvings = 0
-    while halvings <= p.tau_backoff_limit:
-        p_try = replace(p, tau=tau_try)
-        for x0, newton in ((start, False), (prev, True)):
-            try:
-                x, history = _converge(
-                    grid, prev, x0, p_try, t_start + tau_try, newton=newton
-                )
-            except _NotConverged as exc:
-                last_residual = exc.residual
-            except (BlowupError, NotSPDError, SingularMatrixError):
-                pass
-            else:
-                report = StepReport(
-                    step=0,
-                    t=t_start + tau_try,
-                    iterations=len(history),
-                    residual=history[-1],
-                    tau_used=tau_try,
-                    budget=budget_audit(grid, prev, x, p_try, t_start + tau_try),
-                    entropy=entropy_audit(grid, prev, x, p_try),
-                    residual_history=history,
-                )
-                return x, report
-        start = prev
-        if tau_try * 0.5 == 0.0:
-            break  # one more halving would underflow tau to zero
-        tau_try *= 0.5
-        halvings += 1
-    raise StepFailureError(
-        f"fixed point failed after {halvings} tau halvings "
-        f"(last residual {last_residual:.3e})",
-        residual=last_residual,
-        tau_last=tau_try,
-    )
+    residual = None
+    for x0, newton in ((start, False), (prev, True)):
+        try:
+            return _converge(grid, prev, x0, p, t_new, newton=newton)
+        except _NotConverged as exc:
+            residual = exc.residual
+        except (BlowupError, NotSPDError, SingularMatrixError):
+            pass
+    raise _NotConverged(residual)
 
 
 def make_initial_state(rho0, theta0, floor: float = 1e-12) -> MacroState:
@@ -625,15 +578,24 @@ def step_count(t_final: float, tau: float) -> int:
 
 
 def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory:
-    """March to t_final in steps of tau, auditing every accepted step.
+    """March to t_final in steps of tau, auditing every accepted attempt.
 
-    A step k that needed backoff is completed by substeps, each attempting
-    what remains of it, so the states still sit at times[k] = k tau. Each
-    accepted attempt's report gets step k and its end time t, counted from
-    times[k - 1], or times[k] exactly for the attempt that completes step
-    k. Every step after the first starts its nonlinear iteration from the
-    linear extrapolation of the last two accepted states (see
-    fixed_point_step).
+    This loop alone chooses the tau of each attempt, which fixed_point_step
+    solves. Step k first attempts its whole tau. A failed attempt halves
+    tau; an accepted attempt that falls short of times[k] = k tau is
+    followed by an attempt at what remains, so the states still sit at
+    times[k]. The halving count restarts after each accepted attempt, and
+    StepFailureError, naming step k's interval, ends the run after
+    p.tau_backoff_limit halvings or when one more would underflow tau to
+    zero. The first attempt at a tau starts from the linear extrapolation
+    prev + (tau / tau_prev) (prev - older) of the last two accepted states
+    when it is finite (any chart values are admissible, since rho and theta
+    stay positive), and from ``prev`` otherwise, at the first step and
+    after a halving.
+
+    Each accepted attempt's report has step k and its end time t, counted
+    from times[k - 1], or times[k] exactly for the attempt that completes
+    step k.
     """
     n_steps = step_count(p.t_final, p.tau)
     times = p.tau * np.arange(n_steps + 1)
@@ -641,28 +603,47 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
     states = [state]
     reports: List[StepReport] = []
     older: Optional[EntropicState] = None
-    tau_prev: Optional[float] = None
+    tau_prev = p.tau
     for k in range(1, n_steps + 1):
-        remaining = p.tau
-        t_base = float(times[k - 1])
+        t_start, remaining, halvings = float(times[k - 1]), p.tau, 0
         while remaining > 1e-12 * p.tau:
-            p_sub = replace(p, tau=min(p.tau, remaining))
+            if halvings == 0:
+                tau, start, last_residual = min(p.tau, remaining), state, math.inf
+                if older is not None:
+                    ratio = tau / tau_prev  # may overflow after many halvings
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        phi = state.phi + ratio * (state.phi - older.phi)
+                        w = state.w + ratio * (state.w - older.w)
+                    if np.isfinite(phi).all() and np.isfinite(w).all():
+                        start = EntropicState(phi=phi, w=w)
+            p_try = replace(p, tau=tau)
             try:
-                nxt, rep = fixed_point_step(
-                    grid, state, p_sub, t_start=t_base, older=older, tau_prev=tau_prev
+                nxt, history = fixed_point_step(grid, state, start, p_try, t_start + tau)
+            except _NotConverged as exc:
+                if exc.residual is not None:
+                    last_residual = exc.residual
+                if tau * 0.5 == 0.0 or halvings == p.tau_backoff_limit:
+                    raise StepFailureError(
+                        f"step {k} (t in [{times[k - 1]:.6g}, {times[k]:.6g}]): "
+                        f"fixed point failed after {halvings + (tau * 0.5 != 0.0)} tau halvings "
+                        f"(last residual {last_residual:.3e})"
+                    ) from exc
+                tau, start, halvings = 0.5 * tau, state, halvings + 1
+                continue
+            done = remaining - tau <= 1e-12 * p.tau
+            reports.append(
+                StepReport(
+                    step=k,
+                    t=float(times[k]) if done else t_start + tau,
+                    iterations=len(history),
+                    residual=history[-1],
+                    tau_used=tau,
+                    budget=budget_audit(grid, state, nxt, p_try, t_start + tau),
+                    entropy=entropy_audit(grid, state, nxt, p_try),
                 )
-            except StepFailureError as exc:
-                raise StepFailureError(
-                    f"step {k} (t in [{times[k - 1]:.6g}, {times[k]:.6g}]): {exc}",
-                    residual=exc.residual,
-                    tau_last=exc.tau_last,
-                ) from exc
-            older, state, tau_prev = state, nxt, rep.tau_used
-            rep.step = k
-            reports.append(rep)
-            remaining -= rep.tau_used
-            t_base += rep.tau_used
-        rep.t = float(times[k])
+            )
+            older, state, tau_prev = state, nxt, tau
+            t_start, remaining, halvings = t_start + tau, remaining - tau, 0
         states.append(state)
     return Trajectory(times=times, states=states, reports=reports)
 

@@ -20,7 +20,9 @@ from etlab.scheme import (
     _BUDGET_GUARD,
     _assemble_blocks,
     _jacobian,
+    _NotConverged,
     _residual,
+    budget_audit,
     dissipation_terms,
     entropy_audit,
     fixed_point_step,
@@ -273,9 +275,8 @@ def test_delta_entry_is_the_derivative_of_the_scaled_delta_term():
 def test_step_equilibrium_is_fixed_point():
     p = SchemeParams(tau=0.1, eps=0.0, delta=0.0, inner_mode="coupled_implicit")
     s = _constant_state(2.5, 0.0)
-    out, rep = fixed_point_step(GRID, s, p)
-    assert rep.iterations == 1
-    assert rep.residual == 0.0
+    out, history = fixed_point_step(GRID, s, s, p, p.tau)
+    assert history == [0.0]
     assert np.array_equal(out.phi, s.phi)
     assert np.array_equal(out.w, s.w)
 
@@ -316,7 +317,7 @@ def test_step_constant_state_matches_scalar_newton_oracle():
     tau, delta = 0.1, 0.01
     p = SchemeParams(tau=tau, eps=0.0, delta=delta, n_exp=2.0)
     s = _constant_state(2.5, 0.0)
-    out, rep = fixed_point_step(GRID, s, p)
+    out, _ = fixed_point_step(GRID, s, s, p, p.tau)
     assert np.ptp(out.phi) < 1e-12 and np.ptp(out.w) < 1e-12
     phi_ref, w_ref = _newton_2x2_constant_step(tau, delta, 2.0)
     assert out.phi[0] == pytest.approx(phi_ref, abs=1e-9)
@@ -331,9 +332,9 @@ def test_step_constant_state_matches_scalar_newton_oracle():
 def test_step_residual_history_monotone_on_bump():
     p = SchemeParams(tau=1e-3, eps=1e-6, delta=1e-4)
     s = _bump_state(build_grid(32, 1.0))
-    _, rep = fixed_point_step(build_grid(32, 1.0), s, p)
+    _, history = fixed_point_step(build_grid(32, 1.0), s, s, p, p.tau)
     # monotone decrease down to the tolerance; below it only roundoff noise
-    hist = [r for r in rep.residual_history if r > 10.0 * p.fp_tol]
+    hist = [r for r in history if r > 10.0 * p.fp_tol]
     assert len(hist) >= 2
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(hist, hist[1:]))
 
@@ -342,48 +343,62 @@ def test_step_modes_share_fixed_point():
     grid = build_grid(32, 1.0)
     s = _bump_state(grid)
     p = SchemeParams(tau=1e-3, eps=1e-6, delta=1e-4, fp_tol=1e-11)
-    out_c, _ = fixed_point_step(grid, s, replace(p, inner_mode="coupled_implicit"))
-    out_p, _ = fixed_point_step(grid, s, replace(p, inner_mode="paper_picard"))
+    out_c, _ = fixed_point_step(grid, s, s, replace(p, inner_mode="coupled_implicit"), p.tau)
+    out_p, _ = fixed_point_step(grid, s, s, replace(p, inner_mode="paper_picard"), p.tau)
     assert np.max(np.abs(out_c.phi - out_p.phi)) < 10.0 * p.fp_tol
     assert np.max(np.abs(out_c.w - out_p.w)) < 10.0 * p.fp_tol
 
 
 def test_step_backoff_recovers_with_smaller_tau():
     # the coupled iteration needs 9 residual evaluations on these data at
-    # tau = 0.02; allowed 8, every rung fails and tau is halved once
+    # tau = 0.02; allowed 8, both attempts fail and tau is halved once
     grid = build_grid(64, 1.0)
     x = grid.cell_centers
     rho0 = 0.05 + 8.0 * np.exp(-400.0 * (x - 0.3) ** 2)
     theta0 = 0.05 + 2.0 * np.exp(-400.0 * (x - 0.7) ** 2)
-    s = to_entropic(rho0, theta0)
-    p = SchemeParams(tau=0.02, eps=0.0, delta=0.0, fp_max_iter=8, tau_backoff_limit=8)
-    out, rep = fixed_point_step(grid, s, p)
-    assert rep.tau_used < p.tau
-    assert rep.budget["mass_error"] <= _BUDGET_GUARD
-    assert rep.budget["energy_error"] <= _BUDGET_GUARD
-    # audits are evaluated at the accepted tau, so they still hold exactly
-    assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
+    p = SchemeParams(
+        tau=0.02, eps=0.0, delta=0.0, t_final=0.02, fp_max_iter=8, tau_backoff_limit=8
+    )
+    traj = run_transient(grid, MacroState(rho0, theta0), p)
+    assert traj.reports[0].tau_used < p.tau
+    assert sum(rep.tau_used for rep in traj.reports) == pytest.approx(p.tau)
+    for rep in traj.reports:
+        assert rep.budget["mass_error"] <= _BUDGET_GUARD
+        assert rep.budget["energy_error"] <= _BUDGET_GUARD
+        # audits are evaluated at the accepted tau, so they still hold exactly
+        assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
+    out = traj.states[-1]
     assert np.all(np.isfinite(out.phi)) and np.all(np.isfinite(out.w))
 
 
 def test_step_source_of_wrong_shape_raises_its_own_error():
-    # a defect in the problem setup is not a numerical failure: no tau halving
+    # a defect in the problem setup is not a numerical failure: it is not
+    # reported as _NotConverged, so run_transient does not halve tau
     def bad_source(x, t):
         return np.zeros(x.size + 1)
 
     p = SchemeParams(tau=1e-3, source_mass=bad_source)
+    s = _bump_state(GRID)
     with pytest.raises(ValueError, match="broadcast"):
-        fixed_point_step(GRID, _bump_state(GRID), p)
+        fixed_point_step(GRID, s, s, p, p.tau)
+
+
+def _bump_init(grid):
+    return to_primitive(_bump_state(grid))
+
+
+def _failure_residual(err):
+    """The last residual that a StepFailureError's message reports."""
+    return float(str(err.value).rsplit("last residual ", 1)[1].rstrip(")"))
 
 
 def test_step_backoff_exhaustion_raises_with_residual():
     p = SchemeParams(
-        tau=1e-2, eps=0.0, delta=0.0, fp_max_iter=1, tau_backoff_limit=2
+        tau=1e-2, eps=0.0, delta=0.0, t_final=1e-2, fp_max_iter=1, tau_backoff_limit=2
     )
-    with pytest.raises(StepFailureError) as err:
-        fixed_point_step(GRID, _bump_state(GRID), p)
-    assert err.value.residual > 0.0
-    assert err.value.tau_last < 1e-2
+    with pytest.raises(StepFailureError, match=r"^step 1 \(t in \[0, 0.01\]\): ") as err:
+        run_transient(GRID, _bump_init(GRID), p)
+    assert _failure_residual(err) > 0.0
 
 
 @pytest.mark.parametrize("bad", ["residual", "correction"])
@@ -391,7 +406,7 @@ def test_non_finite_iterate_fails_the_step_without_backoff(monkeypatch, bad):
     # _converge gives up on a non-finite residual before factoring, and on a
     # non-finite correction before the next residual: one residual per
     # attempt (chord, then Newton). With no tau halvings allowed, both
-    # attempts failing ends the step.
+    # attempts failing ends the run.
     residual, calls = scheme._residual, []
 
     def evaluated(*args, **kwargs):
@@ -407,14 +422,14 @@ def test_non_finite_iterate_fails_the_step_without_backoff(monkeypatch, bad):
 
     monkeypatch.setattr(scheme, "_residual", evaluated)
     monkeypatch.setattr(scheme, "_factor", factored)
-    p = SchemeParams(tau=1e-3, tau_backoff_limit=0)
+    p = SchemeParams(tau=1e-3, t_final=1e-3, tau_backoff_limit=0)
     with pytest.raises(StepFailureError) as err:
-        fixed_point_step(GRID, _bump_state(GRID), p)
+        run_transient(GRID, _bump_init(GRID), p)
     assert len(calls) == 2
     if bad == "residual":
-        assert err.value.residual == math.inf
+        assert _failure_residual(err) == math.inf
     else:
-        assert 0.0 < err.value.residual < math.inf
+        assert 0.0 < _failure_residual(err) < math.inf
 
 
 def _max_gap(a, b):
@@ -461,22 +476,21 @@ def test_paper_picard_solves_the_unregularized_system(
 
 
 def test_run_transient_failure_names_the_steps_own_interval(monkeypatch):
-    # step 3 accepts half a step, then fails: the message still names the
-    # step's interval on the time grid, not one shifted by the substep
+    # step 3 fails at its whole tau, accepts half a step, then fails: the
+    # message still names the step's interval on the time grid, not one
+    # shifted by the substep
     step = scheme.fixed_point_step
 
-    def half_then_fail(grid, state, p, t_start=0.0, **kwargs):
-        if t_start < 0.02 - 1e-12:
-            return step(grid, state, p, t_start=t_start, **kwargs)
-        if t_start < 0.025 - 1e-12:
-            return step(grid, state, replace(p, tau=p.tau / 2.0), t_start=t_start, **kwargs)
-        raise StepFailureError("no convergence", residual=1.0, tau_last=p.tau)
+    def half_then_fail(grid, prev, start, p, t_new):
+        if t_new < 0.02 + 1e-12 or (p.tau == 5e-3 and abs(t_new - 0.025) < 1e-12):
+            return step(grid, prev, start, p, t_new)
+        raise _NotConverged(1.0)
 
     monkeypatch.setattr(scheme, "fixed_point_step", half_then_fail)
     p = SchemeParams(tau=1e-2, t_final=0.05)
     with pytest.raises(StepFailureError) as err:
         run_transient(GRID, make_initial_state(*initial_condition("gauss-bump", GRID)), p)
-    assert str(err.value).startswith("step 3 (t in [0.02, 0.03]): no convergence")
+    assert str(err.value).startswith("step 3 (t in [0.02, 0.03]): fixed point failed")
 
 
 @pytest.mark.parametrize("inner_mode", ["coupled_implicit", "paper_picard"])
@@ -499,11 +513,12 @@ def test_step_accepted_iterate_within_fp_tol(preset, n_cells, tau, inner_mode):
         init = make_initial_state(*initial_condition(preset, grid))
     x0 = to_entropic(init.rho, init.theta)
     p = SchemeParams(tau=tau, inner_mode=inner_mode)
-    x1, _ = fixed_point_step(grid, x0, p)
-    exact, _ = fixed_point_step(grid, x1, replace(p, fp_tol=1e-14), t_start=p.tau)
-    for history in ({}, {"older": x0, "tau_prev": p.tau}):
-        out, rep = fixed_point_step(grid, x1, p, t_start=p.tau, **history)
-        assert rep.tau_used == p.tau
+    x1, _ = fixed_point_step(grid, x0, x0, p, p.tau)
+    t2 = p.tau + p.tau
+    exact, _ = fixed_point_step(grid, x1, x1, replace(p, fp_tol=1e-14), t2)
+    extrapolated = EntropicState(phi=x1.phi + (x1.phi - x0.phi), w=x1.w + (x1.w - x0.w))
+    for start in (x1, extrapolated):
+        out, _ = fixed_point_step(grid, x1, start, p, t2)
         assert _max_gap(out, exact) <= p.fp_tol
 
 
@@ -512,27 +527,48 @@ def test_step_first_correction_is_judged_by_its_size():
     # its correction (about 1e-5) has no contraction rate to discount it and
     # exceeds fp_tol, so the iterate after the second correction is accepted.
     s = to_entropic(1.0 + 1e-5 * np.cos(np.pi * GRID.cell_centers), np.ones(16))
-    _, rep = fixed_point_step(GRID, s, SchemeParams(tau=1e-2, eps=0.0, delta=0.0))
-    assert rep.iterations == 3
+    _, history = fixed_point_step(GRID, s, s, SchemeParams(tau=1e-2, eps=0.0, delta=0.0), 1e-2)
+    assert len(history) == 3
 
 
 @pytest.mark.parametrize(
     "w_shift, tau_prev",
     [
-        (400.0, 1e-3),  # the extrapolated w exceeds the chart cap and blows up
+        # ratio (1e-3 - tau_prev) / tau_prev = 3: the extrapolated w is
+        # prev's plus 400, beyond the chart cap, and the chord attempt blows up
+        (400.0 / 3.0, 2.5e-4),
         (1e-3, 5e-324),  # the ratio tau / tau_prev overflows: no extrapolation
     ],
 )
-def test_step_falls_back_to_prev_when_extrapolation_fails(w_shift, tau_prev):
-    # Either way the step is solved at the full tau from prev.
+def test_step_falls_back_to_prev_when_extrapolation_fails(monkeypatch, w_shift, tau_prev):
+    # Step 1 fails down to tau_prev, then accepts prev (the initial state is
+    # older). Either way what remains of the step is solved at the tau that
+    # remains, from prev.
     grid = build_grid(32, 1.0)
     prev = _bump_state(grid)
     older = EntropicState(phi=prev.phi, w=prev.w - w_shift)
-    p = SchemeParams(tau=1e-3, eps=1e-6, delta=1e-4)
-    cold, _ = fixed_point_step(grid, prev, p)
-    out, rep = fixed_point_step(grid, prev, p, older=older, tau_prev=tau_prev)
-    assert rep.tau_used == p.tau
+    p = SchemeParams(tau=1e-3, eps=1e-6, delta=1e-4, t_final=1e-3, tau_backoff_limit=1100)
+    step, solved = scheme.fixed_point_step, []
+
+    def reach_prev_in_tau_prev(grid, state, start, p_try, t_new):
+        if solved:
+            out = step(grid, state, start, p_try, t_new)
+            solved.append((state, start, p_try, t_new, out[0]))
+            return out
+        if p_try.tau > tau_prev:
+            raise _NotConverged(1.0)
+        solved.append(None)
+        return prev, [0.0]
+
+    monkeypatch.setattr(scheme, "fixed_point_step", reach_prev_in_tau_prev)
+    traj = run_transient(grid, to_primitive(older), p)
+    (state, start, p_try, t_new, out), = solved[1:]
+    assert state is prev and p_try.tau == 1e-3 - tau_prev
+    assert (start is prev) == (tau_prev == 5e-324)
+    cold, _ = step(grid, prev, prev, p_try, t_new)
     assert _max_gap(out, cold) <= p.fp_tol
+    rep = traj.reports[-1]
+    assert rep.tau_used == p_try.tau
     assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
 
 
@@ -548,10 +584,10 @@ def test_last_rung_caps_the_newton_corrections(monkeypatch):
     p = SchemeParams(tau=1e-3)
     x, history = scheme._converge(grid, prev, prev, p, p.tau, newton=True)
     assert history[-1] <= 1e-6
-    out, rep = fixed_point_step(grid, prev, p)
-    assert rep.tau_used == p.tau
+    out, _ = fixed_point_step(grid, prev, prev, p, p.tau)
     assert _max_gap(out, x) <= p.fp_tol
-    assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
+    budget = budget_audit(grid, prev, out, p, p.tau)
+    assert budget["mass_pass"] and budget["energy_pass"]
     monkeypatch.setattr(scheme, "_LAST_RUNG_UPDATE", math.inf)
     with pytest.raises(BlowupError):
         scheme._converge(grid, prev, prev, p, p.tau, newton=True)
@@ -618,8 +654,8 @@ def test_step_chord_corrections_reuse_the_start_factor(monkeypatch):
     p = SchemeParams(tau=1e-3)
     residuals = _Counted(monkeypatch, scheme, "_residual")
     factors = _Counted(monkeypatch, scheme, "BandedLU")
-    _, rep = fixed_point_step(grid, prev, p)
-    assert len(factors.calls) == 1 < rep.iterations == len(residuals.calls)
+    _, history = fixed_point_step(grid, prev, prev, p, p.tau)
+    assert len(factors.calls) == 1 < len(history) == len(residuals.calls)
     iterates = [args[2] for args in residuals.calls]
     dense = _exact_jacobian(grid, prev, iterates[0], p)
     for x, nxt in zip(iterates[0:3], iterates[1:4]):
@@ -640,10 +676,10 @@ def test_step_chord_refactors_when_contraction_is_slow(monkeypatch):
     p = SchemeParams(tau=0.1)
     residuals = _Counted(monkeypatch, scheme, "_residual")
     factors = _Counted(monkeypatch, scheme, "BandedLU")
-    _, rep = fixed_point_step(grid, _bump_state(grid), p)
-    assert rep.tau_used == p.tau
-    assert rep.iterations == len(residuals.calls)  # no retry
-    assert 1 < len(factors.calls) < rep.iterations - 1
+    prev = _bump_state(grid)
+    _, history = fixed_point_step(grid, prev, prev, p, p.tau)
+    assert len(history) == len(residuals.calls)  # no retry
+    assert 1 < len(factors.calls) < len(history) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +708,8 @@ def test_transient_extrapolated_starts_save_iterations(monkeypatch):
     state = to_entropic(init.rho, init.theta)
     cold = 0
     for k in range(step_count(p.t_final, p.tau)):
-        state, rep = fixed_point_step(grid, state, p, t_start=k * p.tau)
-        assert rep.tau_used == p.tau
-        cold += rep.iterations
+        state, history = fixed_point_step(grid, state, state, p, k * p.tau + p.tau)
+        cold += len(history)
     assert warm <= 0.9 * cold
 
 
@@ -766,8 +801,9 @@ def test_budget_constant_state_mass_drop():
     # the mass drop equals 0.001 * phi_new on the unit domain
     p = SchemeParams(tau=0.1, eps=0.0, delta=0.01)
     s = _constant_state(2.5, 0.0)
-    out, rep = fixed_point_step(GRID, s, p)
-    assert rep.budget["mass_lhs"] == pytest.approx(-0.001 * out.phi[0], rel=1e-10)
+    out, _ = fixed_point_step(GRID, s, s, p, p.tau)
+    budget = budget_audit(GRID, s, out, p, p.tau)
+    assert budget["mass_lhs"] == pytest.approx(-0.001 * out.phi[0], rel=1e-10)
 
 
 def test_entropy_audit_equilibrium_passes():
