@@ -46,6 +46,7 @@ from .kinetic import (
     run_kinetic,
 )
 from .scheme import (
+    ESTIMATE_TERMS,
     PARAM_RANGES,
     SchemeParams,
     StepFailureError,
@@ -438,7 +439,8 @@ def _write_macro_outputs(
     diss = [0.0] * len(traj.times)
     for rep in traj.reports:
         iters[rep.step] += rep.iterations
-        diss[rep.step] += sum(rep.entropy["dissipation"].values())
+        terms = rep.entropy["dissipation"]
+        diss[rep.step] += sum(v for name, v in terms.items() if name not in ESTIMATE_TERMS)
     rows = []
     for k, t in enumerate(traj.times):
         mac = to_primitive(traj.states[k])

@@ -105,8 +105,9 @@ class StepFailureError(RuntimeError):
 
 
 class _NotConverged(Exception):
-    """No attempt at one tau converged; ``residual`` is max|r| of the last
-    iterate of the latest attempt that got one, None when no attempt did."""
+    """An attempt of _converge failed numerically, or both attempts of
+    fixed_point_step did. ``residual`` is the last max|r| that _converge
+    reported so; None when neither attempt did (blow-up, singular system)."""
 
     def __init__(self, residual: Optional[float]):
         self.residual = residual
@@ -584,18 +585,21 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
     solves. Step k first attempts its whole tau. A failed attempt halves
     tau; an accepted attempt that falls short of times[k] = k tau is
     followed by an attempt at what remains, so the states still sit at
-    times[k]. The halving count restarts after each accepted attempt, and
-    StepFailureError, naming step k's interval, ends the run after
-    p.tau_backoff_limit halvings or when one more would underflow tau to
-    zero. The first attempt at a tau starts from the linear extrapolation
+    times[k]. The halving count restarts after each accepted attempt. A
+    failed attempt after p.tau_backoff_limit halvings in a row, or one whose
+    halving would underflow tau to zero, ends the run with StepFailureError
+    naming step k's interval.
+
+    An attempt after an accepted one starts from the linear extrapolation
     prev + (tau / tau_prev) (prev - older) of the last two accepted states
     when it is finite (any chart values are admissible, since rho and theta
-    stay positive), and from ``prev`` otherwise, at the first step and
-    after a halving.
+    stay positive). The first attempt, an attempt after a halving and one
+    whose extrapolation is not finite start from ``prev``.
 
-    Each accepted attempt's report has step k and its end time t, counted
-    from times[k - 1], or times[k] exactly for the attempt that completes
-    step k.
+    Each attempt ends at its time t, counted from times[k - 1], or at
+    times[k] exactly for the attempt that completes step k. The sources and
+    the budget audit are evaluated at t, and an accepted attempt's report
+    has step k and that t.
     """
     n_steps = step_count(p.t_final, p.tau)
     times = p.tau * np.arange(n_steps + 1)
@@ -617,28 +621,28 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
                     if np.isfinite(phi).all() and np.isfinite(w).all():
                         start = EntropicState(phi=phi, w=w)
             p_try = replace(p, tau=tau)
+            t_new = float(times[k]) if remaining - tau <= 1e-12 * p.tau else t_start + tau
             try:
-                nxt, history = fixed_point_step(grid, state, start, p_try, t_start + tau)
+                nxt, history = fixed_point_step(grid, state, start, p_try, t_new)
             except _NotConverged as exc:
                 if exc.residual is not None:
                     last_residual = exc.residual
                 if tau * 0.5 == 0.0 or halvings == p.tau_backoff_limit:
                     raise StepFailureError(
                         f"step {k} (t in [{times[k - 1]:.6g}, {times[k]:.6g}]): "
-                        f"fixed point failed after {halvings + (tau * 0.5 != 0.0)} tau halvings "
+                        f"fixed point failed after {halvings} tau halvings "
                         f"(last residual {last_residual:.3e})"
                     ) from exc
                 tau, start, halvings = 0.5 * tau, state, halvings + 1
                 continue
-            done = remaining - tau <= 1e-12 * p.tau
             reports.append(
                 StepReport(
                     step=k,
-                    t=float(times[k]) if done else t_start + tau,
+                    t=t_new,
                     iterations=len(history),
                     residual=history[-1],
                     tau_used=tau,
-                    budget=budget_audit(grid, state, nxt, p_try, t_start + tau),
+                    budget=budget_audit(grid, state, nxt, p_try, t_new),
                     entropy=entropy_audit(grid, state, nxt, p_try),
                 )
             )
@@ -710,12 +714,19 @@ def budget_audit(
     }
 
 
+# The terms of dissipation_terms that are a-priori-estimate quantities. The
+# edge form bounds each of them, so a total of the entropy production leaves
+# them out rather than count that dissipation twice.
+ESTIMATE_TERMS = ("grad_log_theta_sq", "theta_grad_sqrt_rho_sq", "grad_sqrt_rho_theta_sq")
+
+
 def dissipation_terms(
     grid: Grid1D, state: EntropicState, p: SchemeParams
 ) -> Tuple[Dict[str, float], float]:
     """Entropy-production quadratures evaluated at a state.
 
-    Returns the named terms and the per-edge minimum of the symmetric
+    Returns the named terms (the edge form, the ESTIMATE_TERMS and the eps
+    and delta terms in use) and the per-edge minimum of the symmetric
     Onsager edge form, which is nonnegative by positive semidefiniteness of
     the 2x2 edge matrices.
     """

@@ -373,6 +373,26 @@ def test_macro_equilibrium_constant_columns(tmp_path):
     assert np.allclose(energy, energy[0], atol=1e-12)
 
 
+def test_diss_total_leaves_out_the_estimate_terms(tmp_path):
+    # diss_total sums the edge form and the eps and delta terms of each
+    # step's records; the a-priori-estimate terms, which the edge form
+    # bounds, would count that dissipation twice
+    doc = _macro_doc(tmp_path, eps=1e-6, delta=1e-4)
+    doc["init"]["preset"] = "temp-step"
+    assert main(["macro", _write_config(tmp_path, doc)]) == 0
+    out = tmp_path / "out"
+    diss = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 4]
+    estimates = ("grad_log_theta_sq", "theta_grad_sqrt_rho_sq", "grad_sqrt_rho_theta_sq")
+    expected = np.zeros(diss.size)
+    for record in json.loads((out / "audits.json").read_text())["records"]:
+        terms = record["dissipation"]
+        assert {"edge_form", "eps_w_terms", "delta_phi", *estimates} <= set(terms)
+        assert all(terms[name] > 0.0 for name in estimates)
+        expected[record["step"]] += sum(v for k, v in terms.items() if k not in estimates)
+    assert diss[0] == 0.0
+    np.testing.assert_allclose(diss, expected, rtol=1e-15)
+
+
 def test_macro_outputs_snapshots_and_audits(tmp_path):
     cfg = _write_config(tmp_path, _macro_doc(tmp_path))
     assert main(["macro", cfg]) == 0

@@ -396,7 +396,10 @@ def test_step_backoff_exhaustion_raises_with_residual():
     p = SchemeParams(
         tau=1e-2, eps=0.0, delta=0.0, t_final=1e-2, fp_max_iter=1, tau_backoff_limit=2
     )
-    with pytest.raises(StepFailureError, match=r"^step 1 \(t in \[0, 0.01\]\): ") as err:
+    with pytest.raises(
+        StepFailureError,
+        match=r"^step 1 \(t in \[0, 0.01\]\): fixed point failed after 2 tau halvings ",
+    ) as err:
         run_transient(GRID, _bump_init(GRID), p)
     assert _failure_residual(err) > 0.0
 
@@ -493,6 +496,37 @@ def test_run_transient_failure_names_the_steps_own_interval(monkeypatch):
     assert str(err.value).startswith("step 3 (t in [0.02, 0.03]): fixed point failed")
 
 
+def test_run_transient_halvings_restart_after_each_accepted_attempt(monkeypatch):
+    # With tau_backoff_limit = 3, the attempts of step 1 fail three times
+    # and are accepted at tau / 8, fail three times more and are accepted at
+    # 7 tau / 64, then fail for good: the last failure follows three
+    # halvings since the last acceptance, not six. Each failure reports its
+    # call number as residual but the last, which reports none.
+    schedule = "FFFA" "FFFA" "FFFF"
+    taus = []
+
+    def scheduled(grid, prev, start, p, t_new):
+        taus.append(p.tau)
+        if schedule[len(taus) - 1] == "A":
+            return prev, [0.0]
+        raise _NotConverged(None if len(taus) == len(schedule) else float(len(taus)))
+
+    monkeypatch.setattr(scheme, "fixed_point_step", scheduled)
+    p = SchemeParams(tau=1.0, t_final=1.0, tau_backoff_limit=3)
+    with pytest.raises(StepFailureError) as err:
+        run_transient(GRID, MacroState(np.ones(16), np.ones(16)), p)
+    assert str(err.value) == (
+        "step 1 (t in [0, 1]): fixed point failed after 3 tau halvings "
+        "(last residual 1.100e+01)"
+    )
+    remaining = 1.0 - 1.0 / 8.0 - 7.0 / 64.0
+    assert taus == [
+        *(1.0 / 2**i for i in range(4)),
+        *(7.0 / 8.0 / 2**i for i in range(4)),
+        *(remaining / 2**i for i in range(4)),
+    ]
+
+
 @pytest.mark.parametrize("inner_mode", ["coupled_implicit", "paper_picard"])
 @pytest.mark.parametrize(
     "preset, n_cells, tau",
@@ -536,7 +570,7 @@ def test_step_first_correction_is_judged_by_its_size():
     [
         # ratio (1e-3 - tau_prev) / tau_prev = 3: the extrapolated w is
         # prev's plus 400, beyond the chart cap, and the chord attempt blows up
-        (400.0 / 3.0, 2.5e-4),
+        pytest.param(400.0 / 3.0, 2.5e-4, id="extrapolated-w-beyond-cap"),
         (1e-3, 5e-324),  # the ratio tau / tau_prev overflows: no extrapolation
     ],
 )
