@@ -439,8 +439,8 @@ def _write_macro_outputs(
     diss = [0.0] * len(traj.times)
     for rep in traj.reports:
         iters[rep.step] += rep.iterations
-        terms = rep.entropy["dissipation"]
-        diss[rep.step] += sum(v for name, v in terms.items() if name not in ESTIMATE_TERMS)
+        terms = rep.entropy["dissipation"].items()
+        diss[rep.step] += sum(v for name, v in terms if name not in ESTIMATE_TERMS)
     rows = []
     for k, t in enumerate(traj.times):
         mac = to_primitive(traj.states[k])

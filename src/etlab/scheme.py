@@ -621,7 +621,8 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
                     if np.isfinite(phi).all() and np.isfinite(w).all():
                         start = EntropicState(phi=phi, w=w)
             p_try = replace(p, tau=tau)
-            t_new = float(times[k]) if remaining - tau <= 1e-12 * p.tau else t_start + tau
+            done = remaining - tau <= 1e-12 * p.tau
+            t_new = float(times[k]) if done else t_start + tau
             try:
                 nxt, history = fixed_point_step(grid, state, start, p_try, t_new)
             except _NotConverged as exc:
