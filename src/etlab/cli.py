@@ -462,17 +462,19 @@ def _write_macro_outputs(
         ["t", "mass", "energy", "entropy", "diss_total", "min_theta", "max_rho", "fp_iters"],
         rows,
     )
+    # Every snapshot has the same x column: its values are formatted once,
+    # into the template of the rows, and each snapshot's other five columns
+    # by one % over them (write_csv's format).
+    fields = ",%.17g" * 5 + "\n"
+    body = "".join(["%.17g" % x + fields for x in grid.cell_centers.tolist()])
     for k, state in enumerate(traj.states):
         if k % stride != 0 and k != len(traj.states) - 1:
             continue
         mac = to_primitive(state)
-        write_csv(
-            out / f"snapshot_{k}.csv",
-            ["x", "rho", "theta", "E", "phi", "w"],
-            np.column_stack(
-                [grid.cell_centers, mac.rho, mac.theta, mac.energy, state.phi, state.w]
-            ).tolist(),
-        )
+        values = np.column_stack([mac.rho, mac.theta, mac.energy, state.phi, state.w])
+        with open(out / f"snapshot_{k}.csv", "w", encoding="utf-8", newline="\n") as f:
+            f.write("x,rho,theta,E,phi,w\n")
+            f.write(body % tuple(values.ravel().tolist()))
 
 
 def _audit_record(rep: StepReport) -> Dict[str, Any]:

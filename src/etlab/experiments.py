@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, replace
+from itertools import chain
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -84,11 +85,15 @@ class ConvergenceTable:
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
-    """A table with one header line and %.17g floats, LF line endings."""
+    """A table with one header line and %.17g floats, LF line endings.
+
+    The body is formatted by one % operation over every value.
+    """
+    rows = list(rows)
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(line % tuple(row) for row in rows)
+        f.write((line * len(rows)) % tuple(chain.from_iterable(rows)))
 
 
 def _safe_order(e_coarse: float, e_fine: float, p_coarse: float, p_fine: float) -> float:

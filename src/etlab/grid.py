@@ -62,9 +62,9 @@ def div_edge(grid: Grid1D, flux: np.ndarray) -> np.ndarray:
         )
     out = np.empty(grid.n_cells)
     out[0] = flux[0]
-    out[1:-1] = flux[1:] - flux[:-1]
+    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
     out[-1] = -flux[-1]
-    return out / grid.h
+    return np.divide(out, grid.h, out=out)
 
 
 def second_diff(grid: Grid1D, field: np.ndarray) -> np.ndarray:
@@ -77,7 +77,11 @@ def second_diff(grid: Grid1D, field: np.ndarray) -> np.ndarray:
     field = _check_cells(grid, field)
     h2 = grid.h * grid.h
     out = np.empty(grid.n_cells)
-    out[1:-1] = (field[:-2] - 2.0 * field[1:-1] + field[2:]) / h2
+    inner = out[1:-1]  # (field[:-2] - 2 field[1:-1] + field[2:]) / h2, in place
+    np.multiply(field[1:-1], 2.0, out=inner)
+    np.subtract(field[:-2], inner, out=inner)
+    np.add(inner, field[2:], out=inner)
+    np.divide(inner, h2, out=inner)
     out[0] = (field[1] - field[0]) / h2
     out[-1] = (field[-2] - field[-1]) / h2
     return out

@@ -29,6 +29,13 @@ solution; only robustness and iteration counts differ.
 Every accepted step carries audits: the exact discrete mass/energy budget
 identities (telescopes of the weak form with a constant test function) and
 the entropy monotonicity check with its explicit delta-level slack.
+
+What a state derives is computed once per state and memoized on it
+(thermo.grid_memo): its Lyapunov functional H, which two steps' entropy
+audits and the writer read, and its edge data and second differences,
+which its residual, its Jacobian and its dissipation read. The arrays go
+once the iteration moves past the state, or once it is audited, so the
+states of a Trajectory keep only their primitives and H.
 """
 
 from __future__ import annotations
@@ -53,8 +60,9 @@ from .thermo import (
     BlowupError,
     EntropicState,
     MacroState,
-    edge_mean,
+    edge_mean,  # unused here, but perfbench/tracing.py spans scheme.edge_mean
     entropy_tilde,
+    grid_memo,
     onsager_edge,
     to_entropic,
     to_primitive,
@@ -163,8 +171,48 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# residual assembly
+# derived data of a state, and residual assembly
 # ---------------------------------------------------------------------------
+
+
+def _edge_data(grid: Grid1D, state: EntropicState) -> Tuple[np.ndarray, ...]:
+    """The edge data of ``state``: thermo's Onsager edge entries
+    (m11, m12, m22, exp(-w_e)), the edge differences (dphi, dw), and the
+    edge means (rho_e, theta_e) the entries are evaluated at, in that order.
+
+    Memoized on the state (thermo.grid_memo), so the residual, the Jacobian
+    and dissipation_terms of one state share one evaluation. The residual
+    only reads it: the dissipation never sees the residual's fluxes.
+    """
+    memo = grid_memo(state, grid)
+    edges = memo.get("edges")
+    if edges is None:
+        mac = to_primitive(state)
+        m11, m12, m22, eneg, rho_e, theta_e = onsager_edge(mac.rho, mac.theta, state.w)
+        dphi, dw = grad_edge(grid, state.phi), grad_edge(grid, state.w)
+        edges = memo["edges"] = (m11, m12, m22, eneg, dphi, dw, rho_e, theta_e)
+    return edges
+
+
+def _second_diff(grid: Grid1D, state: EntropicState, name: str) -> np.ndarray:
+    """second_diff of the state's field ``name`` ("phi" or "w"), memoized
+    on the state like _edge_data."""
+    memo = grid_memo(state, grid)
+    key = "L" + name
+    lap = memo.get(key)
+    if lap is None:
+        lap = memo[key] = second_diff(grid, getattr(state, name))
+    return lap
+
+
+def _drop_arrays(grid: Grid1D, state: EntropicState) -> None:
+    """Drop the arrays that _edge_data and _second_diff memoized on
+    ``state``. _converge drops an iterate's when it moves past it, and
+    run_transient an accepted state's once it is audited, so that no more
+    than the iterate at hand carries them, and Trajectory.states none."""
+    memo = grid_memo(state, grid)
+    for key in ("edges", "Lphi", "Lw"):
+        memo.pop(key, None)
 
 
 def _residual(
@@ -175,8 +223,8 @@ def _residual(
     t_new: float,
 ):
     """Nodal residuals of the discrete weak forms at the candidate, its
-    primitive fields, and its edge data (m11, m12, m22, exp(-w_e), dphi, dw,
-    theta_e), which _jacobian and _assemble_blocks reuse.
+    primitive fields, and its _edge_data, which _jacobian and
+    _assemble_blocks reuse.
 
     The quadrature of the mass residual telescopes to
     (mass(cand) - mass(prev)) / tau + delta * integrate(phi) exactly; the
@@ -184,11 +232,8 @@ def _residual(
     """
     mac = to_primitive(cand)
     rho, theta, w, phi = mac.rho, mac.theta, cand.w, cand.phi
-
-    m11, m12, m22, eneg = onsager_edge(rho, theta, w)
-    dphi = grad_edge(grid, phi)
-    dw = grad_edge(grid, w)
-    theta_e = edge_mean(theta)
+    edges = _edge_data(grid, cand)
+    m11, m12, m22, eneg, dphi, dw, _, theta_e = edges
     flux_mass = m11 * dphi + m12 * eneg * dw
     flux_energy = m12 * dphi + m22 * eneg * dw
 
@@ -199,23 +244,24 @@ def _residual(
     if p.source_energy is not None:
         dyn_energy = dyn_energy - p.source_energy(grid.cell_centers, t_new)
 
-    reg_mass = np.zeros(grid.n_cells)
-    reg_energy = np.zeros(grid.n_cells)
+    # The eps and delta terms are summed first and join the dynamics last.
+    reg_mass = reg_energy = 0.0
+    if p.eps > 0.0 or p.delta > 0.0:
+        lphi = _second_diff(grid, cand, "phi")
     if p.eps > 0.0:
-        reg_mass += p.eps * second_diff(grid, second_diff(grid, phi))
-        lw = second_diff(grid, w)
+        lw = _second_diff(grid, cand, "w")
+        reg_mass = p.eps * second_diff(grid, lphi)
         # products, not dw**3: pow takes a slow path on negative bases
-        reg_energy += p.eps * (
+        reg_energy = p.eps * (
             second_diff(grid, theta * lw)
             - div_edge(grid, theta_e * (dw * dw * dw))
             + (1.0 + theta) * w
         )
     if p.delta > 0.0:
-        reg_mass += p.delta * (phi - second_diff(grid, phi))
+        reg_mass += p.delta * (phi - lphi)
         reg_energy += p.delta * (
             -div_edge(grid, theta_e**3 * dw) + np.exp(-p.n_exp * w) * w
         )
-    edges = (m11, m12, m22, eneg, dphi, dw, theta_e)
     return dyn_mass + reg_mass, dyn_energy + reg_energy, mac, edges
 
 
@@ -271,7 +317,7 @@ def _assemble_blocks(
     """
     n, h = grid.n_cells, grid.h
     rho, w = frozen_mac.rho, frozen.w
-    m11, m12, m22, eneg, dphi, dw, theta_e = edges
+    m11, m12, m22, eneg, dphi, dw, _, theta_e = edges
     second, stiffness = _unit_bands(n, h)
     h_tau = h / p.tau
 
@@ -333,8 +379,7 @@ def _jacobian(
     """
     n, h = grid.n_cells, grid.h
     rho, theta, w = mac.rho, mac.theta, x.w
-    m11, m12, m22, eneg, dphi, dw, theta_e = edges
-    rho_e = edge_mean(rho)
+    m11, m12, m22, eneg, dphi, dw, rho_e, theta_e = edges
     g = eneg * dw
     tg = theta_e * g
     # Over 2h, each flux's derivatives by rho_e (p*) and theta_e (q*) and
@@ -402,7 +447,7 @@ def _jacobian(
         ld = np.full(n, -2.0 * hh)
         ld[0] = ld[-1] = -hh
         ld_theta = ld * theta
-        g_lw = theta * second_diff(grid, w)
+        g_lw = theta * _second_diff(grid, x, "w")
         off = hh * (ld_theta[:-1] + ld_theta[1:])
         band(1, 1, 1)[:] += p.eps * (off + hh * g_lw[1:])
         band(-1, 1, 1)[:] += p.eps * (off + hh * g_lw[:-1])
@@ -504,7 +549,7 @@ def _converge(
         r1, r2, mac, edges = _residual(grid, prev_mac, x, p, t_new)
         res = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
         history.append(res)
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             raise _NotConverged(res)
         if error <= p.fp_tol or res == 0.0:
             if p.tau * h * max(abs(r1.sum()), abs(r2.sum())) <= _BUDGET_GUARD:
@@ -517,12 +562,13 @@ def _converge(
         if newton and update > _LAST_RUNG_UPDATE:
             scale = _LAST_RUNG_UPDATE / update
             dphi, dw, update = dphi * scale, dw * scale, _LAST_RUNG_UPDATE
-        phi, w = x.phi + dphi, x.w + dw
-        if not (np.isfinite(phi).all() and np.isfinite(w).all()):
-            raise _NotConverged(res)
+        _drop_arrays(grid, x)
+        try:
+            x = EntropicState(phi=x.phi + dphi, w=x.w + dw)
+        except ValueError:  # a non-finite correction
+            raise _NotConverged(res) from None
         rate = update / last if 0.0 < last < math.inf else math.nan
         error = update * rate / (1.0 - rate) if rate < 0.5 else update
-        x = EntropicState(phi=phi, w=w)
     raise _NotConverged(history[-1])
 
 
@@ -647,6 +693,8 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
                     entropy=entropy_audit(grid, state, nxt, p_try),
                 )
             )
+            _drop_arrays(grid, state)
+            _drop_arrays(grid, nxt)
             older, state, tau_prev = state, nxt, tau
             t_start, remaining, halvings = t_start + tau, remaining - tau, 0
         states.append(state)
@@ -659,9 +707,17 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
 
 
 def lyapunov_functional(grid: Grid1D, state: EntropicState) -> float:
-    """H = integral of (entropy_tilde + E); nonincreasing up to the delta slack."""
-    mac = to_primitive(state)
-    return integrate(grid, entropy_tilde(mac.rho, mac.energy) + mac.energy)
+    """H = integral of (entropy_tilde + E); nonincreasing up to the delta slack.
+
+    Memoized on the state (thermo.grid_memo): the entropy audits of two
+    steps and the writer read the H of one state.
+    """
+    memo = grid_memo(state, grid)
+    entropy = memo.get("H")
+    if entropy is None:
+        mac = to_primitive(state)
+        entropy = memo["H"] = integrate(grid, entropy_tilde(mac.rho, mac.energy) + mac.energy)
+    return entropy
 
 
 def budget_audit(
@@ -734,11 +790,7 @@ def dissipation_terms(
     mac = to_primitive(state)
     rho, theta, w, phi = mac.rho, mac.theta, state.w, state.phi
     h = grid.h
-    m11, m12, m22, eneg = onsager_edge(rho, theta, w)
-    dphi = grad_edge(grid, phi)
-    dw = grad_edge(grid, w)
-    theta_e = edge_mean(theta)
-    rho_e = edge_mean(rho)
+    m11, m12, m22, eneg, dphi, dw, rho_e, theta_e = _edge_data(grid, state)
 
     # Sum-of-squares evaluation of the 2x2 edge form: its determinant
     # factors as rho theta^3 (1 + 5/2 rho theta), a product of nonnegative
@@ -762,8 +814,8 @@ def dissipation_terms(
         * float((grad_edge(grid, np.sqrt(rho * theta)) ** 2).sum()),
     }
     if p.eps > 0.0:
-        lphi = second_diff(grid, phi)
-        lw = second_diff(grid, w)
+        lphi = _second_diff(grid, state, "phi")
+        lw = _second_diff(grid, state, "w")
         terms["eps_hess_phi_sq"] = p.eps * h * float((lphi**2).sum())
         terms["eps_w_terms"] = (
             0.5

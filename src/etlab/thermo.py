@@ -10,12 +10,18 @@ so both stay strictly positive for any finite chart values. The entropy and
 the Onsager matrix are the standard closed forms for this closure; the
 Maxwellian and its moment checks live in etlab.kinetic, on the solver's
 velocity quadrature.
+
+An EntropicState is immutable and carries two memos: its primitive view
+(to_primitive), and grid_memo, the values that functions of a grid and the
+state derive on one grid. etlab.scheme keeps there the state's entropy H,
+kept for the state's life, and its edge data and second differences, which
+it drops once nothing reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -44,13 +50,18 @@ def _frozen(a) -> np.ndarray:
 class EntropicState:
     """Nodal entropic variables (phi, w); the scheme's unknowns.
 
-    The state is immutable: it holds read-only copies of its arrays, so the
-    primitive view that to_primitive memoizes on it cannot go stale.
+    The state is immutable: it holds read-only copies of its arrays, so
+    what is memoized on it cannot go stale. to_primitive memoizes the
+    primitive view; grid_memo holds what functions of a grid and the state
+    derive on one grid.
     """
 
     phi: np.ndarray
     w: np.ndarray
     _primitive: Optional["MacroState"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _grid_memo: Optional[Tuple[Grid1D, Dict[str, Any]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -122,22 +133,25 @@ def to_primitive(state: EntropicState) -> MacroState:
     if state._primitive is not None:
         return state._primitive
     phi, w = state.phi, state.w
-    bad = (np.abs(phi) > EXP_CAP) | (np.abs(w) > EXP_CAP)
-    if bad.any():
-        cell = int(np.argmax(bad))
+    # The checks reduce first and build their per-cell arrays only to name
+    # the cell; the entries are finite, so the two tests agree.
+    w_max = w.max()
+    if max(phi.max(), -phi.min(), w_max, -w.min()) > EXP_CAP:
+        cell = int(np.argmax((np.abs(phi) > EXP_CAP) | (np.abs(w) > EXP_CAP)))
         raise BlowupError(
             f"entropic state out of range at cell {cell}: "
             f"phi={phi[cell]:.6g}, w={w[cell]:.6g} (cap {EXP_CAP:g})"
         )
     expo = phi + 1.5 * w - 2.5
-    # the energy product theta * (1 + 1.5 rho) peaks near exp(expo + w)
-    largest = np.maximum(expo, np.maximum(w, expo + w + 1.0))
-    if (largest > _EXP_OVERFLOW).any():
+    # The energy product theta * (1 + 1.5 rho) peaks near exp(expo + w).
+    # Rounding is monotone, so adding 1 after the max is adding it before.
+    if max(expo.max(), w_max, (expo + w).max() + 1.0) > _EXP_OVERFLOW:
+        largest = np.maximum(expo, np.maximum(w, expo + w + 1.0))
         cell = int(np.argmax(largest))
         raise BlowupError(
             f"state exponent overflows at cell {cell}: exp({largest[cell]:.6g})"
         )
-    if (expo < -_EXP_OVERFLOW).any():
+    if expo.min() < -_EXP_OVERFLOW:
         cell = int(np.argmin(expo))
         raise BlowupError(
             f"density exponent underflows at cell {cell}: exp({expo[cell]:.6g})"
@@ -147,6 +161,19 @@ def to_primitive(state: EntropicState) -> MacroState:
     mac = MacroState(rho, theta)
     object.__setattr__(state, "_primitive", mac)
     return mac
+
+
+def grid_memo(state: EntropicState, grid: Grid1D) -> Dict[str, Any]:
+    """The memo of the values derived from ``state`` on ``grid``, by name.
+
+    It belongs to one grid object: asked with another, it starts empty, so
+    a value derived on one grid is never returned for another.
+    """
+    memo = state._grid_memo
+    if memo is None or memo[0] is not grid:
+        memo = (grid, {})
+        object.__setattr__(state, "_grid_memo", memo)
+    return memo[1]
 
 
 def to_entropic(rho, theta) -> EntropicState:
@@ -206,16 +233,17 @@ def edge_mean(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a[:-1] + a[1:])
 
 
-def onsager_edge(
-    rho: np.ndarray, theta: np.ndarray, w: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Onsager entries and e^{-w} at edges from averaged nodal rho, theta, w.
+def onsager_edge(rho: np.ndarray, theta: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Onsager entries and e^{-w} at edges from averaged nodal rho, theta, w:
+    (m11, m12, m22, e^{-w_e}, rho_e, theta_e), the last two the edge means
+    the entries are evaluated at.
 
     Averaging the primitives before evaluating the entries keeps the 2x2
     edge matrix [[m11, m12 e], [m12 e, m22 e^2]] positive semidefinite for
     any positive edge value e of exp(-w).
     """
-    return (*_mobility(edge_mean(rho), edge_mean(theta)), np.exp(-edge_mean(w)))
+    rho_e, theta_e = edge_mean(rho), edge_mean(theta)
+    return (*_mobility(rho_e, theta_e), np.exp(-edge_mean(w)), rho_e, theta_e)
 
 
 def flux_consistency(grid: Grid1D, state: EntropicState) -> Tuple[float, float]:
@@ -225,7 +253,7 @@ def flux_consistency(grid: Grid1D, state: EntropicState) -> Tuple[float, float]:
     second-order consistency residual. Returned for diagnosis, never fatal.
     """
     mac = to_primitive(state)
-    m11, m12, m22, eneg = onsager_edge(mac.rho, mac.theta, state.w)
+    m11, m12, m22, eneg, _, _ = onsager_edge(mac.rho, mac.theta, state.w)
     dphi = grad_edge(grid, state.phi)
     dw = grad_edge(grid, state.w)
     flux_mass = m11 * dphi + m12 * eneg * dw

@@ -231,11 +231,13 @@ def test_onsager_edge_entries_are_onsager_at_edge_means():
     rho = rng.uniform(1e-3, 10.0, size=65)
     theta = rng.uniform(1e-3, 10.0, size=65)
     w = np.log(theta)
-    m11, m12, m22, eneg = onsager_edge(rho, theta, w)
+    m11, m12, m22, eneg, rho_e, theta_e = onsager_edge(rho, theta, w)
     m = onsager(edge_mean(rho), edge_mean(theta))
     for got, want in ((m11, m.m11), (m12, m.m12), (m22, m.m22)):
         assert np.array_equal(got, want)
     assert np.array_equal(eneg, np.exp(-edge_mean(w)))
+    assert np.array_equal(rho_e, edge_mean(rho))
+    assert np.array_equal(theta_e, edge_mean(theta))
 
 
 # ---------------------------------------------------------------------------
