@@ -1,7 +1,8 @@
 #!/bin/sh
 # Run one small config per etlab mode on two source trees and report, per
 # config, whether `diff -r` finds their output directories identical. macro
-# also runs with paper_picard (at the default eps and delta, and at
+# also runs at n = 1024 (the size of the benchmark's macro-n1024, 20 steps,
+# under 1 s), with paper_picard (at the default eps and delta, and at
 # eps = delta = 0), with backoff substeps (fp_max_iter = 4 makes its first
 # step halve tau five times) and on theta-step data whose first step
 # exhausts the tau backoff, kinetic also on uniform equilibrium data with
@@ -33,6 +34,9 @@ items() {  # items <count> <value>: <count> comma-separated copies of <value>
 config macro '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-3, "t_final": 0.01}, "init": {"preset": "gauss-bump"},
   "output": {"snapshot_stride": 1}}'
+config macro-n1024 '{"mode": "macro", "grid": {"n_cells": 1024, "length": 1.0},
+  "scheme": {"tau": 1e-3, "t_final": 0.02}, "init": {"preset": "gauss-bump"},
+  "output": {"snapshot_stride": 10}}'
 config macro-picard '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-3, "t_final": 0.01, "inner_mode": "paper_picard"},
   "init": {"preset": "gauss-bump"}}'
@@ -71,7 +75,7 @@ run() {  # run <tree> <label> <mode> <config> <out>: etlab's exit code
     "output.directory=$work/$2/$5" > "$work/$2-$5.log" 2>&1
 }
 
-for name in macro macro-picard macro-picard-unregularized macro-substeps macro-fails audit kinetic kinetic-dense compare sweep-delta sweep-varied mms; do
+for name in macro macro-n1024 macro-picard macro-picard-unregularized macro-substeps macro-fails audit kinetic kinetic-dense compare sweep-delta sweep-varied mms; do
   status=
   codes=
   for tree in base head; do

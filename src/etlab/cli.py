@@ -437,10 +437,14 @@ def _write_macro_outputs(
 ) -> None:
     iters = [0] * len(traj.times)
     diss = [0.0] * len(traj.times)
+    tau = float(traj.times[1])
     for rep in traj.reports:
         iters[rep.step] += rep.iterations
+        # A step's time-averaged rate: each attempt's rate at its end state,
+        # weighted by the share of tau it covers (1 without substeps).
         terms = rep.entropy["dissipation"].items()
-        diss[rep.step] += sum(v for name, v in terms if name not in ESTIMATE_TERMS)
+        rate = sum(v for name, v in terms if name not in ESTIMATE_TERMS)
+        diss[rep.step] += (rep.tau_used / tau) * rate
     rows = []
     for k, t in enumerate(traj.times):
         mac = to_primitive(traj.states[k])

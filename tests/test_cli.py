@@ -19,7 +19,10 @@ from etlab.cli import (
     parse_config,
 )
 from etlab.experiments import write_csv
+from etlab.grid import integrate
 from etlab.kinetic import MAX_EPS, MIN_EPS
+from etlab.scheme import ESTIMATE_TERMS, lyapunov_functional, run_transient
+from etlab.thermo import to_primitive
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -435,6 +438,79 @@ def test_macro_byte_identical_reruns(tmp_path):
     assert main(["macro", cfg, f"output.directory={tmp_path/'b'}"]) == 0
     for name in ("trajectory.csv", "snapshot_0.csv", "audits.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _rate(terms):
+    """A record's dissipation rate as diss_total counts it."""
+    return sum(v for name, v in terms.items() if name not in ESTIMATE_TERMS)
+
+
+def test_macro_outputs_are_17g_of_the_values_behind_them(tmp_path):
+    # Every line of trajectory.csv and of each snapshot is "%.17g" of the
+    # values it stores, joined by commas; fp_iters, an integer, too. The
+    # values come from the same run, repeated: runs are deterministic.
+    doc = _macro_doc(tmp_path, tau=1e-3, t_final=5e-3, eps=1e-6, delta=1e-4)
+    doc["init"]["preset"] = "gauss-bump"
+    doc["output"]["snapshot_stride"] = 2
+    assert main(["macro", _write_config(tmp_path, doc)]) == 0
+    cfg = parse_config(json.dumps(doc))
+    grid, init = cfg.initial_state()
+    traj = run_transient(grid, init, cfg.scheme)
+
+    def line(values):
+        return ",".join("%.17g" % v for v in values)
+
+    out = tmp_path / "out"
+    iters = [0] * len(traj.times)
+    diss = [0.0] * len(traj.times)
+    for rep in traj.reports:
+        iters[rep.step] += rep.iterations
+        diss[rep.step] += (rep.tau_used / traj.times[1]) * _rate(rep.entropy["dissipation"])
+    lines = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + len(traj.states) == 7
+    for k, state in enumerate(traj.states):
+        mac = to_primitive(state)
+        row = [
+            traj.times[k],
+            integrate(grid, mac.rho),
+            integrate(grid, mac.energy),
+            lyapunov_functional(grid, state),
+            diss[k],
+            float(np.min(mac.theta)),
+            float(np.max(mac.rho)),
+            iters[k],
+        ]
+        assert lines[1 + k] == line(row)
+    assert int(lines[-1].rsplit(",", 1)[1]) == iters[-1] > 0
+    for k in (0, 2, 4, 5):
+        mac, state = to_primitive(traj.states[k]), traj.states[k]
+        text = (out / f"snapshot_{k}.csv").read_text(encoding="utf-8")
+        columns = zip(grid.cell_centers, mac.rho, mac.theta, mac.energy, state.phi, state.w)
+        assert text == "x,rho,theta,E,phi,w\n" + "".join(line(c) + "\n" for c in columns)
+
+
+def test_diss_total_is_the_time_averaged_rate_of_substepped_steps(tmp_path):
+    # The substepped run of the test below: each record's rate enters its
+    # step's diss_total weighted by tau_used / tau, so each row lies between
+    # the rates of its records. Summed unweighted, step 1's 18 records, with
+    # rates of 3.4 to 12.4, added up to 131.1.
+    doc = _macro_doc(tmp_path, tau=1e-2, t_final=0.04, fp_max_iter=4)
+    del doc["scheme"]["eps"], doc["scheme"]["delta"]
+    doc["grid"]["n_cells"] = 32
+    doc["init"]["preset"] = "gauss-bump"
+    assert main(["macro", _write_config(tmp_path, doc)]) == 0
+    out = tmp_path / "out"
+    records = _strict_json(out / "audits.json")["records"]
+    rows = _read_csv(out / "trajectory.csv")
+    tau = rows["t"][1]
+    assert rows["diss_total"][0] == 0.0
+    for k in range(1, 5):
+        own = [r for r in records if r["step"] == k]
+        rates = [_rate(r["dissipation"]) for r in own]
+        weighted = sum((r["tau_used"] / tau) * rate for r, rate in zip(own, rates))
+        assert rows["diss_total"][k] == pytest.approx(weighted, rel=1e-14)
+        assert min(rates) * (1 - 1e-12) <= rows["diss_total"][k] <= max(rates) * (1 + 1e-12)
+    assert len([r for r in records if r["step"] == 1]) == 18
 
 
 def test_audit_mode_on_stored_trajectory(tmp_path):

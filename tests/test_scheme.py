@@ -11,7 +11,7 @@ import pytest
 from etlab import scheme
 from etlab.cli import parse_config
 from etlab.experiments import initial_condition
-from etlab.grid import build_grid, integrate
+from etlab.grid import build_grid, grad_edge, integrate, second_diff
 from etlab.linalg import BandedCholesky, BandedLU, BandedSymmetricMatrix
 from etlab.scheme import (
     SchemeParams,
@@ -35,6 +35,9 @@ from etlab.thermo import (
     BlowupError,
     EntropicState,
     MacroState,
+    entropy_tilde,
+    grid_memo,
+    onsager_edge,
     to_entropic,
     to_primitive,
 )
@@ -880,3 +883,80 @@ def test_lyapunov_matches_manual_quadrature():
 
     manual = integrate(GRID, entropy_tilde(mac.rho, mac.energy) + mac.energy)
     assert lyapunov_functional(GRID, s) == pytest.approx(manual, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# per-state memos
+# ---------------------------------------------------------------------------
+
+
+def _varied_state(grid):
+    """A state whose fields vary in every cell, so no edge datum is trivial."""
+    x = grid.cell_centers / grid.length
+    base = _bump_state(grid)
+    return EntropicState(phi=base.phi + 0.1 * np.sin(7.0 * x), w=0.3 * np.cos(3.0 * x))
+
+
+def _fresh_edges(grid, state):
+    """_edge_data's tuple, evaluated directly through thermo and grid."""
+    mac = to_primitive(EntropicState(phi=state.phi, w=state.w))
+    m11, m12, m22, eneg, rho_e, theta_e = onsager_edge(mac.rho, mac.theta, state.w)
+    dphi, dw = grad_edge(grid, state.phi), grad_edge(grid, state.w)
+    return m11, m12, m22, eneg, dphi, dw, rho_e, theta_e
+
+
+def test_memoized_entropy_and_edge_data_equal_fresh_evaluations():
+    s = _varied_state(GRID)
+    mac = to_primitive(s)
+    fresh_h = integrate(GRID, entropy_tilde(mac.rho, mac.energy) + mac.energy)
+    assert lyapunov_functional(GRID, s) == fresh_h
+    assert lyapunov_functional(GRID, s) == fresh_h  # from the memo
+    edges = scheme._edge_data(GRID, s)
+    assert scheme._edge_data(GRID, s) is edges
+    want = _fresh_edges(GRID, s)
+    assert len(edges) == len(want)
+    for got, expected in zip(edges, want):
+        assert np.array_equal(got, expected)
+    assert np.array_equal(scheme._second_diff(GRID, s, "phi"), second_diff(GRID, s.phi))
+    assert np.array_equal(scheme._second_diff(GRID, s, "w"), second_diff(GRID, s.w))
+
+
+def test_memo_made_on_one_grid_is_never_returned_for_another():
+    # Same cells, other lengths, and an equal grid that is another object:
+    # each gets its own evaluation, and going back recomputes rather than
+    # returning the other grid's values.
+    s = _varied_state(GRID)
+    grids = [GRID, build_grid(16, 3.0), build_grid(16, 1.0), GRID]
+    for grid in grids:
+        mac = to_primitive(s)
+        fresh_h = integrate(grid, entropy_tilde(mac.rho, mac.energy) + mac.energy)
+        assert lyapunov_functional(grid, s) == fresh_h
+        for got, expected in zip(scheme._edge_data(grid, s), _fresh_edges(grid, s)):
+            assert np.array_equal(got, expected)
+    assert lyapunov_functional(grids[1], s) != lyapunov_functional(GRID, s)
+    assert scheme._edge_data(grids[2], s) is not scheme._edge_data(GRID, s)
+
+
+def test_dissipation_does_not_read_the_residuals_flux_assembly(monkeypatch):
+    # The residual's fluxes go through div_edge; a 10% wrong divergence there
+    # changes the residual but must leave the dissipation of the same state,
+    # whose edge data the residual memoized, bit for bit as it was.
+    p = SchemeParams(tau=1e-3, eps=1e-6, delta=1e-4)
+    s = _varied_state(GRID)
+    reference = dissipation_terms(GRID, EntropicState(phi=s.phi, w=s.w), p)
+    prev_mac = to_primitive(_bump_state(GRID))
+    r_mass = _residual(GRID, prev_mac, EntropicState(phi=s.phi, w=s.w), p, p.tau)[0]
+    div_edge = scheme.div_edge
+    monkeypatch.setattr(scheme, "div_edge", lambda grid, flux: 1.1 * div_edge(grid, flux))
+    assert not np.array_equal(_residual(GRID, prev_mac, s, p, p.tau)[0], r_mass)
+    assert dissipation_terms(GRID, s, p) == reference
+
+
+def test_trajectory_states_keep_no_edge_data():
+    # The audits are the last readers of an accepted state's arrays: the
+    # states of a trajectory keep their primitives and H, nothing else.
+    grid = build_grid(32, 1.0)
+    p = SchemeParams(tau=1e-3, t_final=5e-3)
+    traj = run_transient(grid, _bump_init(grid), p)
+    for state in traj.states:
+        assert set(grid_memo(state, grid)) <= {"H"}

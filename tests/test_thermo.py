@@ -6,6 +6,7 @@ import pytest
 
 from etlab.grid import build_grid
 from etlab.thermo import (
+    EXP_CAP,
     BlowupError,
     EntropicState,
     MacroState,
@@ -78,6 +79,48 @@ def test_to_primitive_rejects_chart_values_beyond_the_cap():
     state = EntropicState(phi=np.array([0.0, 301.0]), w=np.array([0.0, 0.0]))
     with pytest.raises(BlowupError, match=r"cell 1: phi=301, w=0 \(cap 300\)"):
         to_primitive(state)
+
+
+def _per_cell_failure(phi, w):
+    """The failing check and the cell it names, by the per-cell form of
+    to_primitive's checks; None when the state converts."""
+    bad = (np.abs(phi) > EXP_CAP) | (np.abs(w) > EXP_CAP)
+    if bad.any():
+        return "out of range", int(np.argmax(bad))
+    expo = phi + 1.5 * w - 2.5
+    largest = np.maximum(expo, np.maximum(w, expo + w + 1.0))
+    if (largest > 700.0).any():
+        return "overflows", int(np.argmax(largest))
+    if (expo < -700.0).any():
+        return "underflows", int(np.argmin(expo))
+    return None
+
+
+def test_to_primitive_checks_agree_with_their_per_cell_form():
+    # to_primitive reduces first and builds the per-cell arrays only to name
+    # the cell: on states at and around every threshold (the cap, and
+    # exponents of +-700 by rho, by the energy product and by both) it must
+    # fail exactly where the per-cell form fails, naming the same cell.
+    rng = np.random.default_rng(11)
+    # (phi, w) per cell: inside, at the energy product's threshold, at
+    # rho's underflow threshold, at and near the cap, beyond the threshold
+    phi_edges = [0.0, 0.0, -247.5, 299.0, 300.0, -300.0, 3.0]
+    w_edges = [0.0, 280.6, -300.0, 0.0, 300.0, 0.0, 280.0]
+    outcomes = set()
+    for _ in range(3000):
+        k = rng.integers(len(phi_edges), size=4)
+        ulps = rng.integers(-3, 4, size=(2, 4))
+        phi = np.array(phi_edges)[k] + ulps[0] * 1e-13
+        w = np.array(w_edges)[k] + ulps[1] * 1e-13
+        want = _per_cell_failure(phi, w)
+        outcomes.add(want and want[0])
+        state = EntropicState(phi=phi, w=w)
+        if want is None:
+            to_primitive(state)
+        else:
+            with pytest.raises(BlowupError, match=f"{want[0]} at cell {want[1]}:"):
+                to_primitive(state)
+    assert outcomes == {None, "out of range", "overflows", "underflows"}
 
 
 def test_state_arrays_are_read_only_copies():
