@@ -34,8 +34,8 @@ What a state derives is computed once per state and memoized on it
 (thermo.grid_memo): its Lyapunov functional H, which two steps' entropy
 audits and the writer read, and its edge data and second differences,
 which its residual, its Jacobian and its dissipation read. The arrays go
-once the iteration moves past the state, or once it is audited, so the
-states of a Trajectory keep only their primitives and H.
+once the iteration moves past the state, or once its entropy audit has
+read them, so the states of a Trajectory keep only their primitives and H.
 """
 
 from __future__ import annotations
@@ -208,8 +208,9 @@ def _second_diff(grid: Grid1D, state: EntropicState, name: str) -> np.ndarray:
 def _drop_arrays(grid: Grid1D, state: EntropicState) -> None:
     """Drop the arrays that _edge_data and _second_diff memoized on
     ``state``. _converge drops an iterate's when it moves past it, and
-    run_transient an accepted state's once it is audited, so that no more
-    than the iterate at hand carries them, and Trajectory.states none."""
+    entropy_audit, their last reader, the audited state's, so that no more
+    than the state at hand carries them: not the states of a Trajectory,
+    nor those that ``etlab audit`` reads."""
     memo = grid_memo(state, grid)
     for key in ("edges", "Lphi", "Lw"):
         memo.pop(key, None)
@@ -693,8 +694,6 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
                     entropy=entropy_audit(grid, state, nxt, p_try),
                 )
             )
-            _drop_arrays(grid, state)
-            _drop_arrays(grid, nxt)
             older, state, tau_prev = state, nxt, tau
             t_start, remaining, halvings = t_start + tau, remaining - tau, 0
         states.append(state)
@@ -849,13 +848,15 @@ def entropy_audit(
     zero-order delta term; with eps = 0 every remaining contribution is
     signed pointwise, so violations beyond roundoff indicate a broken step.
     Returns the audits.json fields ``entropy_before``/``after``/``slack``/
-    ``violation``/``pass``, ``edge_form_min`` and ``dissipation``.
+    ``violation``/``pass``, ``edge_form_min`` and ``dissipation``. Drops
+    the arrays memoized on ``nxt``, of which it is the last reader.
     """
     h_prev = lyapunov_functional(grid, prev)
     h_next = lyapunov_functional(grid, nxt)
     slack = p.tau * p.delta * np.exp(2.0 * (p.n_exp + 1.0)) * grid.length
     violation = h_next - h_prev - slack
     terms, edge_min = dissipation_terms(grid, nxt, p)
+    _drop_arrays(grid, nxt)
     return {
         "entropy_before": h_prev,
         "entropy_after": h_next,

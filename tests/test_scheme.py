@@ -952,11 +952,16 @@ def test_dissipation_does_not_read_the_residuals_flux_assembly(monkeypatch):
     assert dissipation_terms(GRID, s, p) == reference
 
 
-def test_trajectory_states_keep_no_edge_data():
-    # The audits are the last readers of an accepted state's arrays: the
-    # states of a trajectory keep their primitives and H, nothing else.
+def test_audited_states_keep_no_edge_data():
+    # The entropy audit is the last reader of a state's arrays: the states
+    # of a trajectory, and the states etlab audit replays, keep their
+    # primitives and H, nothing else.
     grid = build_grid(32, 1.0)
     p = SchemeParams(tau=1e-3, t_final=5e-3)
     traj = run_transient(grid, _bump_init(grid), p)
     for state in traj.states:
         assert set(grid_memo(state, grid)) <= {"H"}
+    replayed = [EntropicState(phi=s.phi, w=s.w) for s in traj.states]
+    for prev, nxt in zip(replayed, replayed[1:]):
+        entropy_audit(grid, prev, nxt, p)
+        assert set(grid_memo(nxt, grid)) == {"H"}
