@@ -84,16 +84,25 @@ class ConvergenceTable:
         write_csv(path, CSV_HEADER, [astuple(r) for r in self.rows])
 
 
+# write_csv formats up to this many rows with one % operation: all of a
+# short table at once, and a long one (kinetic_trajectory.csv has thousands
+# of rows) in blocks, so that its text is never held whole.
+_CSV_BLOCK_ROWS = 256
+
+
 def write_csv(path, header: Sequence[str], rows) -> None:
     """A table with one header line and %.17g floats, LF line endings.
 
-    The body is formatted by one % operation over every value.
+    Each block of up to _CSV_BLOCK_ROWS rows is formatted by one %
+    operation over its values.
     """
     rows = list(rows)
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        f.write((line * len(rows)) % tuple(chain.from_iterable(rows)))
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start : start + _CSV_BLOCK_ROWS]
+            f.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def _safe_order(e_coarse: float, e_fine: float, p_coarse: float, p_fine: float) -> float:

@@ -573,6 +573,16 @@ def test_write_csv_formats_each_value_as_format_17g(tmp_path):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def test_write_csv_formats_a_long_table_in_seamless_blocks(tmp_path):
+    # Over two blocks of rows and a part of a third: the same bytes as one
+    # % per row.
+    path = tmp_path / "long.csv"
+    rows = [[k, k / 3.0, -1e-300 * k, 2.0**k] for k in range(2 * 256 + 7)]
+    write_csv(path, ["k", "third", "tiny", "power"], rows)
+    lines = ["k,third,tiny,power"] + [",".join("%.17g" % v for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def test_read_csv_round_trips_written_values_bit_for_bit(tmp_path):
     path, header, rows = _write_csv_values(tmp_path)
     cols = _read_csv(path)
