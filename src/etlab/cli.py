@@ -512,7 +512,8 @@ def _write_audits(out: Path, records: List[Dict[str, Any]]) -> int:
     # encode, does the json module use its C encoder.
     text = json.dumps(payload, sort_keys=True, allow_nan=False, default=_json_default)
     with open(out / "audits.json", "w", encoding="utf-8", newline="\n") as f:
-        f.write(text + "\n")
+        f.write(text)  # not text + "\n": a copy of the text raised the peak RSS
+        f.write("\n")
     if failed:
         print(
             f"audit failure: {len(failed)} of {len(records)} steps failed "
