@@ -5,8 +5,9 @@
 # under 1 s), with paper_picard (at the default eps and delta, and at
 # eps = delta = 0), with backoff substeps (fp_max_iter = 4 makes its first
 # step halve tau five times) and on theta-step data whose first step
-# exhausts the tau backoff, kinetic also on uniform equilibrium data with
-# rho = 1e16 >> theta = 1, and sweep with one varied field (the gaps and
+# exhausts the tau backoff, kinetic also at the size of the benchmark's
+# kinetic-n256 (n = 256, n_v = 64, 2276 steps, about 0.5 s) and on uniform
+# equilibrium data with rho = 1e16 >> theta = 1, and sweep with one varied field (the gaps and
 # orders of a delta study) and with two; a config named <mode>-<variant>
 # runs <mode>. When both trees exit with the same nonzero code, their
 # error.json files are compared instead.
@@ -54,6 +55,9 @@ config macro-fails '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
 config kinetic '{"mode": "kinetic", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"t_final": 0.005}, "kinetic": {"eps": 0.2, "n_v": 32},
   "init": {"preset": "gauss-bump"}}'
+config kinetic-n256 '{"mode": "kinetic", "grid": {"n_cells": 256, "length": 1.0},
+  "scheme": {"t_final": 0.1}, "kinetic": {"eps": 0.1, "n_v": 64},
+  "init": {"preset": "gauss-bump"}}'
 config kinetic-dense '{"mode": "kinetic", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"t_final": 0.005}, "kinetic": {"eps": 0.2, "n_v": 32},
   "init": {"rho0": ['"$(items 32 1e16)"'], "theta0": ['"$(items 32 1.0)"']}}'
@@ -75,7 +79,7 @@ run() {  # run <tree> <label> <mode> <config> <out>: etlab's exit code
     "output.directory=$work/$2/$5" > "$work/$2-$5.log" 2>&1
 }
 
-for name in macro macro-n1024 macro-picard macro-picard-unregularized macro-substeps macro-fails audit kinetic kinetic-dense compare sweep-delta sweep-varied mms; do
+for name in macro macro-n1024 macro-picard macro-picard-unregularized macro-substeps macro-fails audit kinetic kinetic-n256 kinetic-dense compare sweep-delta sweep-varied mms; do
   status=
   codes=
   for tree in base head; do

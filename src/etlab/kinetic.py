@@ -114,29 +114,37 @@ def _gaussian(theta: np.ndarray, v2: np.ndarray, out: np.ndarray) -> np.ndarray:
 class KineticState:
     """Reduced distributions, background temperature, and scaled Knudsen number.
 
-    g0 and g2 live on the velocity ring (see _fold). ``delta`` is the
-    per-cell energy defect S2/S0 - theta of the discrete Maxwellian at the
-    last relaxation temperature (see _relax_temperature).
+    ``g`` holds g0 and g2 as its two layers, each on the velocity ring (see
+    _fold). ``delta`` is the per-cell energy defect S2/S0 - theta of the
+    discrete Maxwellian at the last relaxation temperature (see
+    _relax_temperature).
     """
 
-    g0: np.ndarray  # (2 n_x, n_h), nonnegative
-    g2: np.ndarray  # (2 n_x, n_h), nonnegative
+    g: np.ndarray  # (2, 2 n_x, n_h): g0 and g2, nonnegative
     theta_b: np.ndarray  # (n_x,), positive
     eps: float
     grid: Grid1D
     vgrid: VelocityGrid
     delta: np.ndarray  # (n_x,)
 
+    @property
+    def g0(self) -> np.ndarray:
+        return self.g[0]
+
+    @property
+    def g2(self) -> np.ndarray:
+        return self.g[1]
+
 
 def _fold(g: np.ndarray) -> np.ndarray:
-    """The velocity ring of an (n_x, n_v) distribution: shape (2 n_x, n_h).
+    """The velocity ring of (..., n_x, n_v) distributions: shape (..., 2 n_x, n_h).
 
     Row k < n_x is cell k at the nonnegative nodes, row n_x + k is cell
     n_x - 1 - k at their negatives, in the same node order. A zero node
     (odd n_v) is in both halves.
     """
-    half = g.shape[1] // 2
-    return np.concatenate((g[:, half:], g[::-1, ::-1][:, half:]))
+    half = g.shape[-1] // 2
+    return np.concatenate((g[..., half:], g[..., ::-1, ::-1][..., half:]), axis=-2)
 
 
 def _cell_sums(per_row: np.ndarray) -> np.ndarray:
@@ -160,8 +168,16 @@ def _moment_weights(vgrid: VelocityGrid):
     return w, w * v**2, w * v, folded
 
 
-def _kinetic_energy(g0: np.ndarray, g2: np.ndarray, w: np.ndarray, wv2: np.ndarray):
-    return 0.5 * _cell_sums(g0 @ wv2 + g2 @ w)
+def _density_energy(g: np.ndarray, w: np.ndarray, wv2: np.ndarray):
+    """Per-cell density and kinetic energy density of a ring pair ``g``.
+
+    One product of both layers with w gives sum w g0 and sum w g2 at once,
+    each row's sum the same bits as in a product of one layer.
+    """
+    n_ring = g.shape[1]
+    sums = g.reshape(2 * n_ring, -1) @ w
+    rho = _cell_sums(sums[:n_ring])
+    return rho, 0.5 * _cell_sums(g[0] @ wv2 + sums[n_ring:])
 
 
 def init_equilibrium(
@@ -184,21 +200,20 @@ def init_equilibrium(
     upper = m1[:, v.shape[0] // 2 :]
     s0, s2 = upper @ w0, upper @ w2
     delta = np.divide(s2, s0, out=theta0.copy(), where=s0 > 0.0) - theta0
-    g0 = rho0[:, None] * m1
-    g2 = 2.0 * theta0[:, None] * g0
-    return KineticState(
-        _fold(g0), _fold(g2), theta0.copy(), float(eps), grid, vgrid, delta
-    )
+    g = np.empty((2,) + m1.shape)
+    np.multiply(rho0[:, None], m1, out=g[0])
+    np.multiply(2.0 * theta0[:, None], g[0], out=g[1])
+    return KineticState(_fold(g), theta0.copy(), float(eps), grid, vgrid, delta)
 
 
 def moments(state: KineticState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell density, kinetic energy density, and scaled mass flux."""
     w, wv2, wv, _ = _moment_weights(state.vgrid)
-    rho = _cell_sums(state.g0 @ w)
+    rho, e_kin = _density_energy(state.g, w, wv2)
     flux_rows = state.g0 @ wv
     n_x = flux_rows.shape[0] // 2
     mass_flux = (flux_rows[:n_x] - flux_rows[n_x:][::-1]) / state.eps
-    return rho, _kinetic_energy(state.g0, state.g2, w, wv2), mass_flux
+    return rho, e_kin, mass_flux
 
 
 def energy_total(grid: Grid1D, state: KineticState) -> float:
@@ -207,22 +222,20 @@ def energy_total(grid: Grid1D, state: KineticState) -> float:
     return integrate(grid, state.theta_b + kinetic_energy)
 
 
-def _transport(
-    q: np.ndarray, courant: np.ndarray, diff: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """One-way upwind transport round the velocity ring into ``out``.
+def _transport(q: np.ndarray, courant: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One-way upwind transport round the velocity ring, each layer of ``q`` into ``out``.
 
-    ``diff`` receives D[k] = q[k] - q[k - 1 mod 2 n_x], then out = q -
-    courant D with courant = dt |v| / (eps h) <= 1. At the wrap and the
-    middle of the ring D pairs a cell with its mirrored velocity: specular
-    reflection, whose wall fluxes of mass and energy cancel exactly. Each
-    half is the upwind update of its velocity sign bit for bit, as
-    -a b = a (-b) exactly. ``diff`` is left as scratch.
+    ``out`` first receives D[k] = q[k] - q[k - 1 mod 2 n_x], then becomes
+    q - courant D in place, with courant = dt |v| / (eps h) <= 1. At the
+    wrap and the middle of the ring D pairs a cell with its mirrored
+    velocity: specular reflection, whose wall fluxes of mass and energy
+    cancel exactly. Each half is the upwind update of its velocity sign bit
+    for bit, as -a b = a (-b) exactly.
     """
-    np.subtract(q[1:], q[:-1], out=diff[1:])
-    np.subtract(q[0], q[-1], out=diff[0])
-    np.multiply(courant, diff, out=diff)
-    return np.subtract(q, diff, out=out)
+    np.subtract(q[:, 1:], q[:, :-1], out=out[:, 1:])
+    np.subtract(q[:, 0], q[:, -1], out=out[:, 0])
+    np.multiply(courant, out, out=out)
+    return np.subtract(q, out, out=out)
 
 
 def _heat_factor(n: int, h: float, dt: float) -> BandedCholesky:
@@ -250,14 +263,16 @@ def _aligned_empty(shape: Tuple[int, ...]) -> np.ndarray:
 
 class _StepConstants:
     """What the steps of a run share, built once: the Courant numbers tiled to
-    the ring's shape (64-byte aligned), v_h^2, the moment weights, mu and
-    keep = 1 / (1 + lam) for lam = dt / eps^2, and the heat factor."""
+    the ring's shape and v_h^2 tiled to the half grid's (both 64-byte
+    aligned), the moment weights, mu and keep = 1 / (1 + lam) for
+    lam = dt / eps^2, and the heat factor."""
 
     def __init__(self, grid: Grid1D, vgrid: VelocityGrid, eps: float, dt: float):
         v = vgrid.nodes[vgrid.n_v // 2 :]
         self.courant = _aligned_empty((2 * grid.n_cells, v.shape[0]))
         self.courant[:] = dt * v / (eps * grid.h)
-        self.v2 = v**2
+        self.v2 = _aligned_empty((grid.n_cells, v.shape[0]))
+        self.v2[:] = v**2
         self.w, self.wv2, _, self.folded = _moment_weights(vgrid)
         lam = dt / eps**2
         self.mu = lam / (1.0 + lam)
@@ -297,9 +312,11 @@ def _relax_temperature(
     w0, w2, w4 = k.folded
     mu = k.mu
     rhs = theta_b + mu * e_kin
-    lo = np.full_like(rhs, 1e-12)
-    hi = rhs.copy()
-    theta = np.clip((rhs - 0.5 * mu * rho * delta) / (1.0 + 1.5 * mu * rho), lo, hi)
+    mu_rho = mu * rho
+    tol = _RELAX_TOL * (1.0 + rhs)
+    lo, hi = 1e-12, rhs  # np.where below makes new bounds, never writes these
+    start = (rhs - 0.5 * mu * rho * delta) / (1.0 + 1.5 * mu * rho)
+    theta = np.minimum(np.maximum(start, lo), hi)
     for _ in range(_RELAX_MAX_ITER):
         _gaussian(theta, k.v2, gauss)
         s0 = gauss @ w0
@@ -307,8 +324,8 @@ def _relax_temperature(
         with np.errstate(divide="ignore", invalid="ignore"):  # S0 = 0 if G underflows
             ratio = s2 / s0
         e_m = 0.5 * (ratio + 2.0 * theta)
-        f = theta + mu * rho * e_m - rhs
-        if np.all(np.abs(f) <= _RELAX_TOL * (1.0 + rhs)):
+        f = theta + mu_rho * e_m - rhs
+        if (np.abs(f) <= tol).all():
             return theta, s0, ratio - theta
         if not np.isfinite(f).all():
             break  # no Newton update can repair non-finite moments
@@ -318,7 +335,7 @@ def _relax_temperature(
         s0p = (s2 - theta * s0) / (2.0 * theta**2)
         s2p = (s4 - theta * s2) / (2.0 * theta**2)
         de_m = 0.5 * ((s2p * s0 - s2 * s0p) / s0**2 + 2.0)
-        fp = 1.0 + mu * rho * de_m
+        fp = 1.0 + mu_rho * de_m
         hi = np.where(f > 0.0, np.minimum(hi, theta), hi)
         lo = np.where(f < 0.0, np.maximum(lo, theta), lo)
         theta_new = theta - f / fp
@@ -332,7 +349,7 @@ def _relax_temperature(
 
 def _step_block(state: KineticState) -> np.ndarray:
     """An uninitialized, 64-byte aligned block for kinetic_step's ``out``."""
-    return _aligned_empty((3,) + state.g0.shape)
+    return _aligned_empty((3,) + state.g.shape[1:])
 
 
 def kinetic_step(
@@ -344,11 +361,12 @@ def kinetic_step(
     """One split step: transport, background heat diffusion, implicit relaxation.
 
     The step works in one block of shape (3, 2 n_x, n_h): ``out`` when
-    given, which must not hold the input state's distributions, else a new
-    one. Layers 0 and 1 take the new g0 and g2, which the returned state
-    views; layer 2 takes the transport's differences, then the Gaussian G
-    (top half) and the target c G (bottom half). ``constants`` are the
-    _StepConstants of the state's grids, eps and dt, built when not given.
+    given, else a new one; ValueError if ``out`` may overlap the input
+    state's ``g``. Layers 0 and 1 take the new g0 and g2, which the
+    returned state's ``g`` views; layer 2 takes the Gaussian G (top half),
+    then the targets c0 G (top half, over G) and c2 G (bottom half).
+    ``constants`` are the _StepConstants of the state's grids, eps and dt,
+    built when not given. Each operation runs once over both layers.
 
     Transport is the upwind update bit for bit. The relaxation is
     g <- g / (1 + lam) + c G with per-cell c0 = mu rho / S0 for g0 and
@@ -366,19 +384,19 @@ def kinetic_step(
     cfl_bound = eps * grid.h / vgrid.v_max
     if dt > cfl_bound * (1.0 + 1e-9):
         raise ValueError(f"dt = {dt:.3e} violates the CFL bound {cfl_bound:.3e}")
+    if out is not None and np.may_share_memory(out, state.g):
+        raise ValueError("out must not overlap the input state's distributions")
     k = _StepConstants(grid, vgrid, eps, dt) if constants is None else constants
     n = grid.n_cells
 
     block = _step_block(state) if out is None else out
-    g0, g2, scratch = block
-    _transport(state.g0, k.courant, scratch, g0)
-    _transport(state.g2, k.courant, scratch, g2)
+    g, scratch = block[:2], block[2]
+    _transport(state.g, k.courant, g)
 
     theta_b = k.heat.solve(state.theta_b)
 
-    rho = _cell_sums(g0 @ k.w)
-    e_kin = _kinetic_energy(g0, g2, k.w, k.wv2)
-    gauss, work = scratch[:n], scratch[n:]
+    rho, e_kin = _density_energy(g, k.w, k.wv2)
+    gauss = scratch[:n]
     theta_star, s0, delta = _relax_temperature(
         theta_b, rho, e_kin, state.delta, k, gauss
     )
@@ -386,12 +404,13 @@ def kinetic_step(
     # the density exactly on this quadrature.
     c0 = k.mu * rho / s0
     c2 = 2.0 * theta_star * c0
-    for g, c in ((g0, c0), (g2, c2)):
-        g *= k.keep
-        np.multiply(c[:, None], gauss, out=work)
-        g[:n] += work
-        g[n:] += work[::-1]
-    return KineticState(g0, g2, theta_star, eps, grid, vgrid, delta)
+    targets = scratch.reshape(2, n, -1)  # a view: it only splits the rows
+    np.multiply(c2[:, None], gauss, out=targets[1])
+    np.multiply(c0[:, None], gauss, out=targets[0])
+    g *= k.keep
+    g[:, :n] += targets
+    g[:, n:] += targets[:, ::-1]
+    return KineticState(g, theta_star, eps, grid, vgrid, delta)
 
 
 @dataclass

@@ -36,26 +36,23 @@ VGRID = build_velocity_grid(8.0, 64)
 
 def _copy(state):
     """A KineticState with its own copies of the arrays."""
-    arrays = ("g0", "g2", "theta_b", "delta")
+    arrays = ("g", "theta_b", "delta")
     return dataclasses.replace(state, **{a: getattr(state, a).copy() for a in arrays})
 
 
 def _unfold(ring, n_v):
-    """The (n_x, n_v) distribution whose _fold is ``ring``; a zero node's
-    column comes from the top rows."""
-    n_x = ring.shape[0] // 2
-    g = np.empty((n_x, n_v))
-    g[::-1, ::-1][:, n_v // 2 :] = ring[n_x:]
-    g[:, n_v // 2 :] = ring[:n_x]
+    """The (..., n_x, n_v) distributions whose _fold is ``ring``; a zero
+    node's column comes from the top rows."""
+    n_x = ring.shape[-2] // 2
+    g = np.empty(ring.shape[:-2] + (n_x, n_v))
+    g[..., ::-1, ::-1][..., n_v // 2 :] = ring[..., n_x:, :]
+    g[..., n_v // 2 :] = ring[..., :n_x, :]
     return g
 
 
 def _unfolded(state):
     """A copy of a ring state with g0 and g2 in plain (n_x, n_v) form."""
-    n_v = state.vgrid.n_v
-    return dataclasses.replace(
-        _copy(state), g0=_unfold(state.g0, n_v), g2=_unfold(state.g2, n_v)
-    )
+    return dataclasses.replace(_copy(state), g=_unfold(state.g, state.vgrid.n_v))
 
 
 def _bump_fields(grid):
@@ -139,8 +136,7 @@ def test_copy_carries_energy_defect():
 def test_moments_linear_in_distribution():
     state = init_equilibrium(GRID, VGRID, np.ones(32), np.ones(32), eps=0.1)
     doubled = _copy(state)
-    doubled.g0 *= 2.0
-    doubled.g2 *= 2.0
+    doubled.g *= 2.0
     rho1, e1, _ = moments(state)
     rho2, e2, _ = moments(doubled)
     assert np.allclose(rho2, 2.0 * rho1, rtol=1e-14)
@@ -410,7 +406,7 @@ def _ref_kinetic_step(state, dt):
     g0 = g0 * (1.0 / (1.0 + lam)) + c0[:, None] * gauss
     g2 = g2 * (1.0 / (1.0 + lam)) + c2[:, None] * gauss
     return KineticState(
-        g0=g0, g2=g2, theta_b=theta_star, eps=eps, grid=grid, vgrid=vgrid, delta=delta
+        g=np.stack((g0, g2)), theta_b=theta_star, eps=eps, grid=grid, vgrid=vgrid, delta=delta
     )
 
 
@@ -442,7 +438,7 @@ def _full_grid_kinetic_step(state, dt):
     e_kin_new = 0.5 * ((g0 * v**2) @ wq + g2 @ wq)
     theta_b = theta_b + (e_kin - e_kin_new)
     return KineticState(
-        g0=g0, g2=g2, theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid, delta=delta
+        g=np.stack((g0, g2)), theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid, delta=delta
     )
 
 
@@ -453,13 +449,13 @@ def test_transport_matches_mask_reference_bit_for_bit(n_v):
     dt = 0.9 * 0.1 * GRID.h / vgrid.v_max
     courant = _StepConstants(GRID, vgrid, 0.1, dt).courant
     rng = np.random.default_rng(n_v)
-    g = rng.random((GRID.n_cells, n_v))
+    g = rng.random((2, GRID.n_cells, n_v))  # a pair, as a state's g0 and g2
     ring = _fold(g)
-    diff = np.full_like(ring, np.nan)  # stale contents must not leak
-    out = _transport(ring, courant, diff, np.empty_like(ring))
-    ref = _ref_transport(g, v, dt * v / (0.1 * GRID.h))
-    assert np.array_equal(_unfold(out, n_v), ref)
-    assert np.array_equal(_fold(ref), out)  # a zero node's two copies agree too
+    out = _transport(ring, courant, np.full_like(ring, np.nan))  # stale contents must not leak
+    for layer in range(2):
+        ref = _ref_transport(g[layer], v, dt * v / (0.1 * GRID.h))
+        assert np.array_equal(_unfold(out[layer], n_v), ref)
+        assert np.array_equal(_fold(ref), out[layer])  # a zero node's two copies agree too
 
 
 @pytest.mark.parametrize("n_v", [64, 5, 4, 33])
@@ -505,7 +501,7 @@ def test_ring_moments_match_full_grid_products(n_v):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(scale))
 
 
-@pytest.mark.parametrize("n_v", [64, 5])
+@pytest.mark.parametrize("n_v", [64, 5, 4, 33])
 def test_step_matches_reference_bit_for_bit(n_v):
     vgrid = build_velocity_grid(8.0, n_v)
     rho0, theta0 = _bump_fields(GRID)
@@ -515,8 +511,7 @@ def test_step_matches_reference_bit_for_bit(n_v):
     for _ in range(50):
         state = kinetic_step(state, dt)
         ref = _ref_kinetic_step(ref, dt)
-    assert np.array_equal(_unfold(state.g0, n_v), ref.g0)
-    assert np.array_equal(_unfold(state.g2, n_v), ref.g2)
+    assert np.array_equal(_unfold(state.g, n_v), ref.g)
     assert np.array_equal(state.theta_b, ref.theta_b)
     assert np.array_equal(state.delta, ref.delta)
 
@@ -562,6 +557,22 @@ def test_step_leaves_input_state_unchanged():
         state = new
 
 
+def test_step_rejects_a_block_that_overlaps_its_input():
+    # The transport writes into the block before it has read all of the
+    # input: a step into its own input's block would corrupt it.
+    rho0, theta0 = _bump_fields(GRID)
+    state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
+    dt = 0.9 * 0.1 * GRID.h / VGRID.v_max
+    block = _step_block(state)
+    state = kinetic_step(state, dt, out=block)
+    before = _copy(state)
+    for out in (block, block[::-1]):
+        with pytest.raises(ValueError, match="overlap"):
+            kinetic_step(state, dt, out=out)
+    assert np.array_equal(state.g, before.g)
+    assert np.array_equal(state.theta_b, before.theta_b)
+
+
 def test_step_into_given_block_matches_fresh_step_bit_for_bit():
     rho0, theta0 = _bump_fields(GRID)
     state = init_equilibrium(GRID, VGRID, rho0, theta0, eps=0.1)
@@ -569,9 +580,8 @@ def test_step_into_given_block_matches_fresh_step_bit_for_bit():
     block = np.full(_step_block(state).shape, np.nan)  # stale contents must not leak
     fresh = kinetic_step(state, dt)
     given = kinetic_step(state, dt, out=block)
-    assert np.shares_memory(given.g0, block) and np.shares_memory(given.g2, block)
-    assert np.array_equal(given.g0, fresh.g0)
-    assert np.array_equal(given.g2, fresh.g2)
+    assert np.shares_memory(given.g, block)
+    assert np.array_equal(given.g, fresh.g)
     assert np.array_equal(given.theta_b, fresh.theta_b)
 
 
@@ -582,7 +592,7 @@ def test_run_owned_buffers_start_on_cache_lines():
     courant = _StepConstants(GRID, VGRID, 0.1, dt).courant
     run = run_kinetic(GRID, VGRID, rho0, theta0, 0.1, 0.002)
     final = run.final_state
-    for a in (_step_block(state), courant, final.g0, final.g2):
+    for a in (_step_block(state), courant, final.g):
         assert a.ctypes.data % 64 == 0
 
 
@@ -629,3 +639,21 @@ def test_run_kinetic_equals_independent_steps_bit_for_bit(n_v):
     assert np.array_equal(run.final_state.g0, state.g0)
     assert np.array_equal(run.final_state.g2, state.g2)
     assert np.array_equal(run.final_state.theta_b, state.theta_b)
+
+
+@pytest.mark.parametrize("n_v", [64, 33])
+def test_run_kinetic_final_state_matches_reference_steps_bit_for_bit(n_v):
+    # The run alternates two step blocks; its last state must be the
+    # reference step's, repeated, bit for bit.
+    vgrid = build_velocity_grid(8.0, n_v)
+    rho0, theta0 = _bump_fields(GRID)
+    eps, t_final = 0.1, 0.02
+    run = run_kinetic(GRID, vgrid, rho0, theta0, eps, t_final)
+    n_steps = kinetic_step_count(t_final, eps, GRID.h, vgrid.v_max)
+    ref = _unfolded(init_equilibrium(GRID, vgrid, rho0, theta0, eps))
+    for _ in range(n_steps):
+        ref = _ref_kinetic_step(ref, t_final / n_steps)
+    final = run.final_state
+    assert np.array_equal(_unfold(final.g, n_v), ref.g)
+    assert np.array_equal(final.theta_b, ref.theta_b)
+    assert np.array_equal(final.delta, ref.delta)
