@@ -101,10 +101,15 @@ def maxwellian_1d(theta, v):
 
 
 def _gaussian(theta: np.ndarray, v2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(v^2 (-1 / (2 theta))) per cell (rows) and node (columns), into ``out``.
+    """exp(v2 (-1 / (2 theta))) per cell (rows) and node (columns), into ``out``.
 
-    The Maxwellian without its prefactor (2 pi theta)^{-1/2}, which cancels
-    in the mass-normalized relaxation target; ``v2`` holds the nodes' v^2.
+    ``v2`` holds the nodes' v^2 - v_h[0]^2, v_h[0] the smallest nonnegative
+    node: the Maxwellian without its prefactor (2 pi theta)^{-1/2}, times
+    exp(v_h[0]^2 / (2 theta)). Both factors cancel in the mass-normalized
+    relaxation target. The shift makes G = 1 at v_h[0], so S0 is at least
+    that node's weight at any theta > 0. Without it, a grid with no v = 0
+    node (even n_v) has exp(-v^2 / (2 theta)) underflow at every node once
+    theta < v_h[0]^2 / 1490 (about 1e-5 at n_v = 64, v_max = 8).
     """
     np.multiply(v2, (-1.0 / (2.0 * theta))[:, None], out=out)
     return np.exp(out, out=out)
@@ -263,8 +268,8 @@ def _aligned_empty(shape: Tuple[int, ...]) -> np.ndarray:
 
 class _StepConstants:
     """What the steps of a run share, built once: the Courant numbers tiled to
-    the ring's shape and v_h^2 tiled to the half grid's (both 64-byte
-    aligned), the moment weights, mu and keep = 1 / (1 + lam) for
+    the ring's shape and v_h^2 - v_h[0]^2 (see _gaussian) tiled to the half
+    grid's (both 64-byte aligned), the moment weights, mu and keep = 1 / (1 + lam) for
     lam = dt / eps^2, and the heat factor."""
 
     def __init__(self, grid: Grid1D, vgrid: VelocityGrid, eps: float, dt: float):
@@ -272,7 +277,7 @@ class _StepConstants:
         self.courant = _aligned_empty((2 * grid.n_cells, v.shape[0]))
         self.courant[:] = dt * v / (eps * grid.h)
         self.v2 = _aligned_empty((grid.n_cells, v.shape[0]))
-        self.v2[:] = v**2
+        self.v2[:] = v**2 - v[0] ** 2  # v[0] = 0 for odd n_v: exactly v**2
         self.w, self.wv2, _, self.folded = _moment_weights(vgrid)
         lam = dt / eps**2
         self.mu = lam / (1.0 + lam)
@@ -293,10 +298,10 @@ def _relax_temperature(
     e_M(theta) = (S2/S0 + 2 theta) / 2 is the kinetic energy of the
     discrete, mass-normalized Maxwellian target; the left side is strictly
     increasing in theta, so safeguarded Newton with a bracket converges.
-    Each iterate evaluates the Gaussian G = exp(-v^2 / (2 theta)) into
+    Each iterate evaluates the shifted Gaussian G of _gaussian into
     ``gauss`` on the nonnegative nodes, and S_k = sum wq v^k G is its
     product with the folded weights of ``k`` (see _moment_weights); S2/S0
-    does not depend on G's normalization.
+    does not depend on G's normalization, and S0 > 0.
 
     Newton starts from the solution of the same equation with the energy
     defect S2/S0 - theta frozen at ``delta``, its value at the previous
@@ -321,8 +326,7 @@ def _relax_temperature(
         _gaussian(theta, k.v2, gauss)
         s0 = gauss @ w0
         s2 = gauss @ w2
-        with np.errstate(divide="ignore", invalid="ignore"):  # S0 = 0 if G underflows
-            ratio = s2 / s0
+        ratio = s2 / s0
         e_m = 0.5 * (ratio + 2.0 * theta)
         f = theta + mu_rho * e_m - rhs
         if (np.abs(f) <= tol).all():

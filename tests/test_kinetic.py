@@ -186,16 +186,9 @@ def test_resolved_step_evaluates_the_maxwellian_once(monkeypatch):
         assert len(calls) == 1
 
 
-@pytest.mark.parametrize("eps", [0.4, 0.1])
-@pytest.mark.parametrize("theta_scale", [0.02, 0.3, 1.0, 4.0])
-@pytest.mark.parametrize("n_v", [5, 17, 64])
-def test_relaxation_conserves_across_velocity_grids(n_v, theta_scale, eps):
-    # Velocity grids from far too coarse to resolved, temperatures from
-    # unresolved to truncated at v_max: every step converges within
-    # criterion 8's per-step bounds.
-    grid = build_grid(64, 1.0)
-    vgrid = build_velocity_grid(8.0, n_v)
-    rho0, theta0 = _hot_bump_fields(grid, theta_scale)
+def _assert_steps_conserve(grid, vgrid, rho0, theta0, eps):
+    """Steps to t_final = 0.01 each converge within criterion 8's per-step
+    bounds and keep g >= 0 and theta_b > 0."""
     state = init_equilibrium(grid, vgrid, rho0, theta0, eps)
     n_steps = int(kinetic_step_count(0.01, eps, grid.h, vgrid.v_max))
     dt = 0.01 / n_steps
@@ -208,8 +201,36 @@ def test_relaxation_conserves_across_velocity_grids(n_v, theta_scale, eps):
         assert abs(mass - mass_prev) <= 1e-12 * (1.0 + abs(mass_prev))
         assert abs(energy - energy_prev) <= 1e-10 * (1.0 + abs(energy_prev))
         mass_prev, energy_prev = mass, energy
-    assert np.min(state.g0) >= 0.0 and np.min(state.g2) >= 0.0
+    assert np.min(state.g) >= 0.0
     assert np.min(state.theta_b) > 0.0
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.1])
+@pytest.mark.parametrize("theta_scale", [0.02, 0.3, 1.0, 4.0])
+@pytest.mark.parametrize("n_v", [5, 17, 64])
+def test_relaxation_conserves_across_velocity_grids(n_v, theta_scale, eps):
+    # Velocity grids from far too coarse to resolved, temperatures from
+    # unresolved to truncated at v_max.
+    grid = build_grid(64, 1.0)
+    vgrid = build_velocity_grid(8.0, n_v)
+    _assert_steps_conserve(grid, vgrid, *_hot_bump_fields(grid, theta_scale), eps)
+
+
+@pytest.mark.parametrize("floor", [1e-5, 1e-12])
+@pytest.mark.parametrize("stepped", ["rho", "theta", "both"])
+@pytest.mark.parametrize("n_v", [64, 33])
+def test_relaxation_runs_on_vacuum_and_cold_step_data(n_v, stepped, floor):
+    # Fields 1 on |x - 1/2| < 0.2 and the floor outside it. On a grid with
+    # no v = 0 node (n_v = 64), exp(-v^2 / (2 theta)) underflows at every
+    # node in the cold cells; the shifted Gaussian keeps S0 > 0 there.
+    grid = build_grid(64, 1.0)
+    outside = np.abs(grid.cell_centers - 0.5) >= 0.2
+    rho0, theta0 = (
+        np.where(outside & (stepped in (field, "both")), floor, 1.0)
+        for field in ("rho", "theta")
+    )
+    vgrid = build_velocity_grid(8.0, n_v)
+    _assert_steps_conserve(grid, vgrid, rho0, theta0, 0.1)
 
 
 def test_step_preserves_nonnegativity():
@@ -297,8 +318,8 @@ def test_maxwellian_1d_normalization_on_grid():
 # _ref_kinetic_step is the step in kinetic_step's arithmetic (each moment as
 # the sum of two half-grid products with weight vectors, one over the
 # nonnegative nodes and one over the nonpositive ones in mirrored order, a
-# zero node weighted half in each; S_k of the unnormalized Gaussian G with
-# the weights folded onto the nonnegative nodes; g <- g / (1 + lam) + c G;
+# zero node weighted half in each; S_k of the shifted Gaussian G of
+# _gaussian with the weights folded onto the nonnegative nodes; g <- g / (1 + lam) + c G;
 # the background takes the relaxation temperature theta*) in plain
 # full-grid form, without buffers or a ring, and must agree bit for bit.
 # _full_grid_kinetic_step is the plain formulation (products with v^2 and
@@ -338,9 +359,10 @@ def _ref_gauss_sums(theta, v, wq):
 
 
 def _ref_gaussian_sums(theta, v, wq):
-    """G = exp(v^2 (-1 / (2 theta))) on the full grid, and S_k = sum wq v^k G,
-    k = 0, 2, 4, by folded weights."""
-    gauss = np.exp(v**2 * (-1.0 / (2.0 * theta))[:, None])
+    """G = exp((v^2 - v_h[0]^2) (-1 / (2 theta))) on the full grid, v_h[0] the
+    smallest nonnegative node, and S_k = sum wq v^k G, k = 0, 2, 4, by
+    folded weights."""
+    gauss = np.exp((v**2 - v[v.shape[0] // 2] ** 2) * (-1.0 / (2.0 * theta))[:, None])
     upper = np.ascontiguousarray(gauss[:, v.shape[0] // 2 :])
     s0, s2, s4 = (upper @ w for w in _ref_folded_weights(v, wq))
     return gauss, s0, s2, s4
@@ -538,9 +560,9 @@ def test_mirrored_gaussian_equals_full_grid(n_v):
     # halves of the ring: that must be the full-grid G, folded, bit for bit.
     vgrid = build_velocity_grid(8.0, n_v)
     theta = np.linspace(0.05, 5.0, 17)
-    v = vgrid.nodes
-    upper = _gaussian(theta, v[n_v // 2 :] ** 2, np.empty((17, n_v - n_v // 2)))
-    full, *_ = _ref_gaussian_sums(theta, v, vgrid.weights)
+    v_h = vgrid.nodes[n_v // 2 :]
+    upper = _gaussian(theta, v_h**2 - v_h[0] ** 2, np.empty((17, n_v - n_v // 2)))
+    full, *_ = _ref_gaussian_sums(theta, vgrid.nodes, vgrid.weights)
     assert np.array_equal(np.concatenate((upper, upper[::-1])), _fold(full))
 
 
