@@ -103,13 +103,11 @@ def maxwellian_1d(theta, v):
 def _gaussian(theta: np.ndarray, v2: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(v2 (-1 / (2 theta))) per cell (rows) and node (columns), into ``out``.
 
-    ``v2`` holds the nodes' v^2 - v_h[0]^2, v_h[0] the smallest nonnegative
-    node: the Maxwellian without its prefactor (2 pi theta)^{-1/2}, times
-    exp(v_h[0]^2 / (2 theta)). Both factors cancel in the mass-normalized
-    relaxation target. The shift makes G = 1 at v_h[0], so S0 is at least
-    that node's weight at any theta > 0. Without it, a grid with no v = 0
-    node (even n_v) has exp(-v^2 / (2 theta)) underflow at every node once
-    theta < v_h[0]^2 / 1490 (about 1e-5 at n_v = 64, v_max = 8).
+    With ``v2`` = v^2 - v_h[0]^2, v_h[0] the smallest nonnegative node, this
+    is the Maxwellian times (2 pi theta)^{1/2} exp(v_h[0]^2 / (2 theta)),
+    factors that cancel in the mass-normalized target, and G = 1 at v_h[0].
+    Unshifted, G underflows at every node of an even-n_v grid once theta <
+    v_h[0]^2 / 1490 (about 1e-5 at n_v = 64, v_max = 8), and S0 = 0.
     """
     np.multiply(v2, (-1.0 / (2.0 * theta))[:, None], out=out)
     return np.exp(out, out=out)
@@ -174,11 +172,8 @@ def _moment_weights(vgrid: VelocityGrid):
 
 
 def _density_energy(g: np.ndarray, w: np.ndarray, wv2: np.ndarray):
-    """Per-cell density and kinetic energy density of a ring pair ``g``.
-
-    One product of both layers with w gives sum w g0 and sum w g2 at once,
-    each row's sum the same bits as in a product of one layer.
-    """
+    """Per-cell density and kinetic energy density of a ring pair ``g``; one
+    product of both layers with w gives sum w g0 and sum w g2 bit for bit."""
     n_ring = g.shape[1]
     sums = g.reshape(2 * n_ring, -1) @ w
     rho = _cell_sums(sums[:n_ring])
@@ -228,7 +223,7 @@ def energy_total(grid: Grid1D, state: KineticState) -> float:
 
 
 def _transport(q: np.ndarray, courant: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One-way upwind transport round the velocity ring, each layer of ``q`` into ``out``.
+    """Upwind transport round the velocity ring of each layer of ``q``, into ``out``.
 
     ``out`` first receives D[k] = q[k] - q[k - 1 mod 2 n_x], then becomes
     q - courant D in place, with courant = dt |v| / (eps h) <= 1. At the
@@ -268,9 +263,9 @@ def _aligned_empty(shape: Tuple[int, ...]) -> np.ndarray:
 
 class _StepConstants:
     """What the steps of a run share, built once: the Courant numbers tiled to
-    the ring's shape and v_h^2 - v_h[0]^2 (see _gaussian) tiled to the half
-    grid's (both 64-byte aligned), the moment weights, mu and keep = 1 / (1 + lam) for
-    lam = dt / eps^2, and the heat factor."""
+    the ring's shape and v_h^2 - v_h[0]^2 (see _gaussian) to the half grid's
+    (both 64-byte aligned), the moment weights, mu and keep = 1 / (1 + lam)
+    for lam = dt / eps^2, and the heat factor."""
 
     def __init__(self, grid: Grid1D, vgrid: VelocityGrid, eps: float, dt: float):
         v = vgrid.nodes[vgrid.n_v // 2 :]

@@ -319,9 +319,10 @@ def test_maxwellian_1d_normalization_on_grid():
 # the sum of two half-grid products with weight vectors, one over the
 # nonnegative nodes and one over the nonpositive ones in mirrored order, a
 # zero node weighted half in each; S_k of the shifted Gaussian G of
-# _gaussian with the weights folded onto the nonnegative nodes; g <- g / (1 + lam) + c G;
-# the background takes the relaxation temperature theta*) in plain
-# full-grid form, without buffers or a ring, and must agree bit for bit.
+# _gaussian with the weights folded onto the nonnegative nodes;
+# g <- g / (1 + lam) + c G; the background takes the relaxation temperature
+# theta*) in plain full-grid form, without buffers or a ring, and must agree
+# bit for bit.
 # _full_grid_kinetic_step is the plain formulation (products with v^2 and
 # v^4, full-grid sums, the normalized Maxwellian, divisions in the update,
 # the background absorbing the kinetic energy the gas released), which the
@@ -427,8 +428,9 @@ def _ref_kinetic_step(state, dt):
     c2 = 2.0 * theta_star * c0
     g0 = g0 * (1.0 / (1.0 + lam)) + c0[:, None] * gauss
     g2 = g2 * (1.0 / (1.0 + lam)) + c2[:, None] * gauss
+    g = np.stack((g0, g2))
     return KineticState(
-        g=np.stack((g0, g2)), theta_b=theta_star, eps=eps, grid=grid, vgrid=vgrid, delta=delta
+        g=g, theta_b=theta_star, eps=eps, grid=grid, vgrid=vgrid, delta=delta
     )
 
 
@@ -459,8 +461,9 @@ def _full_grid_kinetic_step(state, dt):
     g2 = (g2 + lam * 2.0 * theta_star[:, None] * target0) / (1.0 + lam)
     e_kin_new = 0.5 * ((g0 * v**2) @ wq + g2 @ wq)
     theta_b = theta_b + (e_kin - e_kin_new)
+    g = np.stack((g0, g2))
     return KineticState(
-        g=np.stack((g0, g2)), theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid, delta=delta
+        g=g, theta_b=theta_b, eps=eps, grid=grid, vgrid=vgrid, delta=delta
     )
 
 
@@ -473,11 +476,12 @@ def test_transport_matches_mask_reference_bit_for_bit(n_v):
     rng = np.random.default_rng(n_v)
     g = rng.random((2, GRID.n_cells, n_v))  # a pair, as a state's g0 and g2
     ring = _fold(g)
-    out = _transport(ring, courant, np.full_like(ring, np.nan))  # stale contents must not leak
+    stale = np.full_like(ring, np.nan)  # stale contents must not leak
+    out = _transport(ring, courant, stale)
     for layer in range(2):
         ref = _ref_transport(g[layer], v, dt * v / (0.1 * GRID.h))
         assert np.array_equal(_unfold(out[layer], n_v), ref)
-        assert np.array_equal(_fold(ref), out[layer])  # a zero node's two copies agree too
+        assert np.array_equal(_fold(ref), out[layer])  # and a zero node's two copies
 
 
 @pytest.mark.parametrize("n_v", [64, 5, 4, 33])
