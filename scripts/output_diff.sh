@@ -7,10 +7,10 @@
 # step halve tau five times) and on theta-step data whose first step
 # exhausts the tau backoff, kinetic also at the size of the benchmark's
 # kinetic-n256 (n = 256, n_v = 64, 2276 steps, about 0.5 s) and on uniform
-# equilibrium data with rho = 1e16 >> theta = 1, and sweep with one varied field (the gaps and
-# orders of a delta study) and with two; a config named <mode>-<variant>
-# runs <mode>. When both trees exit with the same nonzero code, their
-# error.json files are compared instead.
+# equilibrium data with rho = 1e16 >> theta = 1, and sweep with one varied
+# field (the gaps and orders of a delta study) and with two; a config named
+# <mode>-<variant> runs <mode>. When both trees exit with the same nonzero
+# code, their error.json files are compared instead.
 #
 #   scripts/output_diff.sh <base-tree> [<head-tree>] [<work-dir>]
 #

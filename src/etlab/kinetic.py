@@ -18,12 +18,12 @@ relaxation temperature theta* solves each cell's balance of background and
 kinetic energy, and the background takes theta*: total energy is conserved
 to the relaxation tolerance, and theta_b stays positive at any density.
 
-g0 and g2 are stored on a velocity ring (see _fold), along which specular
-reflection at both walls is periodicity, so transport is one-way upwind with
-one contiguous pass per operation. The Maxwellian is even in v: the
-relaxation evaluates it on the (n_x, n_h) half grid of nonnegative nodes
-and adds the target to both halves of the ring. Every velocity moment is a
-product with a weight vector built once per run.
+g0 and g2 are stored on a velocity ring (see KineticState), along which
+specular reflection at both walls is periodicity, so transport is one-way
+upwind with one contiguous pass per operation. The Maxwellian is even in
+v: the relaxation evaluates it on the (n_x, n_h) half grid of nonnegative
+nodes and adds the target to both halves of the ring. Every velocity
+moment is a product with a weight vector built once per run.
 """
 
 from __future__ import annotations
@@ -113,14 +113,21 @@ def _gaussian(theta: np.ndarray, v2: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def _shifted_v2(v: np.ndarray) -> np.ndarray:
+    """v^2 - v[0]^2 on the nonnegative nodes ``v``: _gaussian's ``v2``."""
+    return v**2 - v[0] ** 2  # v[0] = 0 for odd n_v: exactly v**2
+
+
 @dataclass
 class KineticState:
     """Reduced distributions, background temperature, and scaled Knudsen number.
 
-    ``g`` holds g0 and g2 as its two layers, each on the velocity ring (see
-    _fold). ``delta`` is the per-cell energy defect S2/S0 - theta of the
-    discrete Maxwellian at the last relaxation temperature (see
-    _relax_temperature).
+    ``g`` holds g0 and g2 as its two layers, each on the velocity ring: row
+    k < n_x is cell k at the n_h nonnegative nodes, row n_x + k is cell
+    n_x - 1 - k at their negatives, in the same node order. A zero node
+    (odd n_v) is in both halves. ``delta`` is the per-cell energy defect
+    S2/S0 - theta of the discrete Maxwellian at the last relaxation
+    temperature (see _relax_temperature).
     """
 
     g: np.ndarray  # (2, 2 n_x, n_h): g0 and g2, nonnegative
@@ -129,25 +136,6 @@ class KineticState:
     grid: Grid1D
     vgrid: VelocityGrid
     delta: np.ndarray  # (n_x,)
-
-    @property
-    def g0(self) -> np.ndarray:
-        return self.g[0]
-
-    @property
-    def g2(self) -> np.ndarray:
-        return self.g[1]
-
-
-def _fold(g: np.ndarray) -> np.ndarray:
-    """The velocity ring of (..., n_x, n_v) distributions: shape (..., 2 n_x, n_h).
-
-    Row k < n_x is cell k at the nonnegative nodes, row n_x + k is cell
-    n_x - 1 - k at their negatives, in the same node order. A zero node
-    (odd n_v) is in both halves.
-    """
-    half = g.shape[-1] // 2
-    return np.concatenate((g[..., half:], g[..., ::-1, ::-1][..., half:]), axis=-2)
 
 
 def _cell_sums(per_row: np.ndarray) -> np.ndarray:
@@ -183,10 +171,14 @@ def _density_energy(g: np.ndarray, w: np.ndarray, wv2: np.ndarray):
 def init_equilibrium(
     grid: Grid1D, vgrid: VelocityGrid, rho0, theta0, eps: float
 ) -> KineticState:
-    """Local-equilibrium data: g0 = rho M1(theta), g2 = 2 theta g0, theta_b = theta.
+    """Local-equilibrium data: g0 = rho0 G / S0, g2 = 2 theta0 g0, theta_b = theta0.
 
-    The state's energy defect is S2/S0 - theta at theta0, and 0, the
-    continuum law, in a cell whose Maxwellian underflows on the grid (S0 = 0).
+    G is the relaxation's shifted Gaussian at theta0 (see _gaussian), so each
+    cell holds its mass rho0 on the velocity grid, also where the grid does
+    not resolve theta0: G is 1 at the smallest nonnegative node and may
+    underflow at every other. The state's energy defect is S2/S0 - theta of
+    the normalized Maxwellian at theta0, and 0, the continuum law, in a cell
+    where it underflows at every node (S0 = 0).
     """
     rho0 = np.asarray(rho0, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
@@ -194,23 +186,25 @@ def init_equilibrium(
         raise ValueError("equilibrium data must be strictly positive")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    v = vgrid.nodes
-    m1 = maxwellian_1d(theta0[:, None], v[None, :])
+    v = vgrid.nodes[vgrid.n_v // 2 :]
     w0, w2, _ = _moment_weights(vgrid)[3]
-    upper = m1[:, v.shape[0] // 2 :]
-    s0, s2 = upper @ w0, upper @ w2
+    m1 = maxwellian_1d(theta0[:, None], v[None, :])
+    s0, s2 = m1 @ w0, m1 @ w2
     delta = np.divide(s2, s0, out=theta0.copy(), where=s0 > 0.0) - theta0
-    g = np.empty((2,) + m1.shape)
-    np.multiply(rho0[:, None], m1, out=g[0])
-    np.multiply(2.0 * theta0[:, None], g[0], out=g[1])
-    return KineticState(_fold(g), theta0.copy(), float(eps), grid, vgrid, delta)
+    gauss = _gaussian(theta0, _shifted_v2(v), np.empty_like(m1))
+    n = rho0.shape[0]
+    g = np.empty((2, 2 * n, v.shape[0]))
+    np.multiply((rho0 / (gauss @ w0))[:, None], gauss, out=g[0, :n])
+    np.multiply((2.0 * theta0)[:, None], g[0, :n], out=g[1, :n])
+    g[:, n:] = g[:, n - 1 :: -1]  # even in v: the bottom half mirrors the top
+    return KineticState(g, theta0.copy(), float(eps), grid, vgrid, delta)
 
 
 def moments(state: KineticState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell density, kinetic energy density, and scaled mass flux."""
     w, wv2, wv, _ = _moment_weights(state.vgrid)
     rho, e_kin = _density_energy(state.g, w, wv2)
-    flux_rows = state.g0 @ wv
+    flux_rows = state.g[0] @ wv
     n_x = flux_rows.shape[0] // 2
     mass_flux = (flux_rows[:n_x] - flux_rows[n_x:][::-1]) / state.eps
     return rho, e_kin, mass_flux
@@ -272,7 +266,7 @@ class _StepConstants:
         self.courant = _aligned_empty((2 * grid.n_cells, v.shape[0]))
         self.courant[:] = dt * v / (eps * grid.h)
         self.v2 = _aligned_empty((grid.n_cells, v.shape[0]))
-        self.v2[:] = v**2 - v[0] ** 2  # v[0] = 0 for odd n_v: exactly v**2
+        self.v2[:] = _shifted_v2(v)
         self.w, self.wv2, _, self.folded = _moment_weights(vgrid)
         lam = dt / eps**2
         self.mu = lam / (1.0 + lam)

@@ -874,6 +874,29 @@ def test_kinetic_relaxation_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert record["error"] == "solver"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kinetic_velocity_grid_too_coarse_for_the_maxwellian_keeps_the_mass(tmp_path):
+    # Eight nodes on [-1e6, 1e6] cannot resolve a unit-temperature
+    # Maxwellian: each cell starts with its mass at the nodes nearest
+    # v = 0, and every row holds the mass a resolving grid starts with.
+    masses = {}
+    for v_max in (1e6, 8.0):
+        doc = {
+            "mode": "kinetic",
+            "grid": {"n_cells": 16, "length": 1.0},
+            "scheme": {"t_final": 1e-6},
+            "kinetic": {"eps": 0.5, "n_v": 8 if v_max == 1e6 else 64, "v_max": v_max},
+            "output": {"directory": str(tmp_path / f"kin-{v_max:g}")},
+        }
+        cfg = _write_config(tmp_path, doc)
+        assert main(["kinetic", cfg]) == 0
+        text = (tmp_path / f"kin-{v_max:g}" / "kinetic_trajectory.csv").read_text()
+        masses[v_max] = [float(line.split(",")[1]) for line in text.splitlines()[1:]]
+    assert len(masses[1e6]) > 2
+    for mass in masses[1e6]:
+        assert mass == pytest.approx(masses[8.0][0], rel=1e-14, abs=0.0)
+
+
 def test_kinetic_mode_writes_trajectory(tmp_path):
     doc = {
         "mode": "kinetic",

@@ -13,7 +13,6 @@ from etlab.kinetic import (
     MAX_KINETIC_STEPS,
     KineticState,
     VelocityGrid,
-    _fold,
     _gaussian,
     _heat_factor,
     _step_block,
@@ -38,6 +37,12 @@ def _copy(state):
     """A KineticState with its own copies of the arrays."""
     arrays = ("g", "theta_b", "delta")
     return dataclasses.replace(state, **{a: getattr(state, a).copy() for a in arrays})
+
+
+def _fold(g):
+    """The velocity ring of (..., n_x, n_v) distributions: shape (..., 2 n_x, n_h)."""
+    half = g.shape[-1] // 2
+    return np.concatenate((g[..., half:], g[..., ::-1, ::-1][..., half:]), axis=-2)
 
 
 def _unfold(ring, n_v):
@@ -99,7 +104,7 @@ def test_init_equilibrium_moments():
 def test_init_equilibrium_g2_ratio():
     theta0 = np.full(32, 1.7)
     state = init_equilibrium(GRID, VGRID, np.full(32, 0.6), theta0, eps=0.1)
-    assert np.allclose(state.g2 / state.g0, 2.0 * 1.7, rtol=1e-13)
+    assert np.allclose(state.g[1] / state.g[0], 2.0 * 1.7, rtol=1e-13)
 
 
 def test_init_equilibrium_rejects_bad_input():
@@ -147,8 +152,8 @@ def test_global_equilibrium_is_fixed_point():
     state = init_equilibrium(GRID, VGRID, np.ones(32), np.ones(32), eps=0.1)
     dt = 0.9 * 0.1 * GRID.h / VGRID.v_max
     new = kinetic_step(state, dt)
-    assert np.max(np.abs(new.g0 - state.g0)) < 1e-12
-    assert np.max(np.abs(new.g2 - state.g2)) < 1e-12
+    assert np.max(np.abs(new.g[0] - state.g[0])) < 1e-12
+    assert np.max(np.abs(new.g[1] - state.g[1])) < 1e-12
     assert np.max(np.abs(new.theta_b - state.theta_b)) < 1e-12
 
 
@@ -187,12 +192,14 @@ def test_resolved_step_evaluates_the_maxwellian_once(monkeypatch):
 
 
 def _assert_steps_conserve(grid, vgrid, rho0, theta0, eps):
-    """Steps to t_final = 0.01 each converge within criterion 8's per-step
-    bounds and keep g >= 0 and theta_b > 0."""
+    """The initial state holds the mass of rho0, and steps to t_final = 0.01
+    each converge within criterion 8's per-step bounds and keep g >= 0 and
+    theta_b > 0."""
     state = init_equilibrium(grid, vgrid, rho0, theta0, eps)
     n_steps = int(kinetic_step_count(0.01, eps, grid.h, vgrid.v_max))
     dt = 0.01 / n_steps
     mass_prev = integrate(grid, moments(state)[0])
+    assert mass_prev == pytest.approx(integrate(grid, rho0), rel=1e-14, abs=0.0)
     energy_prev = energy_total(grid, state)
     for _ in range(n_steps):
         state = kinetic_step(state, dt)
@@ -239,7 +246,7 @@ def test_step_preserves_nonnegativity():
     dt = 0.9 * 0.2 * GRID.h / VGRID.v_max
     for _ in range(100):
         state = kinetic_step(state, dt)
-    assert np.min(state.g0) >= 0.0
+    assert np.min(state.g[0]) >= 0.0
 
 
 def test_step_rejects_cfl_violation():
@@ -413,8 +420,8 @@ def _ref_kinetic_step(state, dt):
     w = np.where(v_h == 0.0, 0.5, 1.0) * wq[v.shape[0] // 2 :]
     wv2 = w * v_h**2
     courant = dt * v / (eps * grid.h)
-    g0 = _ref_transport(state.g0, v, courant)
-    g2 = _ref_transport(state.g2, v, courant)
+    g0 = _ref_transport(state.g[0], v, courant)
+    g2 = _ref_transport(state.g[1], v, courant)
     theta_b = _heat_factor(grid.n_cells, grid.h, dt).solve(state.theta_b)
     lam = dt / eps**2
     mu = lam / (1.0 + lam)
@@ -446,8 +453,8 @@ def _full_grid_kinetic_step(state, dt):
     grid, vgrid, eps = state.grid, state.vgrid, state.eps
     v, wq = vgrid.nodes, vgrid.weights
     courant = dt * v / (eps * grid.h)
-    g0 = _ref_transport(state.g0, v, courant)
-    g2 = _ref_transport(state.g2, v, courant)
+    g0 = _ref_transport(state.g[0], v, courant)
+    g2 = _ref_transport(state.g[1], v, courant)
     theta_b = _heat_factor(grid.n_cells, grid.h, dt).solve(state.theta_b)
     lam = dt / eps**2
     mu = lam / (1.0 + lam)
@@ -503,7 +510,7 @@ def test_zero_velocity_copies_stay_bit_identical(n_v):
     n = GRID.n_cells
     for _ in range(50):
         state = kinetic_step(state, dt)
-        for g in (state.g0, state.g2):
+        for g in state.g:
             assert np.array_equal(g[:n, 0], g[n:, 0][::-1])
 
 
@@ -520,9 +527,9 @@ def test_ring_moments_match_full_grid_products(n_v):
     rho, e_kin, flux = moments(state)
     # the flux cancels between velocity signs: compare it on the scale of its terms
     for got, want, scale in (
-        (rho, full.g0 @ wq, full.g0 @ wq),
-        (e_kin, 0.5 * (full.g0 @ (wq * v**2) + full.g2 @ wq), e_kin),
-        (flux, full.g0 @ (wq * v) / 0.1, full.g0 @ (wq * np.abs(v)) / 0.1),
+        (rho, full.g[0] @ wq, full.g[0] @ wq),
+        (e_kin, 0.5 * (full.g[0] @ (wq * v**2) + full.g[1] @ wq), e_kin),
+        (flux, full.g[0] @ (wq * v) / 0.1, full.g[0] @ (wq * np.abs(v)) / 0.1),
     ):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(scale))
 
@@ -553,8 +560,11 @@ def test_step_follows_full_grid_arithmetic_to_roundoff(n_v):
         state = kinetic_step(state, dt)
         full = _full_grid_kinetic_step(full, dt)
     new_state = _unfolded(state)
-    for name in ("g0", "g2", "theta_b"):
-        new, old = getattr(new_state, name), getattr(full, name)
+    for name, new, old in (
+        ("g0", new_state.g[0], full.g[0]),
+        ("g2", new_state.g[1], full.g[1]),
+        ("theta_b", new_state.theta_b, full.theta_b),
+    ):
         assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old)), name
 
 
@@ -577,8 +587,7 @@ def test_step_leaves_input_state_unchanged():
     for _ in range(3):  # inputs made by kinetic_step itself, as in a run
         before = _copy(state)
         new = kinetic_step(state, dt)
-        assert np.array_equal(state.g0, before.g0)
-        assert np.array_equal(state.g2, before.g2)
+        assert np.array_equal(state.g, before.g)
         assert np.array_equal(state.theta_b, before.theta_b)
         state = new
 
@@ -634,12 +643,14 @@ def test_step_into_misaligned_block_matches_aligned_bit_for_bit(n_v):
     shifted = raw[start : start + aligned.size].reshape(aligned.shape)
     assert shifted.ctypes.data % 64 == 8
     a, b = kinetic_step(state, dt, out=aligned), kinetic_step(state, dt, out=shifted)
-    for name in ("g0", "g2", "theta_b", "delta"):
+    for name in ("g", "theta_b", "delta"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-@pytest.mark.parametrize("n_v", [64, 5])
+@pytest.mark.parametrize("n_v", [64, 5, 33])
 def test_run_kinetic_equals_independent_steps_bit_for_bit(n_v):
+    # The run alternates two step blocks; its records and last state must
+    # be those of fresh steps, and of the reference step, bit for bit.
     vgrid = build_velocity_grid(8.0, n_v)
     rho0, theta0 = _bump_fields(GRID)
     eps, t_final = 0.1, 0.02
@@ -651,9 +662,11 @@ def test_run_kinetic_equals_independent_steps_bit_for_bit(n_v):
     assert n_steps >= 50
 
     state = init_equilibrium(GRID, vgrid, rho0, theta0, eps)
+    ref = _unfolded(state)
     records = [moments(state) + (state.theta_b.copy(),)]
     for k in range(1, n_steps + 1):
         state = kinetic_step(_copy(state), dt)
+        ref = _ref_kinetic_step(ref, dt)
         if k % record_every == 0 or k == n_steps:
             records.append(moments(state) + (state.theta_b.copy(),))
     assert len(records) == len(run.rho)
@@ -662,24 +675,9 @@ def test_run_kinetic_equals_independent_steps_bit_for_bit(n_v):
         assert np.array_equal(run.kinetic_energy[i], e_kin)
         assert np.array_equal(run.mass_flux[i], flux)
         assert np.array_equal(run.theta_b[i], theta_b)
-    assert np.array_equal(run.final_state.g0, state.g0)
-    assert np.array_equal(run.final_state.g2, state.g2)
-    assert np.array_equal(run.final_state.theta_b, state.theta_b)
-
-
-@pytest.mark.parametrize("n_v", [64, 33])
-def test_run_kinetic_final_state_matches_reference_steps_bit_for_bit(n_v):
-    # The run alternates two step blocks; its last state must be the
-    # reference step's, repeated, bit for bit.
-    vgrid = build_velocity_grid(8.0, n_v)
-    rho0, theta0 = _bump_fields(GRID)
-    eps, t_final = 0.1, 0.02
-    run = run_kinetic(GRID, vgrid, rho0, theta0, eps, t_final)
-    n_steps = kinetic_step_count(t_final, eps, GRID.h, vgrid.v_max)
-    ref = _unfolded(init_equilibrium(GRID, vgrid, rho0, theta0, eps))
-    for _ in range(n_steps):
-        ref = _ref_kinetic_step(ref, t_final / n_steps)
     final = run.final_state
+    assert np.array_equal(final.g, state.g)
+    assert np.array_equal(final.theta_b, state.theta_b)
     assert np.array_equal(_unfold(final.g, n_v), ref.g)
     assert np.array_equal(final.theta_b, ref.theta_b)
     assert np.array_equal(final.delta, ref.delta)
