@@ -50,7 +50,6 @@ from .scheme import (
     PARAM_RANGES,
     SchemeParams,
     StepFailureError,
-    StepReport,
     Trajectory,
     budget_audit,
     entropy_audit,
@@ -439,12 +438,12 @@ def _write_macro_outputs(
     diss = [0.0] * len(traj.times)
     tau = float(traj.times[1])
     for rep in traj.reports:
-        iters[rep.step] += rep.iterations
+        iters[rep["step"]] += rep["iterations"]
         # A step's time-averaged rate: each attempt's rate at its end state,
         # weighted by the share of tau it covers (1 without substeps).
-        terms = rep.entropy["dissipation"].items()
+        terms = rep["dissipation"].items()
         rate = sum(v for name, v in terms if name not in ESTIMATE_TERMS)
-        diss[rep.step] += (rep.tau_used / tau) * rate
+        diss[rep["step"]] += (rep["tau_used"] / tau) * rate
     rows = []
     for k, t in enumerate(traj.times):
         mac = to_primitive(traj.states[k])
@@ -479,19 +478,6 @@ def _write_macro_outputs(
         with open(out / f"snapshot_{k}.csv", "w", encoding="utf-8", newline="\n") as f:
             f.write("x,rho,theta,E,phi,w\n")
             f.write(body % tuple(values.ravel().tolist()))
-
-
-def _audit_record(rep: StepReport) -> Dict[str, Any]:
-    """The audits.json record of one step, in ``macro`` and ``audit`` mode alike."""
-    return {
-        "step": rep.step,
-        "t": rep.t,
-        "tau_used": rep.tau_used,
-        "iterations": rep.iterations,
-        "residual": rep.residual,
-        **rep.budget,
-        **rep.entropy,
-    }
 
 
 def _json_default(value: Any):
@@ -545,7 +531,7 @@ def _run_macro(cfg: RunConfig, out: Path) -> int:
     grid, init = cfg.initial_state()
     traj = run_transient(grid, init, cfg.scheme)
     _write_macro_outputs(out, grid, traj, cfg.snapshot_stride)
-    return _write_audits(out, [_audit_record(rep) for rep in traj.reports])
+    return _write_audits(out, traj.reports)
 
 
 def _run_kinetic(cfg: RunConfig, out: Path) -> int:
@@ -660,18 +646,18 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
     _expect_cell_width(cfg.length, states[0].phi.size)
     grid = build_grid(len(states[0].phi), cfg.length)
     p = dataclasses.replace(cfg.scheme, tau=tau)
-    records = []
-    for k in range(1, len(states)):
-        rep = StepReport(
-            step=k,
-            t=float(times[k]),
-            iterations=0,
-            residual=None,
-            tau_used=tau,
-            budget=budget_audit(grid, states[k - 1], states[k], p, float(times[k])),
-            entropy=entropy_audit(grid, states[k - 1], states[k], p),
-        )
-        records.append(_audit_record(rep))
+    records = [
+        {
+            "step": k,
+            "t": float(times[k]),
+            "tau_used": tau,
+            "iterations": 0,
+            "residual": None,
+            **budget_audit(grid, states[k - 1], states[k], p, float(times[k])),
+            **entropy_audit(grid, states[k - 1], states[k], p),
+        }
+        for k in range(1, len(states))
+    ]
     return _write_audits(out, records)
 
 

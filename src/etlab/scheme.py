@@ -145,29 +145,14 @@ class SchemeParams:
 
 
 @dataclass
-class StepReport:
-    """One step: how the nonlinear solve converged and the step's audits.
-
-    ``step`` and ``t`` place it on run_transient's time grid (see there).
-    ``residual`` is None for a step that was audited but not solved here
-    (``etlab audit`` re-checks stored states). ``budget`` and ``entropy`` are
-    the records of budget_audit and entropy_audit, keyed as in audits.json.
-    """
-
-    step: int
-    t: float
-    iterations: int
-    residual: Optional[float]
-    tau_used: float
-    budget: Dict[str, Any]
-    entropy: Dict[str, Any]
-
-
-@dataclass
 class Trajectory:
+    """The states at ``times``, and one audits.json record per accepted
+    attempt: ``step``, ``t``, ``tau_used``, ``iterations``, ``residual`` and
+    the fields of budget_audit and entropy_audit (see run_transient)."""
+
     times: np.ndarray
     states: List[EntropicState]
-    reports: List[StepReport]
+    reports: List[Dict[str, Any]]
 
 
 # ---------------------------------------------------------------------------
@@ -645,14 +630,14 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
 
     Each attempt ends at its time t, counted from times[k - 1], or at
     times[k] exactly for the attempt that completes step k. The sources and
-    the budget audit are evaluated at t, and an accepted attempt's report
+    the budget audit are evaluated at t, and an accepted attempt's record
     has step k and that t.
     """
     n_steps = step_count(p.t_final, p.tau)
     times = p.tau * np.arange(n_steps + 1)
     state = to_entropic(init.rho, init.theta)
     states = [state]
-    reports: List[StepReport] = []
+    reports: List[Dict[str, Any]] = []
     older: Optional[EntropicState] = None
     tau_prev = p.tau
     for k in range(1, n_steps + 1):
@@ -684,15 +669,15 @@ def run_transient(grid: Grid1D, init: MacroState, p: SchemeParams) -> Trajectory
                 tau, start, halvings = 0.5 * tau, state, halvings + 1
                 continue
             reports.append(
-                StepReport(
-                    step=k,
-                    t=t_new,
-                    iterations=len(history),
-                    residual=history[-1],
-                    tau_used=tau,
-                    budget=budget_audit(grid, state, nxt, p_try, t_new),
-                    entropy=entropy_audit(grid, state, nxt, p_try),
-                )
+                {
+                    "step": k,
+                    "t": t_new,
+                    "tau_used": tau,
+                    "iterations": len(history),
+                    "residual": history[-1],
+                    **budget_audit(grid, state, nxt, p_try, t_new),
+                    **entropy_audit(grid, state, nxt, p_try),
+                }
             )
             older, state, tau_prev = state, nxt, tau
             t_start, remaining, halvings = t_start + tau, remaining - tau, 0

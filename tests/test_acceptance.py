@@ -140,9 +140,8 @@ def test_criterion_3_exact_budgets(run_matrix):
     worst_mass = worst_energy = worst_cons = 0.0
     n_steps = 0
     for (preset, eps, delta, tau), (params, traj) in results.items():
-        for rep in traj.reports:
+        for b in traj.reports:
             n_steps += 1
-            b = rep.budget
             worst_mass = max(worst_mass, b["mass_error"] / (1.0 + abs(b["mass_lhs"])))
             worst_energy = max(worst_energy, b["energy_error"] / (1.0 + abs(b["energy_lhs"])))
             assert b["mass_error"] <= 1e-10 * (1.0 + abs(b["mass_lhs"]))
@@ -163,8 +162,7 @@ def test_criterion_4_entropy_monotonicity(run_matrix):
     worst = worst_eps0 = -np.inf
     min_edge = np.inf
     for (preset, eps, delta, tau), (params, traj) in results.items():
-        for rep in traj.reports:
-            ent = rep.entropy
+        for ent in traj.reports:
             rel = ent["entropy_violation"] / (1.0 + abs(ent["entropy_before"]))
             worst = max(worst, rel)
             assert rel <= 1e-8

@@ -14,6 +14,7 @@ from etlab.cli import (
     EXIT_OK,
     _FIELDS,
     ConfigError,
+    _json_default,
     _read_csv,
     _write_audits,
     main,
@@ -465,8 +466,8 @@ def test_macro_outputs_are_17g_of_the_values_behind_them(tmp_path):
     iters = [0] * len(traj.times)
     diss = [0.0] * len(traj.times)
     for rep in traj.reports:
-        iters[rep.step] += rep.iterations
-        diss[rep.step] += (rep.tau_used / traj.times[1]) * _rate(rep.entropy["dissipation"])
+        iters[rep["step"]] += rep["iterations"]
+        diss[rep["step"]] += (rep["tau_used"] / traj.times[1]) * _rate(rep["dissipation"])
     lines = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + len(traj.states) == 7
     for k, state in enumerate(traj.states):
@@ -642,6 +643,21 @@ def test_macro_substep_records_share_their_time_grid_step(tmp_path):
         assert rows["fp_iters"][k] == sum(r["iterations"] for r in own)
         assert own[-1]["t"] == rows["t"][k]
         assert all(r["t"] < rows["t"][k] for r in own[:-1])
+
+
+def test_run_transient_reports_are_the_audits_json_records(tmp_path):
+    # The substepped run above: its 33 records, as run_transient returns
+    # them, are audits.json's records once through JSON.
+    doc = _macro_doc(tmp_path, tau=1e-2, t_final=0.04, fp_max_iter=4)
+    del doc["scheme"]["eps"], doc["scheme"]["delta"]
+    doc["grid"]["n_cells"] = 32
+    doc["init"]["preset"] = "gauss-bump"
+    assert main(["macro", _write_config(tmp_path, doc)]) == 0
+    cfg = parse_config(json.dumps(doc))
+    traj = run_transient(*cfg.initial_state(), cfg.scheme)
+    records = _strict_json(tmp_path / "out" / "audits.json")["records"]
+    assert len(traj.reports) == 33
+    assert json.loads(json.dumps(traj.reports, default=_json_default)) == records
 
 
 @pytest.mark.xfail(

@@ -363,13 +363,13 @@ def test_step_backoff_recovers_with_smaller_tau():
         tau=0.02, eps=0.0, delta=0.0, t_final=0.02, fp_max_iter=8, tau_backoff_limit=8
     )
     traj = run_transient(grid, MacroState(rho0, theta0), p)
-    assert traj.reports[0].tau_used < p.tau
-    assert sum(rep.tau_used for rep in traj.reports) == pytest.approx(p.tau)
+    assert traj.reports[0]["tau_used"] < p.tau
+    assert sum(rep["tau_used"] for rep in traj.reports) == pytest.approx(p.tau)
     for rep in traj.reports:
-        assert rep.budget["mass_error"] <= _BUDGET_GUARD
-        assert rep.budget["energy_error"] <= _BUDGET_GUARD
+        assert rep["mass_error"] <= _BUDGET_GUARD
+        assert rep["energy_error"] <= _BUDGET_GUARD
         # audits are evaluated at the accepted tau, so they still hold exactly
-        assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
+        assert rep["mass_pass"] and rep["energy_pass"]
     out = traj.states[-1]
     assert np.all(np.isfinite(out.phi)) and np.all(np.isfinite(out.w))
 
@@ -475,8 +475,8 @@ def test_paper_picard_solves_the_unregularized_system(
     picard = run_transient(grid, init, replace(p, inner_mode="paper_picard"))
     assert len(picard.reports) == step_count(t_final, tau)  # no substeps
     for rep in picard.reports:
-        assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
-        assert rep.entropy["entropy_pass"]
+        assert rep["mass_pass"] and rep["energy_pass"]
+        assert rep["entropy_pass"]
     for a, b in zip(coupled.states, picard.states):
         assert _max_gap(a, b) <= 10.0 * p.fp_tol
 
@@ -605,8 +605,8 @@ def test_step_falls_back_to_prev_when_extrapolation_fails(monkeypatch, w_shift, 
     cold, _ = step(grid, prev, prev, p_try, t_new)
     assert _max_gap(out, cold) <= p.fp_tol
     rep = traj.reports[-1]
-    assert rep.tau_used == p_try.tau
-    assert rep.budget["mass_pass"] and rep.budget["energy_pass"]
+    assert rep["tau_used"] == p_try.tau
+    assert rep["mass_pass"] and rep["energy_pass"]
 
 
 def test_last_rung_caps_the_newton_corrections(monkeypatch):
@@ -664,7 +664,7 @@ def test_cold_run_residual_evaluations(monkeypatch):
     # theta_min = 1e-8: 224 residual evaluations and no substeps
     residuals = _Counted(monkeypatch, scheme, "_residual")
     traj = _cold_run(1e-8)
-    assert all(rep.tau_used == 1e-3 for rep in traj.reports)
+    assert all(rep["tau_used"] == 1e-3 for rep in traj.reports)
     assert len(residuals.calls) <= 224
 
 
@@ -741,7 +741,7 @@ def test_transient_extrapolated_starts_save_iterations(monkeypatch):
     cfg = _benchmark_config(monkeypatch, "macro-n64-replay", 1)
     grid, init = cfg.initial_state()
     p = cfg.scheme
-    warm = sum(rep.iterations for rep in run_transient(grid, init, p).reports)
+    warm = sum(rep["iterations"] for rep in run_transient(grid, init, p).reports)
     state = to_entropic(init.rho, init.theta)
     cold = 0
     for k in range(step_count(p.t_final, p.tau)):
@@ -817,8 +817,8 @@ def test_budget_conservation_without_regularization():
     init = MacroState(0.2 + np.exp(-50.0 * (grid.cell_centers - 0.5) ** 2), np.ones(32))
     traj = run_transient(grid, init, p)
     for rep in traj.reports:
-        assert abs(rep.budget["mass_lhs"]) <= 1e-10
-        assert abs(rep.budget["energy_lhs"]) <= 1e-10
+        assert abs(rep["mass_lhs"]) <= 1e-10
+        assert abs(rep["energy_lhs"]) <= 1e-10
 
 
 def test_budget_identities_on_accepted_steps():
@@ -826,8 +826,7 @@ def test_budget_identities_on_accepted_steps():
     grid = build_grid(32, 1.0)
     init = MacroState(0.2 + np.exp(-50.0 * (grid.cell_centers - 0.5) ** 2), np.ones(32))
     traj = run_transient(grid, init, p)
-    for rep in traj.reports:
-        b = rep.budget
+    for b in traj.reports:
         assert b["mass_pass"] and b["energy_pass"]
         assert b["mass_error"] <= 1e-10 * (1.0 + abs(b["mass_lhs"]))
         assert b["energy_error"] <= 1e-10 * (1.0 + abs(b["energy_lhs"]))
@@ -857,7 +856,7 @@ def test_entropy_decreases_on_relaxation_run():
     p = SchemeParams(tau=1e-2, eps=0.0, delta=0.0, t_final=0.1)
     traj = run_transient(grid, init, p)
     for rep in traj.reports:
-        assert rep.entropy["entropy_after"] < rep.entropy["entropy_before"]
+        assert rep["entropy_after"] < rep["entropy_before"]
 
 
 def test_edge_dissipation_form_nonnegative_per_edge():
