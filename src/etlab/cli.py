@@ -601,11 +601,12 @@ def _run_mms(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _read_snapshot(path: Path, n_cells: Optional[int]) -> EntropicState:
-    """The state stored in a snapshot; ConfigError naming a damaged file."""
+def _read_snapshot(path: Path, n_cells: Optional[int]) -> Tuple[np.ndarray, EntropicState]:
+    """The cell centers and the state stored in a snapshot; ConfigError
+    naming a damaged file."""
     try:
         cols = _read_csv(path)
-        state = EntropicState(phi=cols["phi"], w=cols["w"])
+        x, state = cols["x"], EntropicState(phi=cols["phi"], w=cols["w"])
         to_primitive(state)
     except (ValueError, KeyError, IndexError, BlowupError) as exc:
         raise ConfigError(str(path), f"damaged snapshot: {exc}") from exc
@@ -613,7 +614,7 @@ def _read_snapshot(path: Path, n_cells: Optional[int]) -> EntropicState:
         raise ConfigError(
             str(path), f"damaged snapshot: {state.phi.size} cells, snapshot_0 has {n_cells}"
         )
-    return state
+    return x, state
 
 
 def _run_audit(cfg: RunConfig, out: Path) -> int:
@@ -635,6 +636,7 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
         "damaged trajectory: times must be 0, tau, 2 tau, ... for some tau > 0",
     )
     states: List[EntropicState] = []
+    centers: List[np.ndarray] = []
     for k in range(len(times)):
         snap = out / f"snapshot_{k}.csv"
         if not snap.exists():
@@ -642,9 +644,21 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
                 "output.snapshot_stride",
                 "audit mode needs snapshots at every step (snapshot_stride=1)",
             )
-        states.append(_read_snapshot(snap, states[0].phi.size if states else None))
-    _expect_cell_width(cfg.length, states[0].phi.size)
-    grid = build_grid(len(states[0].phi), cfg.length)
+        x, state = _read_snapshot(snap, states[0].phi.size if states else None)
+        centers.append(x)
+        states.append(state)
+    n = states[0].phi.size
+    _expect_cell_width(cfg.length, n)
+    grid = build_grid(n, cfg.length)
+    # Every audit term scales with h, so a wrong length would pass unseen;
+    # the writer's %.17g round-trips, so the stored centers match exactly.
+    for k, x in enumerate(centers):
+        if not np.array_equal(x, grid.cell_centers):
+            raise ConfigError(
+                "grid.length",
+                f"snapshot_{k}.csv does not hold the cell centers of length "
+                f"{cfg.length:.17g}; its first center implies length {2 * n * x[0]:.17g}",
+            )
     p = dataclasses.replace(cfg.scheme, tau=tau)
     records = [
         {

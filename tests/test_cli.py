@@ -753,6 +753,27 @@ def test_audit_rejects_a_length_too_small_for_its_snapshots(tmp_path, capsys):
     assert record == {"error": "config", "message": message}
 
 
+@pytest.mark.parametrize("length", ["2.0", "0.5", "1.0000000000000002"])
+def test_audit_rejects_a_length_its_snapshots_were_not_written_with(tmp_path, capsys, length):
+    # Every budget and entropy term scales with h, so the replay of this run
+    # on [0, 1] passed all its audits at length 2; the stored cell centers
+    # tell the lengths apart to the last bit.
+    doc = _macro_doc(tmp_path, tau=1e-3, t_final=2e-3)
+    del doc["scheme"]["eps"], doc["scheme"]["delta"]
+    doc["grid"]["n_cells"] = 16
+    doc["init"]["preset"] = "gauss-bump"
+    cfg = _write_config(tmp_path, doc)
+    assert main(["macro", cfg]) == 0
+    assert main(["audit", cfg, f"grid.length={length}"]) == 3
+    message = (
+        f"grid.length: snapshot_0.csv does not hold the cell centers of length "
+        f"{float(length):.17g}; its first center implies length 1"
+    )
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record == {"error": "config", "message": message}
+
+
 def test_audit_mode_requires_per_step_snapshots(tmp_path):
     doc = _macro_doc(tmp_path)
     doc["output"]["snapshot_stride"] = 2
