@@ -210,8 +210,9 @@ _FIELDS: Dict[str, _Field] = {
         "kinetic_eps",
         lambda v: _floats(_listed(v)),
         (lambda v: isinstance(v, list) or _is_kinetic_eps(v), f"must be a number in {EPS_RANGE}"),
+        _NOT_EMPTY,
         (
-            lambda v: v != [] and all(map(_is_kinetic_eps, _listed(v))),
+            lambda v: all(map(_is_kinetic_eps, _listed(v))),
             f"values must be numbers in {EPS_RANGE}",
         ),
         (lambda v: _decreasing(_listed(v)), "must be strictly decreasing"),

@@ -237,6 +237,7 @@ _FIELD_CHECKS = [
         "scheme.inner_mode: must be one of ('paper_picard', 'coupled_implicit')",
     ),
     ("kinetic.eps=0", f"kinetic.eps: must be a number in {_EPS_RANGE}"),
+    ("kinetic.eps=[]", "kinetic.eps: must not be empty"),
     ("kinetic.eps=[0.1,0]", f"kinetic.eps: values must be numbers in {_EPS_RANGE}"),
     ("kinetic.eps=[0.1,0.2]", "kinetic.eps: must be strictly decreasing"),
     ("kinetic.v_max=0", "kinetic.v_max: must be positive"),
