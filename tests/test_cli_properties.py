@@ -1,10 +1,13 @@
-"""Property tests: ``etlab macro`` and ``etlab sweep`` with any overrides exit
-with a documented code, and every solver failure or configuration error
-leaves a well-formed ``error.json``.
+"""Property tests: every ``etlab`` mode with any overrides exits with a
+documented code, and every solver failure or configuration error leaves a
+well-formed ``error.json``. ``audit`` replays a ``macro`` run made with
+per-step snapshots.
 
 The generated values keep every valid configuration tiny (at most 32 cells,
 at most 5 steps of tau, at most 4 tau halvings, at most 4 runs per sweep),
-so no example allocates a large grid or runs long.
+so no example allocates a large grid or runs long. The other four modes
+draw smaller values still: at most 16 cells and 16 velocities, t_final at
+most 2e-3, kinetic eps at least 0.2 and mms resolutions of 3, 4 or 8 cells.
 """
 
 import json
@@ -70,12 +73,36 @@ _FIELDS = {
 }
 
 
+# kinetic, compare, mms and audit: the fields above at smaller sizes, and
+# those of the kinetic and mms sections.
+_SMALL_FIELDS = dict(
+    _FIELDS,
+    **{
+        "grid.n_cells": _json(st.integers(-1, 16)),
+        "scheme.t_final": _json(st.sampled_from([1e-3, 1.5e-3, 2e-3, 0.0])),
+        "kinetic.eps": _json(
+            st.sampled_from(
+                [0.2, 0.4, [0.4, 0.2], [0.8, 0.4, 0.2], [0.2, 0.4], [0.4, 0.0], [], 0.0, 1e300]
+            )
+        ),
+        "kinetic.n_v": _json(st.integers(-1, 16)),
+        "kinetic.v_max": _json(st.sampled_from([4.0, 8.0, 0.0, -1.0])),
+        "mms.resolutions": _json(
+            st.one_of(
+                st.lists(st.sampled_from([3, 4, 8]), max_size=3),
+                st.sampled_from([[2], [8, 2], [4.5]]),
+            )
+        ),
+    },
+)
+
+
 @st.composite
-def _overrides(draw):
-    keys = draw(st.lists(st.sampled_from(sorted(_FIELDS)), max_size=6, unique=True))
+def _overrides(draw, fields=_FIELDS):
+    keys = draw(st.lists(st.sampled_from(sorted(fields)), max_size=6, unique=True))
     items = []
     for key in keys:
-        raw = draw(st.one_of(_FIELDS[key], _JUNK))
+        raw = draw(st.one_of(fields[key], _JUNK))
         items.append(f"{key}={raw}")
     return items
 
@@ -109,12 +136,46 @@ def test_sweep_with_any_overrides_returns_documented_code(overrides):
     _assert_documented_exit("sweep", base, overrides)
 
 
-def _assert_documented_exit(mode, base, overrides):
+@_SETTINGS
+@given(overrides=_overrides(_SMALL_FIELDS))
+def test_kinetic_with_any_overrides_returns_documented_code(overrides):
+    base = dict(_BASE, mode="kinetic", kinetic={"eps": 0.2, "n_v": 16})
+    _assert_documented_exit("kinetic", base, overrides)
+
+
+@_SETTINGS
+@given(overrides=_overrides(_SMALL_FIELDS))
+def test_compare_with_any_overrides_returns_documented_code(overrides):
+    base = dict(_BASE, mode="compare", kinetic={"eps": [0.4, 0.2], "n_v": 16})
+    _assert_documented_exit("compare", base, overrides)
+
+
+@_SETTINGS
+@given(overrides=_overrides(_SMALL_FIELDS))
+def test_mms_with_any_overrides_returns_documented_code(overrides):
+    base = dict(_BASE, mode="mms", mms={"resolutions": [4, 8]})
+    _assert_documented_exit("mms", base, overrides)
+
+
+@_SETTINGS
+@given(overrides=_overrides(_SMALL_FIELDS))
+def test_audit_with_any_overrides_returns_documented_code(overrides):
+    # The replayed run is the macro base run, snapshotted at every step.
+    base = dict(_BASE, mode="audit", output={"snapshot_stride": 1})
+    _assert_documented_exit("audit", base, overrides, first="macro")
+
+
+def _assert_documented_exit(mode, base, overrides, first=None):
+    """Run ``mode`` on ``base`` with ``overrides``, after a run of ``first``
+    without them into the same directory, when given."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = f"{tmp}/cfg.json"
         with open(cfg, "w", encoding="utf-8") as f:
             json.dump(base, f)
-        code = main([mode, cfg, *overrides, f"output.directory={tmp}/out"])
+        out = f"output.directory={tmp}/out"
+        if first is not None:
+            assert main([first, cfg, out]) == EXIT_OK
+        code = main([mode, cfg, *overrides, out])
         error_file = Path(tmp) / "out" / "error.json"
         if code in (EXIT_SOLVER, EXIT_CONFIG):
             record = json.loads(error_file.read_text(encoding="utf-8"))
