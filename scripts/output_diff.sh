@@ -10,7 +10,9 @@
 # equilibrium data with rho = 1e16 >> theta = 1, and sweep with one varied
 # field (the gaps and orders of a delta study) and with two; a config named
 # <mode>-<variant> runs <mode>. When both trees exit with the same nonzero
-# code, their error.json files are compared instead.
+# code, their error.json files are compared instead. Under the line of a
+# config whose outputs or failure messages differ, `diff -q` names the
+# files that differ.
 #
 #   scripts/output_diff.sh <base-tree> [<head-tree>] [<work-dir>]
 #
@@ -95,19 +97,21 @@ for name in macro macro-n1024 macro-picard macro-picard-unregularized macro-subs
     [ "$code" -eq 0 ] || status="${status:+$status; }$tree run failed (exit $code)"
   done
   set -- $codes
+  names=
   if [ "$1" -ne 0 ] && [ "$1" -eq "$2" ]; then
-    if diff "$work/base/$name/error.json" "$work/head/$name/error.json" > /dev/null 2>&1; then
+    if names=$(cd "$work" && diff -q "base/$name/error.json" "head/$name/error.json" 2>&1); then
       status="identical failure (exit $1)"
     else
       status="failure messages differ"
     fi
   elif [ -z "$status" ]; then
-    if diff -r "$work/base/$name" "$work/head/$name" > /dev/null; then
+    if names=$(cd "$work" && diff -rq "base/$name" "head/$name" 2>&1); then
       status=identical
     else
       status="outputs differ"
     fi
   fi
   echo "$name: $status"
+  [ -z "$names" ] || printf '%s\n' "$names" | sed 's/^/  /'
 done
 exit 0
