@@ -602,19 +602,24 @@ def _run_mms(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _read_snapshot(path: Path, n_cells: Optional[int]) -> Tuple[np.ndarray, EntropicState]:
+def _read_snapshot(
+    path: Path, first: Optional[np.ndarray]
+) -> Tuple[np.ndarray, EntropicState]:
     """The cell centers and the state stored in a snapshot; ConfigError
-    naming a damaged file."""
+    naming a damaged file, or one whose centers are not ``first``, those of
+    snapshot_0."""
     try:
         cols = _read_csv(path)
         x, state = cols["x"], EntropicState(phi=cols["phi"], w=cols["w"])
         to_primitive(state)
     except (ValueError, KeyError, IndexError, BlowupError) as exc:
         raise ConfigError(str(path), f"damaged snapshot: {exc}") from exc
-    if n_cells is not None and state.phi.size != n_cells:
+    if first is not None and x.size != first.size:
         raise ConfigError(
-            str(path), f"damaged snapshot: {state.phi.size} cells, snapshot_0 has {n_cells}"
+            str(path), f"damaged snapshot: {x.size} cells, snapshot_0 has {first.size}"
         )
+    if first is not None and not np.array_equal(x, first):
+        raise ConfigError(str(path), "damaged snapshot: its x column is not snapshot_0's")
     return x, state
 
 
@@ -637,7 +642,7 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
         "damaged trajectory: times must be 0, tau, 2 tau, ... for some tau > 0",
     )
     states: List[EntropicState] = []
-    centers: List[np.ndarray] = []
+    centers: Optional[np.ndarray] = None  # snapshot_0's
     for k in range(len(times)):
         snap = out / f"snapshot_{k}.csv"
         if not snap.exists():
@@ -645,21 +650,21 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
                 "output.snapshot_stride",
                 "audit mode needs snapshots at every step (snapshot_stride=1)",
             )
-        x, state = _read_snapshot(snap, states[0].phi.size if states else None)
-        centers.append(x)
+        x, state = _read_snapshot(snap, centers)
+        if centers is None:
+            centers = x
         states.append(state)
-    n = states[0].phi.size
+    n = centers.size
     _expect_cell_width(cfg.length, n)
     grid = build_grid(n, cfg.length)
     # Every audit term scales with h, so a wrong length would pass unseen;
     # the writer's %.17g round-trips, so the stored centers match exactly.
-    for k, x in enumerate(centers):
-        if not np.array_equal(x, grid.cell_centers):
-            raise ConfigError(
-                "grid.length",
-                f"snapshot_{k}.csv does not hold the cell centers of length "
-                f"{cfg.length:.17g}; its first center implies length {2 * n * x[0]:.17g}",
-            )
+    if not np.array_equal(centers, grid.cell_centers):
+        raise ConfigError(
+            "grid.length",
+            f"snapshot_0.csv does not hold the cell centers of length {cfg.length:.17g}; "
+            f"its first center implies length {2 * n * centers[0]:.17g}",
+        )
     p = dataclasses.replace(cfg.scheme, tau=tau)
     records = [
         {

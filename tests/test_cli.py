@@ -700,7 +700,8 @@ def _corrupt_snapshot(out, damage):
     snap = out / "snapshot_2.csv"
     lines = snap.read_text().splitlines()
     cells = lines[3].split(",")
-    cells[5] = {"w=1000": "1000", "nan": "nan"}[damage]  # the w column
+    column, value = {"w=1000": (5, "1000"), "nan": (5, "nan"), "x=0.5": (0, "0.5")}[damage]
+    cells[column] = value
     lines[3] = ",".join(cells)
     snap.write_text("\n".join(lines) + "\n")
     return snap
@@ -712,6 +713,7 @@ def _corrupt_snapshot(out, damage):
     [
         "w=1000",
         "nan",
+        "x=0.5",
         "truncated",
         "header-only trajectory",
         "one-row trajectory",
@@ -737,6 +739,8 @@ def test_audit_on_corrupted_run_directory_exits_3(tmp_path, capsys, damage):
         assert record["message"].startswith("output.directory: no trajectory.csv in ")
     elif damage.endswith("trajectory"):
         assert "damaged trajectory: times must be 0, tau, 2 tau" in record["message"]
+    elif damage == "x=0.5":
+        assert record["message"].endswith("damaged snapshot: its x column is not snapshot_0's")
 
 
 def test_audit_rejects_a_length_too_small_for_its_snapshots(tmp_path, capsys):
