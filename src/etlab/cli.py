@@ -47,12 +47,16 @@ from .kinetic import (
 )
 from .scheme import (
     ESTIMATE_TERMS,
-    PARAM_RANGES,
+    NUMBER,
+    PARAM_RULES,
+    Check,
     SchemeParams,
     StepFailureError,
     Trajectory,
     budget_audit,
     entropy_audit,
+    is_int,
+    is_number,
     lyapunov_functional,
     make_initial_state,
     run_transient,
@@ -118,31 +122,17 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _is_number(value: Any) -> bool:
-    """A JSON number that converts to a finite float; bools are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer literal beyond the float range
-        return False
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and _is_number(value)
-
-
 def _is_number_list(value: Any) -> bool:
-    return isinstance(value, list) and all(_is_number(v) for v in value)
+    return isinstance(value, list) and all(is_number(v) for v in value)
 
 
 def _is_kinetic_eps(value: Any) -> bool:
-    return _is_number(value) and MIN_EPS <= value <= MAX_EPS
+    return is_number(value) and MIN_EPS <= value <= MAX_EPS
 
 
 def _is_length(value: Any) -> bool:
     # Every solver squares the cell width h <= length / 3.
-    return _is_number(value) and value > 0 and math.isfinite((value / 3) * (value / 3))
+    return is_number(value) and value > 0 and math.isfinite((value / 3) * (value / 3))
 
 
 def _listed(value: Any) -> List[Any]:
@@ -157,18 +147,12 @@ def _floats(values: List[Any]) -> List[float]:
     return [float(v) for v in values]
 
 
-# A check: a predicate on the value, and the message of the ConfigError
-# raised at the field's path when it is false.
-_Check = Tuple[Callable[[Any], bool], str]
-
-_NUMBER: _Check = (_is_number, "must be a number")
-_INTEGER: _Check = (_is_int, "must be an integer")
-_NUMBERS: _Check = (_is_number_list, "must be an array of numbers")
-_NOT_EMPTY: _Check = (bool, "must not be empty")
+_NUMBERS: Check = (_is_number_list, "must be an array of numbers")
+_NOT_EMPTY: Check = (bool, "must not be empty")
 
 
-def _int_at_least(low: int) -> _Check:
-    return (lambda v: _is_int(v) and v >= low, f"must be an integer >= {low}")
+def _int_at_least(low: int) -> Check:
+    return (lambda v: is_int(v) and v >= low, f"must be an integer >= {low}")
 
 
 class _Field:
@@ -177,17 +161,11 @@ class _Field:
     keeps it as it is), and its checks in order. ``entries`` checks each
     (name, value) of an object field at the path ``<field>.<name>``."""
 
-    def __init__(self, attr: str, convert: Optional[Callable], *checks: _Check, entries=()):
+    def __init__(self, attr: str, convert: Optional[Callable], *checks: Check, entries=()):
         self.attr = attr
         self.convert = convert
         self.checks = checks
         self.entries = entries
-
-
-def _scheme_field(name: str, convert: Optional[Callable], *checks: _Check) -> _Field:
-    """A SchemeParams field: its type checks, then its range from
-    PARAM_RANGES, so that each error names the field."""
-    return _Field(name, convert, *checks, PARAM_RANGES[name])
 
 
 _FIELDS: Dict[str, _Field] = {
@@ -195,16 +173,11 @@ _FIELDS: Dict[str, _Field] = {
     "grid.length": _Field(
         "length", float, (_is_length, "must be a positive number whose (length / 3)**2 is finite")
     ),
-    "scheme.tau": _scheme_field("tau", float, _NUMBER),
-    "scheme.eps": _scheme_field("eps", float, _NUMBER),
-    "scheme.delta": _scheme_field("delta", float, _NUMBER),
-    "scheme.n_exp": _scheme_field("n_exp", float, _NUMBER),
-    "scheme.t_final": _scheme_field("t_final", float, _NUMBER),
-    "scheme.fp_tol": _scheme_field("fp_tol", float, _NUMBER),
-    "scheme.fp_max_iter": _scheme_field("fp_max_iter", None, _INTEGER),
-    "scheme.tau_backoff_limit": _scheme_field("tau_backoff_limit", None, _INTEGER),
-    "scheme.inner_mode": _scheme_field("inner_mode", None),
-    "scheme.init_floor": _Field("init_floor", float, _NUMBER),
+    # The SchemeParams fields, with the checks that SchemeParams applies too.
+    **{
+        f"scheme.{name}": _Field(name, float if rules[0] is NUMBER else None, *rules)
+        for name, rules in PARAM_RULES.items()
+    },
     # One number, or a list of them for compare mode's Knudsen sweep.
     "kinetic.eps": _Field(
         "kinetic_eps",
@@ -218,7 +191,7 @@ _FIELDS: Dict[str, _Field] = {
         (lambda v: _decreasing(_listed(v)), "must be strictly decreasing"),
     ),
     "kinetic.v_max": _Field(
-        "v_max", float, (lambda v: _is_number(v) and v > 0, "must be positive")
+        "v_max", float, (lambda v: is_number(v) and v > 0, "must be positive")
     ),
     "kinetic.n_v": _Field("n_v", None, _int_at_least(4)),
     "init.preset": _Field(
@@ -230,7 +203,7 @@ _FIELDS: Dict[str, _Field] = {
         "output_dir", None, (lambda v: isinstance(v, str), "must be a string")
     ),
     "output.snapshot_stride": _Field(
-        "snapshot_stride", None, (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
+        "snapshot_stride", None, (lambda v: is_int(v) and v >= 1, "must be a positive integer")
     ),
     # Each entry names a scheme field and lists the values it takes.
     "sweep.varied": _Field(
@@ -248,7 +221,7 @@ _FIELDS: Dict[str, _Field] = {
         "mms_resolutions",
         list,
         (
-            lambda v: isinstance(v, list) and all(_is_int(n) and n >= 3 for n in v),
+            lambda v: isinstance(v, list) and all(is_int(n) and n >= 3 for n in v),
             "must be an array of integers >= 3",
         ),
         _NOT_EMPTY,

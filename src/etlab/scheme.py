@@ -89,22 +89,43 @@ _BUDGET_GUARD = 1e-12
 _LAST_RUNG_UPDATE = 4.0
 
 
-_POSITIVE = (lambda v: v > 0, "must be positive")
-_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+def is_number(value: Any) -> bool:
+    """A JSON number that converts to a finite float; bools are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
 
-# The range of each SchemeParams field that has one: a predicate on the value
-# and the message of the error that names the field when it is false. The
-# config reader checks its scheme fields against the same entries.
-PARAM_RANGES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
-    "tau": _POSITIVE,
-    "eps": _NONNEGATIVE,
-    "delta": _NONNEGATIVE,
-    "n_exp": (lambda v: 0 < v < 5, "must lie in (0, 5)"),
-    "t_final": _POSITIVE,
-    "fp_tol": _POSITIVE,
-    "fp_max_iter": (lambda v: v >= 1, "must be at least 1"),
-    "tau_backoff_limit": _NONNEGATIVE,
-    "inner_mode": (lambda v: v in INNER_MODES, f"must be one of {INNER_MODES}"),
+
+def is_int(value: Any) -> bool:
+    return isinstance(value, int) and is_number(value)
+
+
+# A check: a predicate on a value, and the message of the error that names
+# the value's field when it is false.
+Check = Tuple[Callable[[Any], bool], str]
+
+NUMBER: Check = (is_number, "must be a number")
+INTEGER: Check = (is_int, "must be an integer")
+_POSITIVE: Check = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE: Check = (lambda v: v >= 0, "must be nonnegative")
+
+# The checks of each SchemeParams field that a config sets, in order, its
+# type first. SchemeParams raises ValueError at the first that fails, and
+# the config reader checks its scheme section against the same entries.
+PARAM_RULES: Dict[str, Tuple[Check, ...]] = {
+    "tau": (NUMBER, _POSITIVE),
+    "eps": (NUMBER, _NONNEGATIVE),
+    "delta": (NUMBER, _NONNEGATIVE),
+    "n_exp": (NUMBER, (lambda v: 0 < v < 5, "must lie in (0, 5)")),
+    "t_final": (NUMBER, _POSITIVE),
+    "fp_tol": (NUMBER, _POSITIVE),
+    "fp_max_iter": (INTEGER, (lambda v: v >= 1, "must be at least 1")),
+    "tau_backoff_limit": (INTEGER, _NONNEGATIVE),
+    "inner_mode": ((lambda v: v in INNER_MODES, f"must be one of {INNER_MODES}"),),
+    "init_floor": (NUMBER,),
 }
 
 
@@ -139,9 +160,11 @@ class SchemeParams:
     source_energy: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
-        for name, (ok, message) in PARAM_RANGES.items():
-            if not ok(getattr(self, name)):
-                raise ValueError(f"{name}: {message}")
+        for name, rules in PARAM_RULES.items():
+            value = getattr(self, name)
+            for ok, message in rules:
+                if not ok(value):
+                    raise ValueError(f"{name}: {message}")
 
 
 @dataclass

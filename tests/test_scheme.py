@@ -124,10 +124,18 @@ def _bump_state(grid):
         {"fp_tol": 0.0},
         {"fp_max_iter": 0},
         {"tau_backoff_limit": -1},
+        # the type checks that come before each range
+        {"tau": True},
+        {"tau": float("inf")},
+        {"fp_max_iter": 2.5},
+        {"eps": "1"},
+        {"tau_backoff_limit": True},
+        {"init_floor": "x"},
     ],
 )
 def test_params_validation(kwargs):
-    with pytest.raises(ValueError):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name}: "):
         SchemeParams(**kwargs)
 
 
