@@ -289,13 +289,13 @@ def _stiffness_bands(n: int, h: float, coeff_e: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _unit_bands(n: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
+def _unit_bands(n: int, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The state-independent bands of the Jacobian blocks, built once per grid.
 
     Returns the lower bands (3, n) of the form sum_i h (Lu)_i (Lpsi)_i, where
     L is the second difference with even-reflection ghosts (the form
-    annihilates constants exactly), and the lower bands (2, n) of the unit
-    stiffness form. Both are read-only because every call shares them.
+    annihilates constants exactly), the lower bands (2, n) of the unit
+    stiffness form and L's diagonal (n,), all read-only as calls share them.
     """
     lo = 1.0 / h**2
     ld = np.full(n, -2.0 / h**2)
@@ -307,9 +307,9 @@ def _unit_bands(n: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
     second[1, : n - 1] = h * lo * (ld[:-1] + ld[1:])
     second[2, : n - 2] = h * lo**2
     stiffness = _stiffness_bands(n, h, np.ones(n - 1))
-    second.flags.writeable = False
-    stiffness.flags.writeable = False
-    return second, stiffness
+    for bands in (second, stiffness, ld):
+        bands.flags.writeable = False
+    return second, stiffness, ld
 
 
 def _assemble_blocks(
@@ -327,7 +327,7 @@ def _assemble_blocks(
     n, h = grid.n_cells, grid.h
     rho, w = frozen_mac.rho, frozen.w
     m11, m12, m22, eneg, dphi, dw, _, theta_e = edges
-    second, stiffness = _unit_bands(n, h)
+    second, stiffness, _ = _unit_bands(n, h)
     h_tau = h / p.tau
 
     a11 = np.zeros((3, n))
@@ -446,15 +446,14 @@ def _jacobian(
     d_ww = band(0, 1, 1)
     d_ww += (mac.energy + 2.25 * theta * rho) / p.tau
     if p.eps > 0.0:
+        unit_second, _, ld = _unit_bands(n, h)
         # eps L L is the symmetric eps / h * second
-        second = (p.eps / h) * _unit_bands(n, h)[0]
+        second = (p.eps / h) * unit_second
         band(0, 0, 0)[:] += second[0]
         for k in (1, 2):
             band(k, 0, 0)[:] += second[k, : n - k]
             band(-k, 0, 0)[:] += second[k, : n - k]
         # d/dw of L(theta L w) is L diag(theta) L + L diag(theta L w)
-        ld = np.full(n, -2.0 * hh)
-        ld[0] = ld[-1] = -hh
         ld_theta = ld * theta
         g_lw = theta * _second_diff(grid, x, "w")
         off = hh * (ld_theta[:-1] + ld_theta[1:])
