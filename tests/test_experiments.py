@@ -166,9 +166,9 @@ def test_sweep_study_records_drifts():
     assert abs(rows[0].mass_drift) > abs(rows[1].mass_drift)
 
 
-def _step_field(x, stepped):
-    """1 on |x - 1/2| < 0.2; outside it, 0 when stepped, else 1."""
-    return np.where(np.abs(x - 0.5) < 0.2, 1.0, 0.0 if stepped else 1.0)
+def _step_field(x, stepped, half_width=0.2):
+    """1 on |x - 1/2| < half_width; outside it, 0 when stepped, else 1."""
+    return np.where(np.abs(x - 0.5) < half_width, 1.0, 0.0 if stepped else 1.0)
 
 
 @pytest.mark.parametrize(
@@ -185,6 +185,30 @@ def test_sweep_study_converges_to_first_order_as_the_floor_vanishes(rho_step, th
     rows = sweep_study(grid, _step_field(x, rho_step), _step_field(x, theta_step), p, varied)
     orders = [row.order_rho for row in rows[1:-1]]
     assert min(orders) >= 0.9, orders
+
+
+@pytest.mark.parametrize(
+    "rho_step, theta_step", [(True, False), (False, True), (True, True)], ids=["rho", "theta", "both"]
+)
+def test_step_data_converges_to_second_order_in_h(rho_step, theta_step):
+    # The same degenerate data with its interfaces on faces (|x - 1/2| < 1/4
+    # at every n below): rho at t_final converges to second order in h. The
+    # gap of each run is its L1 distance to the n = 1024 run averaged onto
+    # its cells.
+    p = SchemeParams(tau=2e-4, eps=0.0, delta=0.0, t_final=0.02)
+
+    def final_rho(n):
+        grid = build_grid(n, 1.0)
+        x = grid.cell_centers
+        rho0, theta0 = _step_field(x, rho_step, 0.25), _step_field(x, theta_step, 0.25)
+        traj = run_transient(grid, make_initial_state(rho0, theta0, floor=p.init_floor), p)
+        return to_primitive(traj.states[-1]).rho
+
+    ref = final_rho(1024)
+    ns = (64, 128, 256, 512)
+    gaps = [np.abs(final_rho(n) - ref.reshape(n, -1).mean(axis=1)).sum() / n for n in ns]
+    orders = np.log2(np.divide(gaps[:-1], gaps[1:]))
+    assert min(orders) >= 1.8, orders
 
 
 def test_sweep_study_orders_only_for_one_varied_field():
