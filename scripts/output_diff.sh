@@ -4,12 +4,14 @@
 # also runs at n = 1024 (the size of the benchmark's macro-n1024, 20 steps,
 # under 1 s), with paper_picard (at the default eps and delta, and at
 # eps = delta = 0), with backoff substeps (fp_max_iter = 4 makes its first
-# step halve tau five times) and on theta-step data whose first step
-# exhausts the tau backoff, kinetic also at the size of the benchmark's
-# kinetic-n256 (n = 256, n_v = 64, 2276 steps, about 0.5 s) and on uniform
-# equilibrium data with rho = 1e16 >> theta = 1, and sweep with one varied
-# field (the gaps and orders of a delta study) and with two; a config named
-# <mode>-<variant> runs <mode>. When both trees exit with the same nonzero
+# step halve tau five times), on theta-step data whose first step
+# exhausts the tau backoff and on cold theta-step data (init_floor = 1e-4)
+# of which two steps take the capped-Newton fallback, kinetic also at the
+# size of the benchmark's kinetic-n256 (n = 256, n_v = 64, 2276 steps,
+# about 0.5 s), on uniform equilibrium data with rho = 1e16 >> theta = 1
+# and on the cold theta step, whose relaxation takes 3 Newton evaluations
+# per step, and sweep with one varied field (the gaps and orders of a delta
+# study) and with two; a config named <mode>-<variant> runs <mode>. When both trees exit with the same nonzero
 # code, their error.json files are compared instead. Under the line of a
 # config whose outputs or failure messages differ, `diff -q` names the
 # files that differ.
@@ -54,6 +56,10 @@ config macro-fails '{"mode": "macro", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-3, "t_final": 0.002},
   "init": {"rho0": ['"$(items 32 1)"'],
            "theta0": ['"$(items 10 0), $(items 12 1), $(items 10 0)"']}}'
+config macro-cold '{"mode": "macro", "grid": {"n_cells": 64, "length": 1.0},
+  "scheme": {"tau": 1e-3, "t_final": 0.02, "init_floor": 1e-4},
+  "init": {"rho0": ['"$(items 64 1)"'],
+           "theta0": ['"$(items 22 0), $(items 20 1), $(items 22 0)"']}}'
 config kinetic '{"mode": "kinetic", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"t_final": 0.005}, "kinetic": {"eps": 0.2, "n_v": 32},
   "init": {"preset": "gauss-bump"}}'
@@ -63,6 +69,10 @@ config kinetic-n256 '{"mode": "kinetic", "grid": {"n_cells": 256, "length": 1.0}
 config kinetic-dense '{"mode": "kinetic", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"t_final": 0.005}, "kinetic": {"eps": 0.2, "n_v": 32},
   "init": {"rho0": ['"$(items 32 1e16)"'], "theta0": ['"$(items 32 1.0)"']}}'
+config kinetic-cold '{"mode": "kinetic", "grid": {"n_cells": 64, "length": 1.0},
+  "scheme": {"t_final": 0.005}, "kinetic": {"eps": 0.2, "n_v": 64},
+  "init": {"rho0": ['"$(items 64 1)"'],
+           "theta0": ['"$(items 22 0), $(items 20 1), $(items 22 0)"']}}'
 config compare '{"mode": "compare", "grid": {"n_cells": 32, "length": 1.0},
   "scheme": {"tau": 1e-3, "t_final": 0.01}, "kinetic": {"eps": [0.4, 0.2, 0.1], "n_v": 32},
   "init": {"preset": "gauss-bump"}}'
@@ -81,7 +91,9 @@ run() {  # run <tree> <label> <mode> <config> <out>: etlab's exit code
     "output.directory=$work/$2/$5" > "$work/$2-$5.log" 2>&1
 }
 
-for name in macro macro-n1024 macro-picard macro-picard-unregularized macro-substeps macro-fails audit kinetic kinetic-n256 kinetic-dense compare sweep-delta sweep-varied mms; do
+for name in macro macro-n1024 macro-picard macro-picard-unregularized macro-substeps \
+    macro-fails macro-cold audit kinetic kinetic-n256 kinetic-dense kinetic-cold compare \
+    sweep-delta sweep-varied mms; do
   status=
   codes=
   for tree in base head; do
