@@ -1,7 +1,8 @@
 """Property tests: every ``etlab`` mode with any overrides exits with a
 documented code, and every solver failure or configuration error leaves a
 well-formed ``error.json``. ``audit`` replays a ``macro`` run made with
-per-step snapshots.
+per-step snapshots. The last test checks that SchemeParams rejects each
+scheme value of these pools exactly when the config reader does.
 
 The generated values keep every valid configuration tiny (at most 32 cells,
 at most 5 steps of tau, at most 4 tau halvings, at most 4 runs per sweep),
@@ -21,14 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from etlab.cli import (  # noqa: E402
-    EXIT_AUDIT,
-    EXIT_CONFIG,
-    EXIT_OK,
-    EXIT_SOLVER,
-    _accept,
-    main,
-)
+from etlab.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, _accept, main  # noqa: E402
 from etlab.experiments import PRESET_NAMES  # noqa: E402
 from etlab.scheme import PARAM_RULES, SchemeParams  # noqa: E402
 
