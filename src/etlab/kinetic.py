@@ -23,14 +23,14 @@ specular reflection at both walls is periodicity, so transport is one-way
 upwind with one contiguous pass per operation. The Maxwellian is even in
 v: the relaxation evaluates it on the (n_x, n_h) half grid of nonnegative
 nodes and adds the target to both halves of the ring. Every velocity
-moment is a product with a weight vector built once per run.
+moment is a product with a weight vector of the velocity grid.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -61,12 +61,23 @@ EPS_RANGE = f"[{MIN_EPS:.3g}, {MAX_EPS:.3g}]"
 
 @dataclass(frozen=True)
 class VelocityGrid:
-    """Uniform symmetric velocity nodes on [-v_max, v_max] with trapezoid weights."""
+    """Uniform symmetric velocity nodes on [-v_max, v_max] with trapezoid weights.
+
+    It derives the quadrature on the nonnegative nodes v_h: ``v2`` =
+    v_h^2 - v_h[0]^2 (see _gaussian); ``ring_weights`` w, w v^2, w v, w the
+    weights with a zero node's halved, as it sits on both halves of the
+    ring, so a moment of a ring is the _cell_sums of its product with w v^k;
+    and ``folded_weights`` 2 w v^k, k = 0, 2, 4, whose product with an even
+    G given on v_h is S_k = sum wq v^k G.
+    """
 
     v_max: float
     n_v: int
     nodes: np.ndarray
     weights: np.ndarray
+    v2: np.ndarray = field(init=False)
+    ring_weights: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False)
+    folded_weights: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         # The velocity ring pairs each node with its mirror, which must be
@@ -79,6 +90,13 @@ class VelocityGrid:
             raise ValueError("velocity nodes must be exactly antisymmetric")
         if not np.array_equal(self.weights[::-1], self.weights):
             raise ValueError("velocity weights must be symmetric")
+        half = self.n_v // 2
+        v = self.nodes[half:]
+        w = np.where(v == 0.0, 0.5, 1.0) * self.weights[half:]
+        # v[0] = 0 for odd n_v: v2 is then exactly v**2
+        object.__setattr__(self, "v2", v**2 - v[0] ** 2)
+        object.__setattr__(self, "ring_weights", (w, w * v**2, w * v))
+        object.__setattr__(self, "folded_weights", tuple(2.0 * w * v**k for k in (0, 2, 4)))
 
 
 def build_velocity_grid(v_max: float = 8.0, n_v: int = 64) -> VelocityGrid:
@@ -113,11 +131,6 @@ def _gaussian(theta: np.ndarray, v2: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _shifted_v2(v: np.ndarray) -> np.ndarray:
-    """v^2 - v[0]^2 on the nonnegative nodes ``v``: _gaussian's ``v2``."""
-    return v**2 - v[0] ** 2  # v[0] = 0 for odd n_v: exactly v**2
-
-
 @dataclass
 class KineticState:
     """Reduced distributions, background temperature, and scaled Knudsen number.
@@ -144,24 +157,10 @@ def _cell_sums(per_row: np.ndarray) -> np.ndarray:
     return per_row[:n_x] + per_row[n_x:][::-1]
 
 
-def _moment_weights(vgrid: VelocityGrid):
-    """Weights on the nonnegative nodes: w, w v^2, w v for ring rows, and 2 w v^k.
-
-    w is wq with a zero node's weight halved, as that node sits on both
-    halves of the ring, so a moment of a ring is the _cell_sums of its
-    product with w v^k. S_k = sum wq v^k G of an even G given on the
-    nonnegative nodes is its product with 2 w v^k, k = 0, 2, 4.
-    """
-    half = vgrid.n_v // 2
-    v = vgrid.nodes[half:]
-    w = np.where(v == 0.0, 0.5, 1.0) * vgrid.weights[half:]
-    folded = tuple(2.0 * w * v**k for k in (0, 2, 4))
-    return w, w * v**2, w * v, folded
-
-
-def _density_energy(g: np.ndarray, w: np.ndarray, wv2: np.ndarray):
+def _density_energy(g: np.ndarray, vgrid: VelocityGrid):
     """Per-cell density and kinetic energy density of a ring pair ``g``; one
     product of both layers with w gives sum w g0 and sum w g2 bit for bit."""
+    w, wv2, _ = vgrid.ring_weights
     n_ring = g.shape[1]
     sums = g.reshape(2 * n_ring, -1) @ w
     rho = _cell_sums(sums[:n_ring])
@@ -176,9 +175,8 @@ def init_equilibrium(
     G is the relaxation's shifted Gaussian at theta0 (see _gaussian), so each
     cell holds its mass rho0 on the velocity grid, also where the grid does
     not resolve theta0: G is 1 at the smallest nonnegative node and may
-    underflow at every other. The state's energy defect is S2/S0 - theta of
-    the normalized Maxwellian at theta0, and 0, the continuum law, in a cell
-    where it underflows at every node (S0 = 0).
+    underflow at every other, so S0 > 0. The state's energy defect is the
+    relaxation's S2/S0 - theta at theta0, from the same sums.
     """
     rho0 = np.asarray(rho0, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
@@ -186,15 +184,13 @@ def init_equilibrium(
         raise ValueError("equilibrium data must be strictly positive")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    v = vgrid.nodes[vgrid.n_v // 2 :]
-    w0, w2, _ = _moment_weights(vgrid)[3]
-    m1 = maxwellian_1d(theta0[:, None], v[None, :])
-    s0, s2 = m1 @ w0, m1 @ w2
-    delta = np.divide(s2, s0, out=theta0.copy(), where=s0 > 0.0) - theta0
-    gauss = _gaussian(theta0, _shifted_v2(v), np.empty_like(m1))
-    n = rho0.shape[0]
-    g = np.empty((2, 2 * n, v.shape[0]))
-    np.multiply((rho0 / (gauss @ w0))[:, None], gauss, out=g[0, :n])
+    w0, w2, _ = vgrid.folded_weights
+    n, n_h = rho0.shape[0], vgrid.v2.shape[0]
+    gauss = _gaussian(theta0, vgrid.v2, np.empty((n, n_h)))
+    s0 = gauss @ w0
+    delta = gauss @ w2 / s0 - theta0
+    g = np.empty((2, 2 * n, n_h))
+    np.multiply((rho0 / s0)[:, None], gauss, out=g[0, :n])
     np.multiply((2.0 * theta0)[:, None], g[0, :n], out=g[1, :n])
     g[:, n:] = g[:, n - 1 :: -1]  # even in v: the bottom half mirrors the top
     return KineticState(g, theta0.copy(), float(eps), grid, vgrid, delta)
@@ -202,9 +198,8 @@ def init_equilibrium(
 
 def moments(state: KineticState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell density, kinetic energy density, and scaled mass flux."""
-    w, wv2, wv, _ = _moment_weights(state.vgrid)
-    rho, e_kin = _density_energy(state.g, w, wv2)
-    flux_rows = state.g[0] @ wv
+    rho, e_kin = _density_energy(state.g, state.vgrid)
+    flux_rows = state.g[0] @ state.vgrid.ring_weights[2]
     n_x = flux_rows.shape[0] // 2
     mass_flux = (flux_rows[:n_x] - flux_rows[n_x:][::-1]) / state.eps
     return rho, e_kin, mass_flux
@@ -258,7 +253,7 @@ def _aligned_empty(shape: Tuple[int, ...]) -> np.ndarray:
 class _StepConstants:
     """What the steps of a run share, built once: the Courant numbers tiled to
     the ring's shape and v_h^2 - v_h[0]^2 (see _gaussian) to the half grid's
-    (both 64-byte aligned), the moment weights, mu and keep = 1 / (1 + lam)
+    (both 64-byte aligned), the folded weights, mu and keep = 1 / (1 + lam)
     for lam = dt / eps^2, and the heat factor."""
 
     def __init__(self, grid: Grid1D, vgrid: VelocityGrid, eps: float, dt: float):
@@ -266,8 +261,8 @@ class _StepConstants:
         self.courant = _aligned_empty((2 * grid.n_cells, v.shape[0]))
         self.courant[:] = dt * v / (eps * grid.h)
         self.v2 = _aligned_empty((grid.n_cells, v.shape[0]))
-        self.v2[:] = _shifted_v2(v)
-        self.w, self.wv2, _, self.folded = _moment_weights(vgrid)
+        self.v2[:] = vgrid.v2
+        self.folded = vgrid.folded_weights
         lam = dt / eps**2
         self.mu = lam / (1.0 + lam)
         self.keep = 1.0 / (1.0 + lam)
@@ -289,7 +284,7 @@ def _relax_temperature(
     increasing in theta, so safeguarded Newton with a bracket converges.
     Each iterate evaluates the shifted Gaussian G of _gaussian into
     ``gauss`` on the nonnegative nodes, and S_k = sum wq v^k G is its
-    product with the folded weights of ``k`` (see _moment_weights); S2/S0
+    product with the folded weights of ``k`` (see VelocityGrid); S2/S0
     does not depend on G's normalization, and S0 > 0.
 
     Newton starts from the solution of the same equation with the energy
@@ -388,7 +383,7 @@ def kinetic_step(
 
     theta_b = k.heat.solve(state.theta_b)
 
-    rho, e_kin = _density_energy(g, k.w, k.wv2)
+    rho, e_kin = _density_energy(g, vgrid)
     gauss = scratch[:n]
     theta_star, s0, delta = _relax_temperature(
         theta_b, rho, e_kin, state.delta, k, gauss

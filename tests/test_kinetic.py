@@ -115,16 +115,15 @@ def test_init_equilibrium_rejects_bad_input():
 
 
 def test_init_equilibrium_energy_defect():
-    # The coldest cells underflow on the grid (S0 = 0): their defect is 0,
-    # the continuum law, and no warning is raised.
+    # The defect is the relaxation's S2/S0 - theta of the shifted Gaussian,
+    # also in the coldest cells, where G is 1 at the smallest nonnegative
+    # node and underflows at every other: there it is about v_h[0]^2 - theta.
     theta0 = np.geomspace(1e-8, 4.0, 32)
     state = init_equilibrium(GRID, VGRID, np.ones(32), theta0, eps=0.1)
-    _, s0, s2, _ = _ref_gauss_sums(theta0, VGRID.nodes, VGRID.weights)
-    resolved = s0 > 0.0
-    assert 0 < np.count_nonzero(resolved) < 32
-    assert np.all(state.delta[~resolved] == 0.0)
-    expected = s2[resolved] / s0[resolved] - theta0[resolved]
-    assert np.array_equal(state.delta[resolved], expected)
+    _, s0, s2, _ = _ref_gaussian_sums(theta0, VGRID.nodes, VGRID.weights)
+    assert np.array_equal(state.delta, s2 / s0 - theta0)
+    v_h0 = VGRID.nodes[VGRID.n_v // 2]
+    assert state.delta[0] == pytest.approx(v_h0**2 - theta0[0], rel=1e-12)
     assert abs(state.delta[-1]) > 1e-6  # v_max = 8 truncates M1(4)
 
 
@@ -356,14 +355,6 @@ def _ref_folded_weights(v, wq):
     half = v.shape[0] // 2
     fold = np.where(v[half:] == 0.0, 1.0, 2.0) * wq[half:]
     return [fold * v[half:] ** k for k in (0, 2, 4)]
-
-
-def _ref_gauss_sums(theta, v, wq):
-    """M1 on the full grid and S_k = sum w v^k M1, k = 0, 2, 4, by folded weights."""
-    m1 = maxwellian_1d(theta[:, None], v[None, :])
-    upper = np.ascontiguousarray(m1[:, v.shape[0] // 2 :])
-    s0, s2, s4 = (upper @ w for w in _ref_folded_weights(v, wq))
-    return m1, s0, s2, s4
 
 
 def _ref_gaussian_sums(theta, v, wq):
