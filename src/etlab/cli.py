@@ -62,7 +62,7 @@ from .scheme import (
     run_transient,
     step_count,
 )
-from .thermo import BlowupError, EntropicState, MacroState, to_primitive
+from .thermo import BlowupError, EntropicState, MacroState, to_entropic, to_primitive
 
 MODES = ("macro", "kinetic", "compare", "sweep", "mms", "audit")
 
@@ -348,7 +348,7 @@ def _validate(doc: Dict[str, Any]) -> RunConfig:
         runs = sweep_runs(cfg.sweep_varied)
     else:
         runs = [{}] if cfg.mode in ("macro", "compare") else []
-    floors = []  # each run's init_floor
+    floors = []  # each run's init_floor, and the words that name the run
     for changes in runs:
         where = f" (sweep run {changes})" if changes else ""
         try:
@@ -359,7 +359,7 @@ def _validate(doc: Dict[str, Any]) -> RunConfig:
             step_count(p.t_final, p.tau)
         except ValueError as exc:
             raise ConfigError("scheme.t_final", f"{exc}{where}") from exc
-        floors.append(p.init_floor)
+        floors.append((p.init_floor, where))
 
     explicit = [a for a in (cfg.rho0, cfg.theta0) if a is not None]
     if explicit and cfg.mode in ("macro", "kinetic", "compare", "sweep"):
@@ -370,11 +370,40 @@ def _validate(doc: Dict[str, Any]) -> RunConfig:
         low = min(map(min, explicit))
         _expect(low >= 0.0, "init", "explicit arrays must be nonnegative")
         _expect(
-            low > 0.0 or min(floors or [cfg.scheme.init_floor]) > 0.0,
+            low > 0.0 or min([f for f, _ in floors] or [cfg.scheme.init_floor]) > 0.0,
             "scheme.init_floor",
             "must be positive to raise the zero entries of init.rho0, init.theta0",
         )
+    if cfg.mode in ("macro", "kinetic", "compare", "sweep"):
+        _expect_initial_state(cfg, floors)
     return cfg
+
+
+def _expect_initial_state(cfg: RunConfig, floors: List[Tuple[float, str]]) -> None:
+    """The initial fields, clipped up to each macro run's floor, must lie in
+    the entropic chart (see to_primitive); clipped up to init_floor, a
+    kinetic run's must have a finite 2 theta (1 + 3 rho / 2), the scale of
+    g2, and a finite v_max^2 / (2 theta), the Gaussian's largest exponent."""
+    _, rho0, theta0 = cfg.initial_fields()
+    for floor, where in floors:
+        try:
+            to_primitive(to_entropic(np.maximum(rho0, floor), np.maximum(theta0, floor)))
+        except BlowupError as exc:
+            raise ConfigError("init", f"initial {exc}{where}") from exc
+    if cfg.mode in ("kinetic", "compare"):
+        rho = np.maximum(rho0, cfg.scheme.init_floor)
+        theta = np.maximum(theta0, cfg.scheme.init_floor)
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(2.0 * theta * (1.0 + 1.5 * rho))
+            bad |= ~np.isfinite(cfg.v_max * cfg.v_max / (2.0 * theta))
+        cell = int(np.argmax(bad))
+        _expect(
+            not bad[cell],
+            "init",
+            f"initial kinetic state out of range at cell {cell}: rho={rho[cell]:.6g}, "
+            f"theta={theta[cell]:.6g} (2 theta (1 + 3 rho / 2) and "
+            "kinetic.v_max^2 / (2 theta) must be finite)",
+        )
 
 
 def _expect_cell_width(length: float, n: int) -> None:
@@ -585,7 +614,7 @@ def _read_snapshot(
         cols = _read_csv(path)
         x, state = cols["x"], EntropicState(phi=cols["phi"], w=cols["w"])
         to_primitive(state)
-    except (ValueError, KeyError, IndexError, BlowupError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, BlowupError) as exc:
         raise ConfigError(str(path), f"damaged snapshot: {exc}") from exc
     if first is not None and x.size != first.size:
         raise ConfigError(
@@ -603,7 +632,7 @@ def _run_audit(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("output.directory", f"no trajectory.csv in {out}")
     try:
         times = _read_csv(traj_file)["t"]
-    except (ValueError, KeyError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, IndexError) as exc:
         raise ConfigError(str(traj_file), f"damaged trajectory: {exc}") from exc
     # The run stored times[k] = k * tau, so times[1] is its tau exactly; a
     # difference of two stored times is not (0.012 - 0.011 != 0.001).
@@ -679,7 +708,10 @@ def main(argv: Sequence[str]) -> int:
         doc = _document(text, argv[2:], mode)
         out = Path(_output_directory(doc))
         cfg = _validate(doc)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("output.directory", f"cannot create {out}: {exc}") from exc
         return _RUNNERS[mode](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -197,12 +197,50 @@ def _bad(*overrides, mode="macro", path=None, id=None):
             path="sweep",
             id="sweep-varied-delta-negative",
         ),
+        # an output directory that cannot be made: afile is a regular file
+        _bad("output.directory=afile"),
+        _bad("output.directory=afile/sub"),
+        # initial states beyond the entropic chart's cap: phi = 348 in the
+        # cell at theta = 1e-100, w = 691 at the floor 1e300
+        _bad(
+            "init.rho0=[1,1,1]",
+            "init.theta0=[1,1e-100,1]",
+            "grid.n_cells=3",
+            "scheme.init_floor=0",
+            "scheme.eps=0",
+            "scheme.delta=0",
+            path="init",
+            id="macro-cell-beyond-the-chart",
+        ),
+        _bad("scheme.init_floor=1e300", path="init", id="macro-floor-1e300"),
+        _bad("scheme.init_floor=1e300", mode="compare", path="init", id="compare-floor-1e300"),
+        _bad(
+            'sweep.varied={"init_floor":[1e-4,1e300]}',
+            mode="sweep",
+            path="init",
+            id="sweep-floor-1e300",
+        ),
+        # 1 / (2 theta0) overflows in the Gaussian at the floor 1e-309; at
+        # the floor 1e300, 2 theta0 (1 + 3 rho0 / 2) overflows
+        _bad(
+            "init.rho0=[1,1,1]",
+            "init.theta0=[0,1,0]",
+            "grid.n_cells=3",
+            "scheme.init_floor=1e-309",
+            mode="kinetic",
+            path="init",
+            id="kinetic-floor-1e-309",
+        ),
+        _bad("scheme.init_floor=1e300", mode="kinetic", path="init", id="kinetic-floor-1e300"),
     ],
 )
 def test_invalid_override_exits_3_without_exception(tmp_path, capsys, mode, overrides, path):
     cfg = _write_config(tmp_path, MINIMAL)
+    (tmp_path / "afile").write_text("")
     assert main([mode, cfg, *overrides]) == 3
     assert f"config error: {path}: " in capsys.readouterr().err
+    if path == "output.directory":
+        return  # there is no directory to leave error.json in
     record = json.loads((tmp_path / "etlab_out" / "error.json").read_text())
     assert record["error"] == "config" and record["message"].startswith(f"{path}: ")
 
@@ -681,6 +719,11 @@ def test_audit_passes_a_run_with_backoff_substeps(tmp_path):
 
 
 def _corrupt_snapshot(out, damage):
+    if damage.endswith("is a directory"):
+        path = out / ("trajectory.csv" if damage.startswith("trajectory") else "snapshot_1.csv")
+        path.unlink()
+        path.mkdir()
+        return path
     if damage.endswith("trajectory"):
         traj = out / "trajectory.csv"
         if damage == "missing trajectory":
@@ -719,6 +762,8 @@ def _corrupt_snapshot(out, damage):
         "one-row trajectory",
         "uneven-times trajectory",
         "missing trajectory",
+        "trajectory is a directory",
+        "snapshot is a directory",
     ],
 )
 def test_audit_on_corrupted_run_directory_exits_3(tmp_path, capsys, damage):
@@ -741,6 +786,8 @@ def test_audit_on_corrupted_run_directory_exits_3(tmp_path, capsys, damage):
         assert "damaged trajectory: times must be 0, tau, 2 tau" in record["message"]
     elif damage == "x=0.5":
         assert record["message"].endswith("damaged snapshot: its x column is not snapshot_0's")
+    elif damage.endswith("is a directory"):
+        assert f"damaged {damage.split()[0]}: [Errno 21] Is a directory" in record["message"]
 
 
 def test_audit_rejects_a_length_too_small_for_its_snapshots(tmp_path, capsys):
@@ -879,6 +926,31 @@ def test_macro_default_settings_converge_on_cold_data(
     records = json.loads((out / "audits.json").read_text())["records"]
     substeps = sum(r["tau_used"] < 1e-3 for r in records)
     assert substeps <= _COLD_SUBSTEPS[field, minimum, n_cells, inner_mode]
+
+
+@pytest.mark.parametrize(
+    "theta, code, kind",
+    [(1e-100, 3, "config"), (1e-87, 3, "config"), (1e-86, 2, "solver"), (1e-30, 0, None)],
+)
+def test_initial_cells_the_entropic_chart_cannot_hold_exit_3(tmp_path, theta, code, kind):
+    # At rho = 1 the chart holds theta down to about 7.3e-87, where phi =
+    # 2.5 - 1.5 log theta reaches the cap 300. A colder cell is a config
+    # error; one the chart holds but the solver cannot run is a solver
+    # failure.
+    doc = {
+        "mode": "macro",
+        "grid": {"n_cells": 16, "length": 1.0},
+        "scheme": {"tau": 1e-3, "t_final": 2e-3, "eps": 0.0, "delta": 0.0, "init_floor": 0.0},
+        "init": {"rho0": [1.0] * 16, "theta0": [1.0] * 8 + [theta] + [1.0] * 7},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    assert main(["macro", _write_config(tmp_path, doc)]) == code
+    error = tmp_path / "out" / "error.json"
+    assert (json.loads(error.read_text())["error"] if error.exists() else None) == kind
+    if kind == "config":
+        assert json.loads(error.read_text())["message"].startswith(
+            "init: initial entropic state out of range at cell 8: "
+        )
 
 
 @pytest.mark.parametrize("source", ["override", "env", "file"])
