@@ -11,6 +11,7 @@ from etlab.thermo import to_primitive
 from etlab.experiments import (
     PRESET_NAMES,
     ConvergenceTable,
+    ManufacturedSolution,
     default_manufactured,
     default_run_matrix,
     fit_loglog_slope,
@@ -147,6 +148,16 @@ def test_mms_convergence_rejects_empty_resolutions(resolutions):
     p = SchemeParams(tau=1e-3, t_final=1e-3)
     with pytest.raises(ValueError, match="resolutions must not be empty"):
         mms_convergence(resolutions, default_manufactured(), p)
+
+
+def test_mms_convergence_rejects_nonpositive_manufactured_fields():
+    ms = default_manufactured()
+    negative = ManufacturedSolution(
+        lambda x, t: np.full_like(x, -1.0), ms.theta, ms.source_mass, ms.source_energy
+    )
+    p = SchemeParams(tau=1e-3, t_final=1e-3)
+    with pytest.raises(ValueError, match="manufactured fields must be strictly positive"):
+        mms_convergence([8], negative, p)
 
 
 def test_sweep_study_tau_first_order():

@@ -28,6 +28,7 @@ from etlab.kinetic import (
     moments,
     run_kinetic,
 )
+from etlab.scheme import StepFailureError
 
 GRID = build_grid(32, 1.0)
 VGRID = build_velocity_grid(8.0, 64)
@@ -237,6 +238,25 @@ def test_relaxation_runs_on_vacuum_and_cold_step_data(n_v, stepped, floor):
     )
     vgrid = build_velocity_grid(8.0, n_v)
     _assert_steps_conserve(grid, vgrid, rho0, theta0, 0.1)
+
+
+def test_relaxation_fails_at_the_first_cell_with_a_non_finite_residual(monkeypatch):
+    # No Newton update repairs non-finite moments: the solve stops after
+    # its first Gaussian and names the first such cell. Transport carries
+    # the NaN at a positive velocity of cell 5 into cells 5 and 6.
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _gaussian(*args)
+
+    monkeypatch.setattr(kinetic, "_gaussian", counting)
+    state = init_equilibrium(GRID, VGRID, np.ones(32), np.ones(32), eps=0.1)
+    state.g[0, 5, 3] = np.nan
+    calls.clear()
+    with pytest.raises(StepFailureError, match=r"failed at cell 5: residual nan$"):
+        kinetic_step(state, 0.9 * 0.1 * GRID.h / VGRID.v_max)
+    assert len(calls) == 1
 
 
 def test_step_preserves_nonnegativity():
