@@ -185,12 +185,12 @@ def init_equilibrium(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     w0, w2, _ = vgrid.folded_weights
-    n, n_h = rho0.shape[0], vgrid.v2.shape[0]
-    gauss = _gaussian(theta0, vgrid.v2, np.empty((n, n_h)))
+    n = rho0.shape[0]
+    g = np.empty((2, 2 * n, vgrid.v2.shape[0]))
+    gauss = _gaussian(theta0, vgrid.v2, g[0, :n])
     s0 = gauss @ w0
     delta = gauss @ w2 / s0 - theta0
-    g = np.empty((2, 2 * n, n_h))
-    np.multiply((rho0 / s0)[:, None], gauss, out=g[0, :n])
+    gauss *= (rho0 / s0)[:, None]
     np.multiply((2.0 * theta0)[:, None], g[0, :n], out=g[1, :n])
     g[:, n:] = g[:, n - 1 :: -1]  # even in v: the bottom half mirrors the top
     return KineticState(g, theta0.copy(), float(eps), grid, vgrid, delta)
