@@ -396,14 +396,14 @@ def _expect_initial_state(cfg: RunConfig, floors: List[Tuple[float, str]]) -> No
         with np.errstate(over="ignore"):
             bad = ~np.isfinite(2.0 * theta * (1.0 + 1.5 * rho))
             bad |= ~np.isfinite(cfg.v_max * cfg.v_max / (2.0 * theta))
-        cell = int(np.argmax(bad))
-        _expect(
-            not bad[cell],
-            "init",
-            f"initial kinetic state out of range at cell {cell}: rho={rho[cell]:.6g}, "
-            f"theta={theta[cell]:.6g} (2 theta (1 + 3 rho / 2) and "
-            "kinetic.v_max^2 / (2 theta) must be finite)",
-        )
+        if bad.any():
+            cell = int(np.argmax(bad))
+            raise ConfigError(
+                "init",
+                f"initial kinetic state out of range at cell {cell}: rho={rho[cell]:.6g}, "
+                f"theta={theta[cell]:.6g} (2 theta (1 + 3 rho / 2) and "
+                "kinetic.v_max^2 / (2 theta) must be finite)",
+            )
 
 
 def _expect_cell_width(length: float, n: int) -> None:
@@ -708,11 +708,11 @@ def main(argv: Sequence[str]) -> int:
         doc = _document(text, argv[2:], mode)
         out = Path(_output_directory(doc))
         cfg = _validate(doc)
-        try:
+        try:  # audit reports its unreadable inputs itself
             out.mkdir(parents=True, exist_ok=True)
+            return _RUNNERS[mode](cfg, out)
         except OSError as exc:
-            raise ConfigError("output.directory", f"cannot create {out}: {exc}") from exc
-        return _RUNNERS[mode](cfg, out)
+            raise ConfigError("output.directory", f"cannot write to {out}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         _write_error_record(out, "config", str(exc))

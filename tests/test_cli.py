@@ -197,9 +197,11 @@ def _bad(*overrides, mode="macro", path=None, id=None):
             path="sweep",
             id="sweep-varied-delta-negative",
         ),
-        # an output directory that cannot be made: afile is a regular file
+        # an output directory that cannot be made (afile is a regular file)
+        # or written (taken/trajectory.csv is a directory)
         _bad("output.directory=afile"),
         _bad("output.directory=afile/sub"),
+        _bad("output.directory=taken", "scheme.t_final=1e-3"),
         # initial states beyond the entropic chart's cap: phi = 348 in the
         # cell at theta = 1e-100, w = 691 at the floor 1e300
         _bad(
@@ -237,6 +239,7 @@ def _bad(*overrides, mode="macro", path=None, id=None):
 def test_invalid_override_exits_3_without_exception(tmp_path, capsys, mode, overrides, path):
     cfg = _write_config(tmp_path, MINIMAL)
     (tmp_path / "afile").write_text("")
+    (tmp_path / "taken" / "trajectory.csv").mkdir(parents=True)
     assert main([mode, cfg, *overrides]) == 3
     assert f"config error: {path}: " in capsys.readouterr().err
     if path == "output.directory":
@@ -930,13 +933,13 @@ def test_macro_default_settings_converge_on_cold_data(
 
 @pytest.mark.parametrize(
     "theta, code, kind",
-    [(1e-100, 3, "config"), (1e-87, 3, "config"), (1e-86, 2, "solver"), (1e-30, 0, None)],
+    [(1e-87, 3, "config"), (1e-86, 2, "solver"), (1e-30, 0, None)],
 )
 def test_initial_cells_the_entropic_chart_cannot_hold_exit_3(tmp_path, theta, code, kind):
     # At rho = 1 the chart holds theta down to about 7.3e-87, where phi =
     # 2.5 - 1.5 log theta reaches the cap 300. A colder cell is a config
-    # error; one the chart holds but the solver cannot run is a solver
-    # failure.
+    # error (the config-error table has one at 1e-100); one the chart holds
+    # but the solver cannot run is a solver failure.
     doc = {
         "mode": "macro",
         "grid": {"n_cells": 16, "length": 1.0},
