@@ -85,8 +85,9 @@ class ConvergenceTable:
 
 
 # write_csv formats up to this many rows with one % operation: all of a
-# short table at once, and a long one (kinetic_trajectory.csv has thousands
-# of rows) in blocks, so that its text is never held whole.
+# short table at once, and a long one (a macro run's trajectory.csv has
+# n_steps + 1 rows; kinetic_trajectory.csv at most about 40) in blocks, so
+# that its text is never held whole.
 _CSV_BLOCK_ROWS = 256
 
 
